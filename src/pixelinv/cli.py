@@ -49,18 +49,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
+        config.experiment = args.experiment
+        if args.nx is not None:
+            config.nx = args.nx
+        if args.k is not None:
+            config.k = args.k
+        if args.seed is not None:
+            config.seed = args.seed
+        if args.out is not None:
+            config.out = args.out
+        config.validate()
     except (OSError, ValueError) as err:
         print(f"pixelinv: bad config: {err}", file=sys.stderr)
         return 2
-    config.experiment = args.experiment
-    if args.nx is not None:
-        config.nx = args.nx
-    if args.k is not None:
-        config.k = args.k
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
 
     if args.experiment == "properties":
         report = run_property_suite(config)

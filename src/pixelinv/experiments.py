@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linsolve
 from .assembly import assemble_global, assemble_load, assemble_pixel_matrices, global_matrix
-from .analysis import condition_number, loewner_min_eig
+from .analysis import RankDeficientError, condition_number, loewner_min_eig
 from .forward import (
     directional_derivative,
     forward_matrix,
@@ -91,6 +91,13 @@ class ExperimentConfig:
             else:
                 parts.append(f"{f.name}={getattr(self, f.name)}")
         return "config: " + " ".join(parts)
+
+    def validate(self) -> None:
+        """Reject sweep steps, ranges and solver tolerances no study can run with."""
+        for name in ("sigma_step", "sigma_max", "landscape_step", "landscape_max", "tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def solver_max_iter(self):
@@ -177,6 +184,7 @@ def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:
     ``pixel, sigma_i, F_value`` per sample; pixel ids are 1-based
     (lower-left pixel is 1, row-major upward).
     """
+    config.validate()
     k = config.k or 4
     fraction = config.radius_fraction or 0.25
     _, _, _, stiffness, loads = _experiment_setup(config, config.nx, k, fraction)
@@ -204,6 +212,7 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     which is the equal-coefficients slice). Rows are ``sigma4, sigma6, R``
     with the 1-based pixel naming of the 3x3 grid.
     """
+    config.validate()
     if config.nx != 3:
         raise ValueError("the landscape study is defined on the 3x3 grid")
     k = config.k or 4
@@ -245,6 +254,7 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
     columns. Rank-deficient Jacobians report an infinite condition number
     in their row instead of aborting the sweep.
     """
+    config.validate()
     rows = []
     for nx in range(config.nx_min, config.nx_max + 1):
         k = _stability_k(config, nx)
@@ -260,7 +270,7 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
         try:
             report = condition_number(jac)
             cond = report.condition
-        except ValueError:
+        except RankDeficientError:
             cond = math.inf
         rows.append((nx, nx * nx, len(loads), cond))
     return ExperimentResult(header=["nx", "n", "m", "cond"], rows=rows, config=config)
@@ -340,6 +350,7 @@ def run_property_suite(config: ExperimentConfig, corrupt_pixel: int | None = Non
     actually bite. Checks failing only because a tolerance was overridden
     below its built-in default are annotated as tolerance-related.
     """
+    config.validate()
     rng = np.random.default_rng(config.seed)
     nx = config.nx
     k = config.k or 4

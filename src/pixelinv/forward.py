@@ -49,6 +49,15 @@ def check_sigma(sigma, n: int) -> np.ndarray:
     return s
 
 
+def _require_finite(s: np.ndarray, *outputs) -> None:
+    """Refuse outputs that left the double-precision range instead of returning them."""
+    if not all(np.isfinite(out).all() for out in outputs):
+        raise FloatingPointError(
+            f"F or J has non-finite entries at sigma in [{s.min():.3g}, {s.max():.3g}]; "
+            "the coefficient scale is outside double-precision range"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Matrix of measurements for a symmetric functional layout.
@@ -130,6 +139,7 @@ def forward_single(
     value = float(lam_l @ y_r.y)
     forms = _pixel_quadratic_forms(stiffness, lam_l[:, None], lam_r[:, None])
     gradient = -forms[:, 0, 0]
+    _require_finite(s, value, gradient)
     return value, gradient
 
 
@@ -164,6 +174,7 @@ def forward_matrix(
     lam = np.column_stack([rep.solution for rep in reports])
     values = lam.T @ Y
     slices = -_pixel_quadratic_forms(stiffness, lam, lam)
+    _require_finite(s, values, slices)
     return (
         MeasurementMatrix(values=values, loads=list(loads), solves_used=used),
         JacobianStack(slices=slices),
@@ -207,6 +218,7 @@ def forward_pairs(
             stiffness, solutions[id(l)][:, None], solutions[id(r)][:, None]
         )
         jac[q] = -forms[:, 0, 0]
+    _require_finite(s, values, jac)
     return values, jac
 
 

@@ -1,17 +1,24 @@
-"""Conjugate-gradient solver for the SPD systems behind every forward map.
+"""Direct sparse solver for the SPD systems behind every forward map.
 
-A single primitive is exposed: Jacobi-preconditioned CG on a sparse
-symmetric positive definite matrix, with a deterministic iteration (no
-restarts, fixed summation order) so repeated runs are bit-identical. A
-module-level counter tracks how many solves were performed, which lets
-callers assert solve budgets.
+Each matrix is factored once by SuperLU (``scipy.sparse.linalg.splu``)
+under the fixed symmetric fill-reducing ordering ``MMD_AT_PLUS_A``, and
+every right-hand side is back-substituted against that one factor. The
+relative residual ``||B x - y|| / ||y||`` of every solution is checked
+before it is returned; one that misses ``tol`` gets iterative-refinement
+steps, and one that still misses it raises :class:`SolverError`. SuperLU
+runs single-threaded with a fixed ordering, so repeated runs are
+bit-identical. A module-level counter tracks how many right-hand sides
+were solved, which lets callers assert solve budgets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "DEFAULT_TOL",
@@ -23,6 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+_DEFAULT_REFINE_STEPS = 10
 
 _solve_calls = 0
 
@@ -34,10 +42,11 @@ def solve_count() -> int:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Solution plus convergence record of one SPD solve.
+    """Solution plus accuracy record of one SPD solve.
 
     ``residual_norm`` is the relative two-norm residual
-    ``||B x - y|| / ||y||`` of the returned solution.
+    ``||B x - y|| / ||y||`` of the returned solution and ``iterations``
+    the number of iterative-refinement steps it took.
     """
 
     solution: np.ndarray
@@ -46,7 +55,7 @@ class SolveReport:
 
 
 class SolverError(RuntimeError):
-    """Raised when CG fails to reach the requested tolerance."""
+    """Raised when a matrix cannot be factored or a solution misses the tolerance."""
 
     def __init__(self, message, residual_norm, iterations):
         super().__init__(message)
@@ -54,103 +63,89 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def _pcg(matrix, inv_diag, rhs, tol, max_iter, x0=None):
+def _factor(matrix, tol):
+    """Check the inputs, then factor ``matrix`` once for all right-hand sides."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    try:
+        return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(
+            f"cannot factor the {matrix.shape[0]}x{matrix.shape[1]} matrix: {err}",
+            residual_norm=math.inf,
+            iterations=0,
+        ) from err
+
+
+def _solve(lu, matrix, rhs, tol, max_iter) -> SolveReport:
+    """Back-substitute ``rhs``, then refine while the residual misses ``tol`` and falls."""
+    rhs = np.asarray(rhs, dtype=float).reshape(-1)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return SolveReport(solution=np.zeros_like(rhs), iterations=0, residual_norm=0.0)
-
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - matrix @ x if x.any() else rhs.copy()
-    target = tol * rhs_norm
-
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    iterations = 0
-    while np.linalg.norm(r) > target and iterations < max_iter:
-        Ap = matrix @ p
-        alpha = rz / float(p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        iterations += 1
-        if np.linalg.norm(r) <= target:
-            # Recurrence residuals can drift from the true one; recompute
-            # and keep iterating on the exact residual if needed.
-            true_r = rhs - matrix @ x
-            if np.linalg.norm(true_r) <= target:
-                break
-            r = true_r
-            z = inv_diag * r
-            p = z.copy()
-            rz = float(r @ z)
-            continue
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    achieved = float(np.linalg.norm(rhs - matrix @ x) / rhs_norm)
-    if achieved > tol:
+    if max_iter is None:
+        max_iter = _DEFAULT_REFINE_STEPS
+    x = lu.solve(rhs)
+    r = rhs - matrix @ x
+    achieved = float(np.linalg.norm(r)) / rhs_norm
+    steps = 0
+    while achieved > tol and steps < max_iter:
+        x_new = x + lu.solve(r)
+        r_new = rhs - matrix @ x_new
+        achieved_new = float(np.linalg.norm(r_new)) / rhs_norm
+        steps += 1
+        if not achieved_new < achieved:
+            break
+        x, r, achieved = x_new, r_new, achieved_new
+    if not achieved <= tol:
         raise SolverError(
-            f"CG did not reach tolerance {tol} within {max_iter} iterations "
+            f"direct solve missed tolerance {tol} after {steps} refinement steps "
             f"(achieved relative residual {achieved:.3e})",
             residual_norm=achieved,
-            iterations=iterations,
+            iterations=steps,
         )
-    return SolveReport(solution=x, iterations=iterations, residual_norm=achieved)
-
-
-def _inverse_diagonal(matrix):
-    d = matrix.diagonal()
-    if np.any(d <= 0):
-        raise ValueError("matrix diagonal has non-positive entries; not SPD")
-    return 1.0 / d
+    return SolveReport(solution=x, iterations=steps, residual_norm=achieved)
 
 
 def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> SolveReport:
-    """Solve ``matrix @ x = rhs`` by Jacobi-preconditioned CG.
+    """Solve ``matrix @ x = rhs`` by a sparse LU factorization.
 
     Parameters
     ----------
     matrix : sparse or dense symmetric positive definite matrix
     rhs : (N,) array
     tol : float
-        Relative residual target; must be > 0.
+        Relative residual target; must be positive and finite.
     max_iter : int, optional
-        Defaults to ``10 * N``.
+        Most iterative-refinement steps taken when the first solution
+        misses ``tol``; defaults to 10.
 
     Raises
     ------
     SolverError
-        On non-convergence; carries the achieved residual and iterations.
+        When the matrix is singular (infinite residual) or the solution
+        misses ``tol``; carries the achieved residual and refinement steps.
     """
     global _solve_calls
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    if max_iter is None:
-        max_iter = 10 * max(rhs.size, 1)
+    lu = _factor(matrix, tol)
     _solve_calls += 1
-    return _pcg(matrix, _inverse_diagonal(matrix), rhs, tol, max_iter)
+    return _solve(lu, matrix, rhs, tol, max_iter)
 
 
 def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> list[SolveReport]:
     """Solve one SPD system for several right-hand sides.
 
-    The preconditioner is prepared once; each right-hand side is solved
-    independently. Failures identify the offending right-hand side.
+    The matrix is factored once; each right-hand side is back-substituted
+    against that factor and checked on its own. Failures identify the
+    offending right-hand side.
     """
     global _solve_calls
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    inv_diag = _inverse_diagonal(matrix)
+    lu = _factor(matrix, tol)
     reports = []
     for j, rhs in enumerate(rhs_list):
-        rhs = np.asarray(rhs, dtype=float).reshape(-1)
-        it_cap = 10 * max(rhs.size, 1) if max_iter is None else max_iter
         _solve_calls += 1
         try:
-            reports.append(_pcg(matrix, inv_diag, rhs, tol, it_cap))
+            reports.append(_solve(lu, matrix, rhs, tol, max_iter))
         except SolverError as err:
             raise SolverError(
                 f"right-hand side {j + 1} of {len(rhs_list)}: {err}",

@@ -326,5 +326,5 @@ def test_criterion_11_oracle_equivalence():
         "oracle equivalence",
         ok,
         f"assembly vs quadrature {assembly_dev:.2e} <= 1e-12, "
-        f"CG vs dense factorization {solver_dev:.2e} <= 1e-8",
+        f"solver vs dense factorization {solver_dev:.2e} <= 1e-8",
     )

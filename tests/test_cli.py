@@ -17,6 +17,27 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, setting",
+    [
+        ("nonuniqueness", "sigma_step=0"),
+        ("nonuniqueness", "sigma_step=-0.1"),
+        ("landscape", "landscape_step=0"),
+        ("landscape", "landscape_step=nan"),
+        ("stability", "tol=nan"),
+        ("properties", "tol=inf"),
+    ],
+)
+def test_bad_step_or_tolerance_is_usage_error(tmp_path, capsys, experiment, setting):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and setting.split("=")[0] in err
+    assert not out.exists()
+
+
 def test_nonuniqueness_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     cfg = tmp_path / "run.cfg"

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from pixelinv import experiments
 from pixelinv.experiments import (
     DEFAULT_CHECK_TOLERANCES,
     ExperimentConfig,
@@ -47,6 +49,15 @@ class TestConfig:
         cfg_file.write_text("bogus=1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(cfg_file)
+
+    @pytest.mark.parametrize("field", ["sigma_step", "landscape_step", "tol"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
+    def test_nonpositive_or_nonfinite_values_rejected(self, field, value):
+        cfg = ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            cfg.validate()
+        with pytest.raises(ValueError, match=field):
+            run_stability_study(dataclasses.replace(cfg, nx_min=2, nx_max=2))
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -145,6 +156,14 @@ class TestStabilityStudy:
         assert [r[2] for r in result.rows] == [4, 8, 12, 16]
         conds = [r[3] for r in result.rows]
         assert all(b > a for a, b in zip(conds, conds[1:]))
+
+    def test_only_rank_deficiency_reads_as_infinite(self, monkeypatch):
+        def broken(jac):
+            raise ValueError("not a rank problem")
+
+        monkeypatch.setattr(experiments, "condition_number", broken)
+        with pytest.raises(ValueError, match="not a rank problem"):
+            run_stability_study(ExperimentConfig(nx_min=2, nx_max=2, k=1))
 
     def test_jacobian_shape_reported(self, stiffness3x4, loads3x4):
         from pixelinv.forward import forward_matrix

@@ -29,6 +29,29 @@ def fd_matrix_jacobian(stiffness, sigma, loads, step=1e-5):
     return np.array(slices)
 
 
+class TestExtremeScale:
+    def test_huge_sigma_scales_exactly(self, stiffness3x4, loads3x4):
+        # F(c * 1) = F(1) / c holds exactly in exact arithmetic; the Jacobian
+        # (of order 1/c^2) underflows to zero but stays finite.
+        c = 1e300
+        F1, _ = forward_matrix(stiffness3x4, np.ones(9), loads3x4)
+        Fc, jac = forward_matrix(stiffness3x4, c * np.ones(9), loads3x4)
+        assert np.all(np.isfinite(Fc.values)) and np.all(np.isfinite(jac.slices))
+        assert np.max(np.abs(c * Fc.values - F1.values)) <= 1e-12 * np.max(np.abs(F1.values))
+
+    @pytest.mark.parametrize("c", [1e-160, 1e-300])
+    def test_tiny_sigma_overflow_raises(self, stiffness3x4, loads3x4, c):
+        sigma = c * np.ones(9)
+        pair = (loads3x4[0], loads3x4[7])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                forward_matrix(stiffness3x4, sigma, loads3x4)
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                forward_pairs(stiffness3x4, sigma, [pair])
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                forward_single(stiffness3x4, sigma, *pair)
+
+
 class TestForwardSingle:
     def test_same_functional_is_nonnegative(self, stiffness3x4, loads3x4):
         value, _ = forward_single(stiffness3x4, np.ones(9), loads3x4[0], loads3x4[0])

@@ -58,8 +58,21 @@ def test_nonconvergence_carries_residual(rng):
 
 def test_rejects_bad_tolerance():
     A = sp.identity(3, format="csr")
-    with pytest.raises(ValueError):
-        solve_spd(A, np.ones(3), tol=0.0)
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            solve_spd(A, np.ones(3), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            solve_multi(A, [np.ones(3)], tol=tol)
+
+
+def test_singular_matrix_is_solver_error():
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError, match="singular") as err:
+        solve_spd(A, np.array([1.0, 2.0]))
+    assert not np.isfinite(err.value.residual_norm)
+    with pytest.raises(SolverError, match="singular") as err:
+        solve_multi(A, [np.array([1.0, 2.0]), np.array([0.0, 1.0])])
+    assert not np.isfinite(err.value.residual_norm)
 
 
 def test_solve_is_symmetric_bilinear(rng):
