@@ -27,7 +27,7 @@ from .assembly import (
     element_stiffness,
     global_matrix,
 )
-from .linsolve import SolveReport, SolverError, solve_count, solve_multi, solve_spd
+from .linsolve import SolveReport, SolverError, solve_multi, solve_spd
 from .forward import (
     JacobianStack,
     MeasurementMatrix,

@@ -2,14 +2,16 @@
 
 The diffusion bilinear form restricted to pixel ``i`` yields a sparse
 symmetric positive-semidefinite matrix ``B_i`` over the interior-vertex
-unknowns. The operator for a coefficient vector ``sigma`` is then
+unknowns, and the operator for a coefficient vector ``sigma`` is
 
-    ``B_sigma = B_0 + sum_i sigma_i * B_i``
+    ``B_sigma = sum_i sigma_i * B_i``.
 
-with ``B_0 = 0`` for the pure diffusion model (it is kept explicitly so
-models with a coefficient-independent part fit the same structure).
-Homogeneous Dirichlet data is imposed by deleting boundary rows/columns,
-which keeps ``B_sigma`` exactly symmetric positive definite.
+:class:`StiffnessSet` holds this family once: each pixel's dense block
+over its own vertices, and the sparse map ``C`` from ``sigma`` to the
+values of ``B_sigma`` on one fixed CSR pattern. Homogeneous Dirichlet
+data is imposed by deleting boundary rows/columns, which keeps
+``B_sigma`` exactly symmetric positive definite. :func:`assemble_global`
+builds ``B_sigma`` element by element instead, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .mesh import DiskSpec, PixelGrid, TriMesh
 
 __all__ = [
     "StiffnessSet",
+    "check_sigma",
     "LoadVector",
     "element_stiffness",
     "assemble_pixel_matrices",
@@ -63,37 +66,63 @@ def element_stiffness(vertices) -> np.ndarray:
     return (np.outer(b, b) + np.outer(c, c)) / (2.0 * twice_area)
 
 
+def check_sigma(sigma, n: int) -> np.ndarray:
+    """Validate a coefficient vector: ``n`` finite, strictly positive entries.
+
+    Positivity is what makes the operator coercive, hence ``B_sigma`` SPD.
+    """
+    s = np.asarray(sigma, dtype=float).reshape(-1)
+    if s.shape != (n,):
+        raise ValueError(f"sigma must have {n} entries, got shape {s.shape}")
+    if np.any(s <= 0) or not np.all(np.isfinite(s)):
+        raise ValueError("all coefficient entries must be finite and > 0")
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class StiffnessSet:
-    """Pixel stiffness matrices over the interior-vertex unknowns.
+    """The affine family ``B_sigma = sum_i sigma_i B_i`` over the interior unknowns.
 
     Attributes
     ----------
-    pixel_matrices : list of (N, N) CSR matrices
-        One symmetric PSD matrix per pixel, supported on the vertices of
-        that pixel's elements.
-    b0 : (N, N) CSR matrix
-        Coefficient-independent part; identically zero for diffusion.
-    n : int
-        Number of pixels.
-    N : int
-        Number of interior-vertex unknowns.
-    supports, blocks
-        Per pixel: the sorted unknown indices its matrix touches and the
-        dense restriction of the matrix to them (used for fast quadratic
-        forms; same data as ``pixel_matrices``).
+    dofs : (n, s) int array
+        Row ``i`` lists the unknown index of each of the ``s = (k+1)^2``
+        vertices of pixel ``i``, or -1 for an eliminated boundary vertex.
+    blocks : (n, s, s) float array
+        Dense stiffness of pixel ``i`` over those vertices, boundary ones
+        included, so that ``B_i = blocks[i]`` restricted to the free
+        ``dofs[i]``.
+    pattern : (N, N) CSR matrix
+        The sparsity pattern of every ``B_sigma`` (entries are ones),
+        structural zeros included; it is the pattern of
+        :func:`assemble_global`.
+    C : (nnz, n) CSR matrix
+        Column ``i`` holds the entries of ``B_i`` on ``pattern``, so that
+        ``global_matrix(stiffness, sigma).data == C @ sigma``.
     """
 
-    pixel_matrices: list
-    b0: sp.csr_matrix
-    n: int
-    N: int
-    supports: list = field(repr=False, default=None)
-    blocks: list = field(repr=False, default=None)
-    _union_indptr: np.ndarray = field(repr=False, default=None)
-    _union_indices: np.ndarray = field(repr=False, default=None)
-    _positions: list = field(repr=False, default=None)
-    _b0_positions: np.ndarray = field(repr=False, default=None)
+    dofs: np.ndarray
+    blocks: np.ndarray = field(repr=False)
+    pattern: sp.csr_matrix = field(repr=False)
+    C: sp.csr_matrix = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        """Number of pixels."""
+        return self.dofs.shape[0]
+
+    @property
+    def N(self) -> int:
+        """Number of interior-vertex unknowns."""
+        return self.pattern.shape[0]
+
+    def pixel_matrix(self, i: int) -> sp.csr_matrix:
+        """``B_i`` as an (N, N) CSR matrix, stored only on pixel ``i``'s vertices."""
+        col = self.C[:, [i]].tocoo()
+        rows = np.repeat(np.arange(self.N), np.diff(self.pattern.indptr))
+        return sp.csr_matrix(
+            (col.data, (rows[col.row], self.pattern.indices[col.row])), shape=self.pattern.shape
+        )
 
 
 def _scatter_to_csr(rows, cols, data, N) -> sp.csr_matrix:
@@ -129,107 +158,86 @@ def _element_contributions(mesh: TriMesh):
     )
 
 
-def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> StiffnessSet:
-    """Assemble one stiffness matrix per pixel, plus the zero ``b0``.
+def _element_matrices(vertices: np.ndarray) -> np.ndarray:
+    """Stiffness matrices of a (T, 3, 2) stack of triangles, as (T, 3, 3)."""
+    x, y = vertices[..., 0], vertices[..., 1]
+    twice_area = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    if np.any(twice_area <= 0):
+        raise ValueError("mesh has triangles of non-positive area")
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    outer = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    return outer / (2.0 * twice_area)[:, None, None]
 
-    Boundary rows/columns are deleted, so matrices act on the ``N``
-    interior unknowns. Assembly order is fixed (element index ascending)
-    and therefore deterministic.
+
+def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> StiffnessSet:
+    """Assemble the per-pixel stiffness family of ``mesh``.
+
+    Element matrices are summed into each pixel's dense block in
+    ascending element order, so assembly is deterministic. Boundary rows
+    and columns are then dropped when ``C`` is formed, so every ``B_i``
+    acts on the ``N`` interior unknowns.
     """
     if grid is None:
         grid = mesh.grid
     elif grid.nx != mesh.grid.nx:
         raise ValueError("mesh was built for a different pixel grid")
 
+    # Vertex (ix, iy) of the lattice is number iy*(S+1) + ix; pixel (px, py)
+    # owns the vertices with ix in px*k .. px*k+k and iy in py*k .. py*k+k.
+    k, side = mesh.k, grid.nx * mesh.k + 1
+    s = (k + 1) ** 2
+    py, px = np.divmod(np.arange(grid.n), grid.nx)
+    corner = (py * side + px) * k
+    local = (np.arange(k + 1)[:, None] * side + np.arange(k + 1)).ravel()
+    dofs = mesh.free_index[corner[:, None] + local]
+
+    # Local vertex number of each triangle corner within its pixel.
+    pix = mesh.element_pixel
+    iy, ix = np.divmod(mesh.triangles - corner[pix][:, None], side)
+    slot = iy * (k + 1) + ix
+    flat = ((pix[:, None, None] * s + slot[:, :, None]) * s + slot[:, None, :]).ravel()
+    K = _element_matrices(mesh.vertices[mesh.triangles])
+    blocks = np.bincount(flat, weights=K.ravel(), minlength=grid.n * s * s).reshape(grid.n, s, s)
+
+    # Entries of B_i: vertex pairs sharing an element of pixel i, both free.
+    touched = np.bincount(flat, minlength=grid.n * s * s).reshape(grid.n, s, s) > 0
+    touched &= (dofs >= 0)[:, :, None] & (dofs >= 0)[:, None, :]
+    i, a, b = np.nonzero(touched)
     N = mesh.n_free
-    rows, cols, data, tri = _element_contributions(mesh)
-    pix = mesh.element_pixel[tri]
-
-    pixel_matrices = []
-    supports = []
-    blocks = []
-    for i in range(grid.n):
-        sel = pix == i
-        Bi = _scatter_to_csr(rows[sel], cols[sel], data[sel], N)
-        pixel_matrices.append(Bi)
-        sup = np.unique(rows[sel])
-        supports.append(sup)
-        blocks.append(Bi[np.ix_(sup, sup)].toarray())
-
-    b0 = sp.csr_matrix((N, N))
-
-    union_indptr, union_indices, positions, b0_pos = _union_pattern(
-        pixel_matrices, b0, N
+    keys = dofs[i, a] * N + dofs[i, b]
+    unique_keys = np.unique(keys)
+    rows, cols = np.divmod(unique_keys, max(N, 1))
+    pattern = sp.csr_matrix((np.ones(unique_keys.size), (rows, cols)), shape=(N, N))
+    C = sp.csr_matrix(
+        (blocks[i, a, b], (np.searchsorted(unique_keys, keys), i)), shape=(unique_keys.size, grid.n)
     )
-    return StiffnessSet(
-        pixel_matrices=pixel_matrices,
-        b0=b0,
-        n=grid.n,
-        N=N,
-        supports=supports,
-        blocks=blocks,
-        _union_indptr=union_indptr,
-        _union_indices=union_indices,
-        _positions=positions,
-        _b0_positions=b0_pos,
-    )
-
-
-def _union_pattern(pixel_matrices, b0, N):
-    """Shared sparsity pattern of all pixel matrices, with per-matrix slots.
-
-    Lets ``global_matrix`` form ``B_sigma`` by accumulating each matrix's
-    data into one preallocated value array instead of summing sparse
-    matrices pairwise.
-    """
-    keys = [m.tocoo() for m in pixel_matrices] + [b0.tocoo()]
-    flat = np.concatenate([c.row.astype(np.int64) * N + c.col for c in keys]) if N else np.array([], dtype=np.int64)
-    union = np.unique(flat)
-    union_rows = union // N if N else np.array([], dtype=np.int64)
-    union_cols = union % N if N else np.array([], dtype=np.int64)
-    indptr = np.zeros(N + 1, dtype=np.int64)
-    np.add.at(indptr, union_rows + 1, 1)
-    indptr = np.cumsum(indptr)
-    positions = [
-        np.searchsorted(union, c.row.astype(np.int64) * N + c.col) for c in keys[:-1]
-    ]
-    b0_pos = np.searchsorted(union, keys[-1].row.astype(np.int64) * N + keys[-1].col)
-    return indptr, union_cols, positions, b0_pos
+    return StiffnessSet(dofs=dofs, blocks=blocks, pattern=pattern, C=C)
 
 
 def global_matrix(stiffness: StiffnessSet, sigma) -> sp.csr_matrix:
-    """Form ``B_sigma = b0 + sum_i sigma_i B_i`` for a positive coefficient.
+    """Form ``B_sigma = sum_i sigma_i B_i`` for a positive coefficient.
 
     Raises
     ------
     ValueError
-        If any coefficient entry is not strictly positive (positivity is
-        what makes the operator coercive, hence the matrix SPD).
+        If ``sigma`` has the wrong length or an entry that is not finite
+        and strictly positive.
     """
-    s = np.asarray(sigma, dtype=float).reshape(-1)
-    if s.shape != (stiffness.n,):
-        raise ValueError(f"sigma must have {stiffness.n} entries, got {s.shape}")
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
-        raise ValueError("all coefficient entries must be finite and > 0")
-    data = np.zeros(stiffness._union_indices.size)
-    if stiffness.b0.nnz:
-        data[stiffness._b0_positions] += stiffness.b0.data
-    for i in range(stiffness.n):
-        Bi = stiffness.pixel_matrices[i]
-        if Bi.nnz:
-            data[stiffness._positions[i]] += s[i] * Bi.data
+    s = check_sigma(sigma, stiffness.n)
+    pattern = stiffness.pattern
     return sp.csr_matrix(
-        (data, stiffness._union_indices.copy(), stiffness._union_indptr.copy()),
-        shape=(stiffness.N, stiffness.N),
+        (stiffness.C @ s, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
     )
 
 
 def assemble_global(mesh: TriMesh, grid: PixelGrid, sigma) -> sp.csr_matrix:
     """Assemble ``B_sigma`` directly by weighting element matrices.
 
-    Independent of the pixel-matrix route: elements are scattered in one
-    pass with weight ``sigma[pixel(element)]``. Used to cross-check the
-    identities ``B_i = B_{1+e_i} - B_1`` and ``b0 = B_1 - sum_i B_i``.
+    Independent of the pixel-family route: each element matrix comes from
+    :func:`element_stiffness` and is scattered with weight
+    ``sigma[pixel(element)]``. Used to cross-check the identities
+    ``B_i = B_{1+e_i} - B_1`` and ``B_1 = sum_i B_i``.
     """
     s = np.asarray(sigma, dtype=float).reshape(-1)
     if s.shape != (grid.n,):

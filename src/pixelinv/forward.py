@@ -10,7 +10,14 @@ and its derivative with respect to the coefficient of pixel ``i`` is the
 quadratic form ``-lam_l . (B_i @ lam_r)`` in the two solutions. For a
 symmetric layout (the same functionals used as excitations and as
 measurements) the full ``m x m`` matrix and all ``n`` Jacobian slices
-follow from just ``m`` linear solves. The resulting matrix map is
+follow from just ``m`` linear solves.
+
+Every map below takes one path: ``global_matrix`` validates ``sigma`` and
+forms ``B_sigma`` once, ``linsolve.solve_multi`` factors it once and
+back-substitutes every load, and all Jacobian entries come from one
+batched contraction of the per-pixel blocks with the solutions gathered
+onto each pixel's vertices. The number of solves is returned with the
+result (``MeasurementMatrix.solves_used``). The resulting matrix map is
 symmetric positive semidefinite, monotonically non-increasing and convex
 in the Loewner order, and grows pointwise under nested mesh refinement;
 these properties are exercised by the test suite.
@@ -23,7 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linsolve
-from .assembly import LoadVector, StiffnessSet, assemble_load, assemble_pixel_matrices, global_matrix
+from .assembly import (
+    LoadVector,
+    StiffnessSet,
+    assemble_load,
+    assemble_pixel_matrices,
+    check_sigma,
+    global_matrix,
+)
 from .mesh import PixelGrid, build_mesh, refine, refine_disk
 
 __all__ = [
@@ -39,19 +53,10 @@ __all__ = [
 ]
 
 
-def check_sigma(sigma, n: int) -> np.ndarray:
-    """Validate a coefficient vector: ``n`` finite, strictly positive entries."""
-    s = np.asarray(sigma, dtype=float).reshape(-1)
-    if s.shape != (n,):
-        raise ValueError(f"sigma must have {n} entries, got shape {s.shape}")
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
-        raise ValueError("all coefficient entries must be finite and > 0")
-    return s
-
-
-def _require_finite(s: np.ndarray, *outputs) -> None:
+def _require_finite(sigma, *outputs) -> None:
     """Refuse outputs that left the double-precision range instead of returning them."""
     if not all(np.isfinite(out).all() for out in outputs):
+        s = np.asarray(sigma, dtype=float)
         raise FloatingPointError(
             f"F or J has non-finite entries at sigma in [{s.min():.3g}, {s.max():.3g}]; "
             "the coefficient scale is outside double-precision range"
@@ -103,19 +108,42 @@ class JacobianStack:
 def _pixel_quadratic_forms(stiffness: StiffnessSet, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """All values ``left[:, j] . (B_i @ right[:, k])`` as an (n, mj, mk) array.
 
-    Exploits the locality of each pixel matrix: only the rows/columns on
-    the pixel's support contribute.
+    Each pixel's block only sees the solution on its own vertices, which
+    one gather of ``[x; 0]`` through ``dofs`` picks out (the appended zero
+    stands in for the eliminated boundary vertices).
     """
-    mj = left.shape[1]
-    mk = right.shape[1]
-    out = np.empty((stiffness.n, mj, mk))
-    for i in range(stiffness.n):
-        sup = stiffness.supports[i]
-        if sup.size == 0:
-            out[i] = 0.0
-            continue
-        out[i] = left[sup, :].T @ (stiffness.blocks[i] @ right[sup, :])
-    return out
+    def local(x):
+        return np.vstack([x, np.zeros((1, x.shape[1]))])[stiffness.dofs]
+
+    L = local(left)
+    R = L if right is left else local(right)
+    return L.transpose(0, 2, 1) @ (stiffness.blocks @ R)
+
+
+def _solve(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
+    """Solution columns ``lam_j`` of ``B_sigma @ lam_j = y_j``, one per load,
+    all against one factorization, and the number of solves that took."""
+    if not loads:
+        raise ValueError("need at least one load")
+    B = global_matrix(stiffness, sigma)
+    reports = linsolve.solve_multi(B, [ld.y for ld in loads], tol=tol, max_iter=max_iter)
+    return np.column_stack([rep.solution for rep in reports]), len(reports)
+
+
+def _solve_distinct(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
+    """Solution columns of the distinct load objects among ``loads``, and the
+    column of each entry of ``loads``."""
+    distinct = {id(ld): ld for ld in loads}
+    column = {key: j for j, key in enumerate(distinct)}
+    lam, _ = _solve(stiffness, sigma, list(distinct.values()), tol, max_iter)
+    return lam, np.array([column[id(ld)] for ld in loads], dtype=np.int64)
+
+
+def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
+    """Measurement matrix of a symmetric layout, plus the solutions behind it."""
+    lam, used = _solve(stiffness, sigma, loads, tol, max_iter)
+    values = lam.T @ np.column_stack([ld.y for ld in loads])
+    return MeasurementMatrix(values=values, loads=list(loads), solves_used=used), lam
 
 
 def forward_single(
@@ -132,14 +160,10 @@ def forward_single(
     returns ``(value, gradient)`` with ``gradient[i]`` the derivative with
     respect to the i-th pixel coefficient. Costs exactly two solves.
     """
-    s = check_sigma(sigma, stiffness.n)
-    B = global_matrix(stiffness, s)
-    lam_l = linsolve.solve_spd(B, y_l.y, tol=tol, max_iter=max_iter).solution
-    lam_r = linsolve.solve_spd(B, y_r.y, tol=tol, max_iter=max_iter).solution
-    value = float(lam_l @ y_r.y)
-    forms = _pixel_quadratic_forms(stiffness, lam_l[:, None], lam_r[:, None])
-    gradient = -forms[:, 0, 0]
-    _require_finite(s, value, gradient)
+    lam, _ = _solve(stiffness, sigma, [y_l, y_r], tol, max_iter)
+    value = float(lam[:, 0] @ y_r.y)
+    gradient = -_pixel_quadratic_forms(stiffness, lam[:, :1], lam[:, 1:])[:, 0, 0]
+    _require_finite(sigma, value, gradient)
     return value, gradient
 
 
@@ -153,46 +177,17 @@ def forward_matrix(
     """Measurement matrix and Jacobian stack for a symmetric layout.
 
     All ``m*m`` matrix entries and all ``n`` Jacobian slices are formed
-    from the ``m`` solutions of ``B_sigma @ lam_j = y_j``; the solve count
-    is instrumented and asserted to equal ``m``.
+    from the ``m`` solutions of ``B_sigma @ lam_j = y_j``; ``solves_used``
+    of the returned matrix counts them.
 
     Returns
     -------
     (MeasurementMatrix, JacobianStack)
     """
-    if not loads:
-        raise ValueError("need at least one load")
-    s = check_sigma(sigma, stiffness.n)
-    B = global_matrix(stiffness, s)
-    Y = np.column_stack([ld.y for ld in loads])
-    before = linsolve.solve_count()
-    reports = linsolve.solve_multi(B, list(Y.T), tol=tol, max_iter=max_iter)
-    used = linsolve.solve_count() - before
-    m = len(loads)
-    if used != m:
-        raise AssertionError(f"expected exactly {m} solves, performed {used}")
-    lam = np.column_stack([rep.solution for rep in reports])
-    values = lam.T @ Y
+    F, lam = _measurement_matrix(stiffness, sigma, loads, tol, max_iter)
     slices = -_pixel_quadratic_forms(stiffness, lam, lam)
-    _require_finite(s, values, slices)
-    return (
-        MeasurementMatrix(values=values, loads=list(loads), solves_used=used),
-        JacobianStack(slices=slices),
-    )
-
-
-def _solve_distinct(stiffness, sigma, loads, tol, max_iter):
-    """Solutions for the distinct load objects among ``loads``."""
-    B = global_matrix(stiffness, sigma)
-    distinct = []
-    index = {}
-    for ld in loads:
-        if id(ld) not in index:
-            index[id(ld)] = len(distinct)
-            distinct.append(ld)
-    reports = linsolve.solve_multi(B, [ld.y for ld in distinct], tol=tol, max_iter=max_iter)
-    solutions = {id(ld): rep.solution for ld, rep in zip(distinct, reports)}
-    return solutions
+    _require_finite(sigma, F.values, slices)
+    return F, JacobianStack(slices=slices)
 
 
 def forward_pairs(
@@ -209,16 +204,12 @@ def forward_pairs(
     load object is solved once. The Loewner-order structure of symmetric
     layouts does not apply to such plain vectors of measurements.
     """
-    s = check_sigma(sigma, stiffness.n)
-    solutions = _solve_distinct(stiffness, s, [ld for pair in pairs for ld in pair], tol, max_iter)
-    values = np.array([float(solutions[id(l)] @ r.y) for l, r in pairs])
-    jac = np.empty((len(pairs), stiffness.n))
-    for q, (l, r) in enumerate(pairs):
-        forms = _pixel_quadratic_forms(
-            stiffness, solutions[id(l)][:, None], solutions[id(r)][:, None]
-        )
-        jac[q] = -forms[:, 0, 0]
-    _require_finite(s, values, jac)
+    lam, column = _solve_distinct(stiffness, sigma, [ld for pair in pairs for ld in pair], tol, max_iter)
+    left, right = column[0::2], column[1::2]
+    Y_r = np.column_stack([r.y for _, r in pairs])
+    values = np.einsum("ij,ij->j", lam[:, left], Y_r)
+    jac = -_pixel_quadratic_forms(stiffness, lam, lam)[:, left, right].T
+    _require_finite(sigma, values, jac)
     return values, jac
 
 
@@ -230,9 +221,8 @@ def forward_pair_values(
     max_iter: int | None = None,
 ) -> np.ndarray:
     """Values only for (excitation, measurement) pairs; solves excitations only."""
-    s = check_sigma(sigma, stiffness.n)
-    solutions = _solve_distinct(stiffness, s, [l for l, _ in pairs], tol, max_iter)
-    return np.array([float(solutions[id(l)] @ r.y) for l, r in pairs])
+    lam, column = _solve_distinct(stiffness, sigma, [l for l, _ in pairs], tol, max_iter)
+    return np.einsum("ij,ij->j", lam[:, column], np.column_stack([r.y for _, r in pairs]))
 
 
 def directional_derivative(jac: JacobianStack, tau) -> np.ndarray:
@@ -280,9 +270,4 @@ def true_reference(
 
     stiffness = assemble_pixel_matrices(mesh, grid)
     loads = [assemble_load(mesh, d) for d in carried]
-    s = check_sigma(sigma, stiffness.n)
-    B = global_matrix(stiffness, s)
-    Y = np.column_stack([ld.y for ld in loads])
-    reports = linsolve.solve_multi(B, list(Y.T), tol=tol, max_iter=max_iter)
-    lam = np.column_stack([rep.solution for rep in reports])
-    return MeasurementMatrix(values=lam.T @ Y, loads=loads, solves_used=len(loads))
+    return _measurement_matrix(stiffness, sigma, loads, tol, max_iter)[0]

@@ -7,8 +7,8 @@ relative residual ``||B x - y|| / ||y||`` of every solution is checked
 before it is returned; one that misses ``tol`` gets iterative-refinement
 steps, and one that still misses it raises :class:`SolverError`. SuperLU
 runs single-threaded with a fixed ordering, so repeated runs are
-bit-identical. A module-level counter tracks how many right-hand sides
-were solved, which lets callers assert solve budgets.
+bit-identical. Each solved right-hand side yields one
+:class:`SolveReport`, so callers count solves from what is returned.
 """
 
 from __future__ import annotations
@@ -26,18 +26,10 @@ __all__ = [
     "SolverError",
     "solve_spd",
     "solve_multi",
-    "solve_count",
 ]
 
 DEFAULT_TOL = 1e-10
 _DEFAULT_REFINE_STEPS = 10
-
-_solve_calls = 0
-
-
-def solve_count() -> int:
-    """Total number of solves performed so far (diagnostic, not thread-safe)."""
-    return _solve_calls
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +118,7 @@ def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL, max_iter: int | None = None
         When the matrix is singular (infinite residual) or the solution
         misses ``tol``; carries the achieved residual and refinement steps.
     """
-    global _solve_calls
     lu = _factor(matrix, tol)
-    _solve_calls += 1
     return _solve(lu, matrix, rhs, tol, max_iter)
 
 
@@ -139,11 +129,9 @@ def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL, max_iter: int | None
     against that factor and checked on its own. Failures identify the
     offending right-hand side.
     """
-    global _solve_calls
     lu = _factor(matrix, tol)
     reports = []
     for j, rhs in enumerate(rhs_list):
-        _solve_calls += 1
         try:
             reports.append(_solve(lu, matrix, rhs, tol, max_iter))
         except SolverError as err:

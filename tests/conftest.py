@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+from pixelinv import linsolve
 from pixelinv.assembly import assemble_load, assemble_pixel_matrices
 from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
@@ -33,3 +36,25 @@ def loads3x4(mesh3x4, disks3x4):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture()
+def solve_counter(monkeypatch):
+    """Counts the right-hand sides solved through ``pixelinv.linsolve`` while a
+    test runs: ``solve_counter.solves`` rises by one per returned solution."""
+    counter = types.SimpleNamespace(solves=0)
+    solve_spd, solve_multi = linsolve.solve_spd, linsolve.solve_multi
+
+    def counted_spd(*args, **kwargs):
+        report = solve_spd(*args, **kwargs)
+        counter.solves += 1
+        return report
+
+    def counted_multi(*args, **kwargs):
+        reports = solve_multi(*args, **kwargs)
+        counter.solves += len(reports)
+        return reports
+
+    monkeypatch.setattr(linsolve, "solve_spd", counted_spd)
+    monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
+    return counter

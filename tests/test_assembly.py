@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pixelinv import linsolve
 from pixelinv.assembly import (
+    LoadVector,
     assemble_global,
     assemble_load,
     assemble_pixel_matrices,
@@ -13,7 +15,8 @@ from pixelinv.assembly import (
     global_matrix,
     write_matrix,
 )
-from pixelinv.mesh import PixelGrid, build_mesh, resolve_disk
+from pixelinv.forward import forward_matrix, true_reference
+from pixelinv.mesh import PixelGrid, build_mesh, refine, refine_disk, resolve_disk, standard_disk_layout
 
 
 def quadrature_stiffness(mesh, sigma):
@@ -97,10 +100,11 @@ class TestPixelMatrices:
         assert B[0, 0] == pytest.approx(4.0, abs=1e-14)
 
     def test_pixel_sum_identity(self, mesh3x4, grid3, stiffness3x4):
+        # No coefficient-independent part: the pixel matrices alone sum to B_1.
         direct = assemble_global(mesh3x4, grid3, np.ones(9))
-        total = stiffness3x4.b0.copy()
-        for Bi in stiffness3x4.pixel_matrices:
-            total = total + Bi
+        total = stiffness3x4.pixel_matrix(0)
+        for i in range(1, 9):
+            total = total + stiffness3x4.pixel_matrix(i)
         assert max_abs(total - direct) <= 1e-14
 
     def test_difference_identity(self, mesh3x4, grid3, stiffness3x4):
@@ -110,11 +114,12 @@ class TestPixelMatrices:
             bumped = ones.copy()
             bumped[i] += 1.0
             diff = assemble_global(mesh3x4, grid3, bumped) - base
-            assert max_abs(stiffness3x4.pixel_matrices[i] - diff) <= 1e-14
+            assert max_abs(stiffness3x4.pixel_matrix(i) - diff) <= 1e-14
 
     def test_support_locality(self, mesh3x4, stiffness3x4):
         # Diagonal entries vanish for vertices outside the pixel closure.
-        for i, Bi in enumerate(stiffness3x4.pixel_matrices):
+        for i in range(9):
+            Bi = stiffness3x4.pixel_matrix(i)
             pixel_vertices = set(
                 mesh3x4.free_index[
                     mesh3x4.triangles[mesh3x4.element_pixel == i].ravel()
@@ -125,19 +130,11 @@ class TestPixelMatrices:
             assert np.all(diag[outside] == 0.0)
 
     def test_each_pixel_matrix_psd(self, stiffness3x4, rng):
-        for Bi in stiffness3x4.pixel_matrices:
+        for i in range(9):
+            Bi = stiffness3x4.pixel_matrix(i)
             for _ in range(100):
                 v = rng.standard_normal(stiffness3x4.N)
                 assert v @ (Bi @ v) >= -1e-12
-
-    def test_b0_is_zero(self, stiffness3x4):
-        assert stiffness3x4.b0.nnz == 0
-
-    def test_blocks_match_sparse(self, stiffness3x4):
-        for Bi, sup, blk in zip(
-            stiffness3x4.pixel_matrices, stiffness3x4.supports, stiffness3x4.blocks
-        ):
-            assert np.allclose(Bi[np.ix_(sup, sup)].toarray(), blk)
 
     def test_quadrature_oracle_small_mesh(self):
         grid = PixelGrid(2)
@@ -179,6 +176,58 @@ class TestGlobalMatrix:
             q1 = v @ (B1 @ v)
             q = v @ (global_matrix(stiffness3x4, sigma) @ v)
             assert sigma.min() * q1 - 1e-12 <= q <= sigma.max() * q1 + 1e-12
+
+
+def check_family_against_oracles(mesh, grid, stiffness, sigma, loads):
+    """``global_matrix`` against the element-by-element assembler, and every
+    Jacobian slice against ``-lam^T B_i lam`` with the sparse ``B_i``."""
+    B = global_matrix(stiffness, sigma)
+    direct = assemble_global(mesh, grid, sigma)
+    assert B.shape == direct.shape == (mesh.n_free, mesh.n_free)
+    assert max_abs(B - direct) <= 1e-14 * max_abs(direct)
+    if mesh.n_free == 0:
+        return
+    F, jac = forward_matrix(stiffness, sigma, loads)
+    lam = np.column_stack([r.solution for r in linsolve.solve_multi(B, [ld.y for ld in loads])])
+    for i in range(grid.n):
+        Bi = stiffness.pixel_matrix(i)
+        expected = -lam.T @ (Bi @ lam)
+        # Both sides sum the same products in different orders; scale the
+        # bound by the magnitude of those products, not by their sum.
+        scale = np.abs(lam).T @ (abs(Bi) @ np.abs(lam))
+        assert np.all(np.abs(jac.slices[i] - expected) <= 1e-12 * scale)
+    return F
+
+
+class TestAffineFamily:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(1, 5),
+        k=st.integers(1, 4),
+        log_sigma=st.lists(st.floats(-3.0, 3.0), min_size=25, max_size=25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracles(self, nx, k, log_sigma, seed):
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, k)
+        stiffness = assemble_pixel_matrices(mesh, grid)
+        assert stiffness.n == grid.n and stiffness.N == mesh.n_free
+        assert stiffness.dofs.shape == (grid.n, (k + 1) ** 2)
+        sigma = 10.0 ** np.array(log_sigma[: grid.n])
+        rng = np.random.default_rng(seed)
+        loads = [LoadVector(y=rng.uniform(0.0, 1.0, mesh.n_free), disk=None) for _ in range(3)]
+        check_family_against_oracles(mesh, grid, stiffness, sigma, loads)
+
+    def test_refined_mesh_matches_oracles(self, grid3, rng):
+        # The mesh and carried disks that true_reference builds for k_max = 2k.
+        coarse = build_mesh(grid3, 2)
+        disks = standard_disk_layout(coarse, 0.25)
+        mesh = refine(coarse)
+        loads = [assemble_load(mesh, refine_disk(d, coarse)) for d in disks]
+        stiffness = assemble_pixel_matrices(mesh, grid3)
+        sigma = 10.0 ** rng.uniform(-3.0, 3.0, 9)
+        F = check_family_against_oracles(mesh, grid3, stiffness, sigma, loads)
+        assert np.array_equal(true_reference(grid3, disks, sigma, 2, 4).values, F.values)
 
 
 class TestLoadVector:
@@ -228,9 +277,9 @@ class TestLoadVector:
 
 def test_write_matrix_coordinate_format(stiffness3x4):
     buf = io.StringIO()
-    write_matrix(stiffness3x4.pixel_matrices[0], buf)
+    write_matrix(stiffness3x4.pixel_matrix(0), buf)
     lines = buf.getvalue().strip().split("\n")
-    coo = stiffness3x4.pixel_matrices[0].tocoo()
+    coo = stiffness3x4.pixel_matrix(0).tocoo()
     assert len(lines) == coo.nnz
     i, j, v = lines[0].split()
     assert int(i) >= 1 and int(j) >= 1  # 1-based indices

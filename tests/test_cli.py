@@ -22,6 +22,9 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     [
         ("nonuniqueness", "sigma_step=0"),
         ("nonuniqueness", "sigma_step=-0.1"),
+        ("nonuniqueness", "sigma_step=1e-300"),
+        ("nonuniqueness", "sigma_step=2\nsigma_max=1"),
+        ("landscape", "landscape_step=1"),
         ("landscape", "landscape_step=0"),
         ("landscape", "landscape_step=nan"),
         ("stability", "tol=nan"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pixelinv import experiments
+from pixelinv.assembly import assemble_pixel_matrices
 from pixelinv.experiments import (
     DEFAULT_CHECK_TOLERANCES,
     ExperimentConfig,
@@ -58,6 +59,31 @@ class TestConfig:
             cfg.validate()
         with pytest.raises(ValueError, match=field):
             run_stability_study(dataclasses.replace(cfg, nx_min=2, nx_max=2))
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"sigma_step": 2.0, "sigma_max": 1.0}, "sigma_step=2.0 is larger than sigma_max"),
+            ({"landscape_step": 1.0}, "landscape_step=1.0 is larger than landscape_max"),
+            ({"sigma_step": 1e-300}, "sigma_step=1e-300 asks for 3e\\+300 sweep points"),
+            ({"landscape_step": 1e-7}, "landscape_step=1e-07 asks for 6e\\+06 sweep points"),
+        ],
+    )
+    def test_empty_or_oversized_sweep_rejected(self, settings, message):
+        cfg = ExperimentConfig(**settings)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+        with pytest.raises(ValueError, match=message):
+            run_nonuniqueness_sweep(cfg)
+
+    @pytest.mark.parametrize(
+        "step, stop, count",
+        [(0.01, 3.0, 300), (0.002, 0.6, 300), (0.02, 0.6, 30), (0.4, 0.6, 1), (0.6, 0.6, 1), (0.7, 3.0, 4)],
+    )
+    def test_sweep_values_stay_within_max(self, step, stop, count):
+        values = experiments._sweep_values(step, stop)
+        assert len(values) == count
+        assert values[0] == step and values[-1] <= stop
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -181,8 +207,16 @@ class TestPropertySuite:
         encoded = json.dumps(suite_report)
         assert json.loads(encoded)["all_passed"]
 
-    def test_corrupted_pixel_matrix_detected(self):
-        report = run_property_suite(ExperimentConfig(), corrupt_pixel=4)
+    def test_corrupted_pixel_matrix_detected(self, monkeypatch):
+        # B_4 off by 1e-6 in one stored entry must fail the identity check.
+        def corrupted(mesh, grid=None):
+            stiffness = assemble_pixel_matrices(mesh, grid)
+            C = stiffness.C.tocsc()
+            C.data[C.indptr[4]] += 1e-6
+            return dataclasses.replace(stiffness, C=C.tocsr())
+
+        monkeypatch.setattr(experiments, "assemble_pixel_matrices", corrupted)
+        report = run_property_suite(ExperimentConfig())
         by_name = {c["name"]: c for c in report["checks"]}
         assert not by_name["difference_identity"]["passed"]
         assert not report["all_passed"]

@@ -80,12 +80,9 @@ class TestForwardSingle:
             fd = (vp - vm) / (2 * step)
             assert abs(fd - grad[i]) / max(1.0, abs(grad[i])) <= 1e-5
 
-    def test_costs_two_solves(self, stiffness3x4, loads3x4):
-        from pixelinv import linsolve
-
-        before = linsolve.solve_count()
+    def test_costs_two_solves(self, stiffness3x4, loads3x4, solve_counter):
         forward_single(stiffness3x4, np.ones(9), loads3x4[0], loads3x4[0])
-        assert linsolve.solve_count() - before == 2
+        assert solve_counter.solves == 2
 
     def test_rejects_nonpositive_sigma(self, stiffness3x4, loads3x4):
         bad = np.ones(9)
@@ -112,12 +109,9 @@ class TestForwardMatrix:
         F, _ = forward_matrix(stiffness3x4, np.ones(9), loads3x4)
         assert np.min(np.linalg.eigvalsh(0.5 * (F.values + F.values.T))) > 0.0
 
-    def test_solve_economy(self, stiffness3x4, loads3x4):
-        from pixelinv import linsolve
-
-        before = linsolve.solve_count()
+    def test_solve_economy(self, stiffness3x4, loads3x4, solve_counter):
         F, _ = forward_matrix(stiffness3x4, np.ones(9), loads3x4)
-        assert linsolve.solve_count() - before == 8
+        assert solve_counter.solves == 8
         assert F.solves_used == 8
 
     def test_jacobian_matches_finite_differences(self, stiffness3x4, loads3x4, rng):
@@ -142,8 +136,12 @@ class TestForwardMatrix:
         assert flat[j * m + k, i] == jac.slices[i, j, k]
 
     def test_empty_loads_rejected(self, stiffness3x4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one load"):
             forward_matrix(stiffness3x4, np.ones(9), [])
+        with pytest.raises(ValueError, match="at least one load"):
+            forward_pairs(stiffness3x4, np.ones(9), [])
+        with pytest.raises(ValueError, match="at least one load"):
+            forward_pair_values(stiffness3x4, np.ones(9), [])
 
 
 class TestLoewnerStructure:
@@ -202,13 +200,10 @@ class TestForwardPairs:
             assert values[q] == pytest.approx(value, rel=1e-12)
             assert np.allclose(jac[q], grad, rtol=1e-10, atol=1e-18)
 
-    def test_pair_values_only_path(self, stiffness3x4, loads3x4):
-        from pixelinv import linsolve
-
+    def test_pair_values_only_path(self, stiffness3x4, loads3x4, solve_counter):
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
-        before = linsolve.solve_count()
         values = forward_pair_values(stiffness3x4, TRUTH, pairs)
-        assert linsolve.solve_count() - before == 1  # one distinct excitation
+        assert solve_counter.solves == 1  # one distinct excitation
         full, _ = forward_pairs(stiffness3x4, TRUTH, pairs)
         assert np.allclose(values, full, rtol=1e-12)
 
