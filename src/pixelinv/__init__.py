@@ -40,7 +40,6 @@ from .forward import (
 )
 from .analysis import (
     PairLayout,
-    RankDeficientError,
     ReconstructionError,
     ResidualProblem,
     SpectralReport,
@@ -50,7 +49,6 @@ from .analysis import (
     reconstruct_lm,
     residual,
     singular_values,
-    symmetric_eigenvalues,
 )
 from .experiments import (
     ExperimentConfig,

@@ -3,10 +3,10 @@
 The routines here quantify how hard the coefficient problem is: the
 data-misfit residual and its gradient, a damped Gauss-Newton
 (Levenberg-Marquardt) reconstruction loop, the condition number of the
-flattened measurement Jacobian, and Loewner-order helpers built on a
-cyclic Jacobi eigensolver. The eigen/singular-value kernels are written
-out explicitly (rotation-based, deterministic) and are cross-checked
-against dense library decompositions in the tests.
+flattened measurement Jacobian, and the smallest eigenvalue used for
+Loewner-order checks. Eigenvalues come from LAPACK's symmetric
+eigensolver and singular values from its preconditioned one-sided
+Jacobi SVD; the tests check both against matrices of known spectrum.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .forward import JacobianStack, forward_matrix, forward_pairs
 
@@ -22,13 +23,11 @@ __all__ = [
     "SymmetricLayout",
     "PairLayout",
     "SpectralReport",
-    "RankDeficientError",
     "ReconstructionError",
     "residual",
     "reconstruct_lm",
     "condition_number",
     "loewner_min_eig",
-    "symmetric_eigenvalues",
     "singular_values",
 ]
 
@@ -197,51 +196,7 @@ def reconstruct_lm(
 
 
 # ---------------------------------------------------------------------------
-# rotation-based spectral kernels
-
-
-def symmetric_eigenvalues(matrix, sweep_tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending.
-
-    Sweeps annihilate off-diagonal entries pairwise until their Frobenius
-    norm falls below ``sweep_tol`` times the matrix norm, which bounds the
-    eigenvalue error by the same amount.
-    """
-    A = np.array(matrix, dtype=float, copy=True)
-    m = A.shape[0]
-    if A.shape != (m, m):
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if m <= 1:
-        return A.reshape(-1).copy()
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0:
-        return np.zeros(m)
-
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= sweep_tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    return np.sort(np.diag(A))
+# spectral kernels (LAPACK)
 
 
 def loewner_min_eig(matrix) -> float:
@@ -251,63 +206,41 @@ def loewner_min_eig(matrix) -> float:
     rejected since comparing matrices in the semidefinite order is only
     meaningful for symmetric ones.
     """
-    A = np.asarray(matrix, dtype=float)
+    A = np.asarray_chkfinite(matrix, dtype=float)
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
     asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     if asym > 1e-9 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    sym = 0.5 * (A + A.T)
-    eigs = symmetric_eigenvalues(sym)
+    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
     return float(eigs[0]) if eigs.size else 0.0
 
 
-def singular_values(matrix, rel_tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Singular values by one-sided Jacobi column orthogonalization, descending.
+def singular_values(matrix) -> np.ndarray:
+    """The ``min(rows, cols)`` singular values of a matrix, descending.
 
-    Rotates column pairs until all are mutually orthogonal relative to
-    ``rel_tol``; the singular values are then the column norms. Working on
-    the matrix itself (never its Gram matrix) preserves small singular
-    values far better, which matters for ill-conditioned Jacobians.
+    LAPACK ``dgejsv``, the preconditioned one-sided Jacobi SVD of Drmac and
+    Veselic (SIAM J. Matrix Anal. Appl. 29(4), 2008), on the matrix itself
+    (never its Gram matrix), without singular vectors (``JOBU=JOBV='N'``)
+    and without perturbing the input (``JOBP='N'``). ``JOBA='C'`` keeps
+    small singular values relatively accurate, which matters for
+    ill-conditioned Jacobians; the wrapper's default ``'A'`` would set
+    those below about ``n * eps * ||A||`` to zero.
     """
-    A = np.array(matrix, dtype=float, copy=True)
+    A = np.asarray_chkfinite(matrix, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {A.shape}")
-    ncols = A.shape[1]
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(ncols - 1):
-            for q in range(p + 1, ncols):
-                app = float(A[:, p] @ A[:, p])
-                aqq = float(A[:, q] @ A[:, q])
-                apq = float(A[:, p] @ A[:, q])
-                denom = np.sqrt(app * aqq)
-                if denom == 0.0 or abs(apq) <= rel_tol * denom:
-                    continue
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) if zeta != 0 else 1.0
-                t /= abs(zeta) + np.sqrt(zeta * zeta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                rotated = True
-        if not rotated:
-            break
-    return np.sort(np.linalg.norm(A, axis=0))[::-1]
+    if A.shape[0] < A.shape[1]:
+        A = A.T  # dgejsv needs rows >= cols
+    if A.shape[1] == 0:
+        return np.zeros(0)
+    sva, _, _, work, _, info = lapack.dgejsv(A, joba=0, jobu=3, jobv=3, jobp=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgejsv failed with info={info}")
+    return sva * (work[1] / work[0])  # dgejsv sorts them descending
 
 
 # ---------------------------------------------------------------------------
 # condition numbers
-
-
-class RankDeficientError(ValueError):
-    """Raised when the Jacobian has an exactly vanishing singular value."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,14 +256,13 @@ def condition_number(jac) -> SpectralReport:
     """Condition number of a flattened measurement Jacobian.
 
     Accepts a JacobianStack (flattened row-major to ``(m*m, n)``) or any
-    2D array with at least as many rows as columns. A smallest singular
-    value below ``1e-14`` times the largest marks the report as rank
-    deficient (condition number infinity); an exact zero raises.
+    finite 2D array with at least as many rows as columns. A smallest
+    singular value at or below ``1e-14`` times the largest, zero included,
+    marks the report as rank deficient with condition number infinity.
     """
     if isinstance(jac, JacobianStack):
-        J = jac.flattened()
-    else:
-        J = np.asarray(jac, dtype=float)
+        jac = jac.flattened()
+    J = np.asarray_chkfinite(jac, dtype=float)
     if J.ndim != 2:
         raise ValueError(f"expected a 2D Jacobian, got shape {J.shape}")
     rows, cols = J.shape
@@ -339,11 +271,8 @@ def condition_number(jac) -> SpectralReport:
     s = singular_values(J)
     s_max, s_min = float(s[0]), float(s[-1])
     deficient = s_min <= RANK_DEFICIENCY_RATIO * s_max
-    report = SpectralReport(
+    return SpectralReport(
         singular_values=s,
         condition=np.inf if deficient else s_max / s_min,
         rank_deficient=deficient,
     )
-    if s_min == 0.0:
-        raise RankDeficientError("Jacobian is rank deficient (zero singular value)", report)
-    return report

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linsolve
 from .assembly import assemble_global, assemble_load, assemble_pixel_matrices, global_matrix
-from .analysis import RankDeficientError, condition_number, loewner_min_eig
+from .analysis import condition_number, loewner_min_eig
 from .forward import (
     directional_derivative,
     forward_matrix,
@@ -96,7 +96,18 @@ class ExperimentConfig:
         return "config: " + " ".join(parts)
 
     def validate(self) -> None:
-        """Reject sweep steps, ranges and solver tolerances no study can run with."""
+        """Reject grid sizes, sweep steps, ranges and solver tolerances no
+        study can run with."""
+        for name, least in (("nx", 2), ("k", 0), ("nx_min", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.nx_min > self.nx_max:
+            raise ValueError(
+                f"nx_min={self.nx_min} is larger than nx_max={self.nx_max}, "
+                "so the stability study would have no rows"
+            )
+        if self.experiment == "landscape" and self.nx != 3:
+            raise ValueError(f"nx must be 3 for the landscape study (its 3x3 grid), got {self.nx}")
         for name in ("sigma_step", "sigma_max", "landscape_step", "landscape_max", "tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -231,9 +242,8 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     which is the equal-coefficients slice). Rows are ``sigma4, sigma6, R``
     with the 1-based pixel naming of the 3x3 grid.
     """
-    config.validate()
-    if config.nx != 3:
-        raise ValueError("the landscape study is defined on the 3x3 grid")
+    # Checked as a landscape run, however the config is tagged.
+    dataclasses.replace(config, experiment="landscape").validate()
     k = config.k or 4
     fraction = config.radius_fraction or 0.25
     _, _, _, stiffness, loads = _experiment_setup(config, 3, k, fraction)
@@ -286,12 +296,7 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
             tol=config.tol,
             max_iter=config.solver_max_iter,
         )
-        try:
-            report = condition_number(jac)
-            cond = report.condition
-        except RankDeficientError:
-            cond = math.inf
-        rows.append((nx, nx * nx, len(loads), cond))
+        rows.append((nx, nx * nx, len(loads), condition_number(jac).condition))
     return ExperimentResult(header=["nx", "n", "m", "cond"], rows=rows, config=config)
 
 

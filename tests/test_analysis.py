@@ -3,7 +3,6 @@ import pytest
 
 from pixelinv.analysis import (
     PairLayout,
-    RankDeficientError,
     ResidualProblem,
     SymmetricLayout,
     condition_number,
@@ -11,7 +10,6 @@ from pixelinv.analysis import (
     reconstruct_lm,
     residual,
     singular_values,
-    symmetric_eigenvalues,
 )
 from pixelinv.forward import forward_matrix, forward_pair_values
 
@@ -29,13 +27,12 @@ class TestSymmetricEigenvalues:
             assert loewner_min_eig(G.T @ G) >= -1e-12
 
     def test_matches_lapack_oracle(self, rng):
+        # Q diag(lam) Q^T has the chosen spectrum by construction.
         for m in (2, 5, 12, 30):
-            A = rng.standard_normal((m, m))
-            A = 0.5 * (A + A.T)
-            mine = symmetric_eigenvalues(A)
-            oracle = np.linalg.eigvalsh(A)
-            scale = max(1.0, np.abs(oracle).max())
-            assert np.max(np.abs(mine - oracle)) <= 1e-11 * scale
+            lam = rng.standard_normal(m)
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            A = Q @ np.diag(lam) @ Q.T
+            assert loewner_min_eig(A) == pytest.approx(lam.min(), abs=1e-13 * np.abs(lam).max())
 
     def test_rejects_asymmetric(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -43,11 +40,26 @@ class TestSymmetricEigenvalues:
             loewner_min_eig(A)
 
     def test_accuracy_scales_with_norm(self, rng):
-        A = rng.standard_normal((10, 10))
-        A = 0.5 * (A + A.T) * 1e6
-        mine = symmetric_eigenvalues(A)
-        oracle = np.linalg.eigvalsh(A)
-        assert np.max(np.abs(mine - oracle)) <= 1e-11 * np.linalg.norm(A)
+        # Singular values spread over six decades, scaled up by 1e6: the
+        # error stays a small multiple of eps times the largest one.
+        s = 1e6 * np.logspace(0, -6, 10)
+        U, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        V, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        A = U @ np.diag(s) @ V.T
+        assert np.max(np.abs(singular_values(A) - s)) <= 1e-13 * s[0]
+        # Eigenvalues -s_i / 2 and +s_i / 2 of the same scale.
+        lam = np.concatenate([-0.5 * s, 0.5 * s])
+        Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        B = Q @ np.diag(lam) @ Q.T
+        assert loewner_min_eig(B) == pytest.approx(lam.min(), abs=1e-13 * s[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        A = np.eye(3)
+        A[1, 2] = A[2, 1] = bad
+        for kernel in (loewner_min_eig, singular_values, condition_number):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                kernel(A)
 
 
 class TestSingularValues:
@@ -68,6 +80,22 @@ class TestSingularValues:
         Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((12, 4)))
         s = singular_values(Q)
         assert np.max(np.abs(s - 1.0)) <= 1e-12
+
+    def test_graded_columns_keep_small_values(self, rng):
+        # Orthonormal columns scaled by s have singular values s; one-sided
+        # Jacobi returns each to a few eps relative to itself, where a
+        # cutoff at n * eps * ||A|| would return 0 for 1e-20.
+        Q, _ = np.linalg.qr(rng.standard_normal((20, 4)))
+        s = np.array([1.0, 1e-5, 1e-12, 1e-20])
+        assert np.max(np.abs(singular_values(Q * s) - s) / s) <= 1e-13
+
+    def test_wide_input(self, rng):
+        s = np.array([3.0, 2.0, 0.5])
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((7, 3)))
+        got = singular_values(U @ np.diag(s) @ V.T)
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - s)) <= 1e-14 * s[0]
 
 
 class TestConditionNumber:
@@ -90,11 +118,21 @@ class TestConditionNumber:
         assert report.condition == pytest.approx(flat.condition, rel=1e-12)
         assert report.singular_values.size == 9
 
-    def test_zero_singular_value_raises(self):
+    def test_zero_singular_value_flagged(self):
+        # An exactly zero singular value is flagged like a tiny one.
         J = np.ones((6, 3))
         J[:, 2] = 0.0
-        with pytest.raises(RankDeficientError):
-            condition_number(J)
+        report = condition_number(J)
+        assert report.rank_deficient
+        assert report.condition == np.inf
+
+    def test_duplicate_columns_flagged(self, rng):
+        J = rng.standard_normal((12, 4))
+        J[:, 3] = J[:, 1]
+        report = condition_number(J)
+        assert report.rank_deficient
+        assert report.condition == np.inf
+        assert report.singular_values[-1] <= 1e-14 * report.singular_values[0]
 
     def test_near_deficiency_flagged(self, rng):
         U, _ = np.linalg.qr(rng.standard_normal((10, 2)))

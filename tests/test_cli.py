@@ -29,6 +29,12 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
         ("landscape", "landscape_step=nan"),
         ("stability", "tol=nan"),
         ("properties", "tol=inf"),
+        ("properties", "nx=1"),
+        ("nonuniqueness", "k=-1"),
+        ("landscape", "nx=0"),
+        ("landscape", "nx=4"),
+        ("stability", "nx_min=1"),
+        ("stability", "nx_min=5\nnx_max=3"),
     ],
 )
 def test_bad_step_or_tolerance_is_usage_error(tmp_path, capsys, experiment, setting):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pixelinv import experiments
 from pixelinv.assembly import assemble_pixel_matrices
@@ -67,6 +69,11 @@ class TestConfig:
             ({"landscape_step": 1.0}, "landscape_step=1.0 is larger than landscape_max"),
             ({"sigma_step": 1e-300}, "sigma_step=1e-300 asks for 3e\\+300 sweep points"),
             ({"landscape_step": 1e-7}, "landscape_step=1e-07 asks for 6e\\+06 sweep points"),
+            ({"nx": 1}, "nx must be at least 2, got 1"),
+            ({"k": -1}, "k must be at least 0, got -1"),
+            ({"nx_min": 1}, "nx_min must be at least 2, got 1"),
+            ({"nx_min": 5, "nx_max": 3}, "nx_min=5 is larger than nx_max=3"),
+            ({"experiment": "landscape", "nx": 4}, "nx must be 3 for the landscape study"),
         ],
     )
     def test_empty_or_oversized_sweep_rejected(self, settings, message):
@@ -84,6 +91,27 @@ class TestConfig:
         values = experiments._sweep_values(step, stop)
         assert len(values) == count
         assert values[0] == step and values[-1] <= stop
+
+    # Most draws are invalid and cost nothing; about one in ten runs the study.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nx=st.integers(-2, 4),
+        k=st.integers(-2, 4),
+        nx_min=st.integers(-2, 4),
+        nx_max=st.integers(-2, 4),
+    )
+    def test_grid_values_give_clean_error_or_valid_rows(self, nx, k, nx_min, nx_max):
+        cfg = ExperimentConfig(nx=nx, k=k, nx_min=nx_min, nx_max=nx_max)
+        try:
+            cfg.validate()
+        except ValueError:
+            event("rejected")
+            return
+        event("ran")
+        result = run_stability_study(cfg)
+        assert [r[0] for r in result.rows] == list(range(nx_min, nx_max + 1))
+        for row in result.rows:
+            assert row[3] == np.inf or (np.isfinite(row[3]) and row[3] >= 1.0)
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
