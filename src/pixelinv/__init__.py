@@ -33,6 +33,7 @@ from .forward import (
     MeasurementMatrix,
     directional_derivative,
     forward_matrix,
+    forward_pair_sweep,
     forward_pair_values,
     forward_pairs,
     forward_single,

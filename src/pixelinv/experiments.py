@@ -33,8 +33,8 @@ from .analysis import condition_number, loewner_min_eig
 from .forward import (
     directional_derivative,
     forward_matrix,
-    forward_pair_values,
-    forward_single,
+    forward_pair_sweep,
+    forward_pair_values,  # noqa: F401  (not called here; benchmark/spans.py traces this binding)
     true_reference,
 )
 from .mesh import PixelGrid, build_mesh, standard_disk_layout
@@ -96,8 +96,8 @@ class ExperimentConfig:
         return "config: " + " ".join(parts)
 
     def validate(self) -> None:
-        """Reject grid sizes, sweep steps, ranges and solver tolerances no
-        study can run with."""
+        """Reject grid sizes, disk radii, sweep steps, ranges and solver
+        tolerances no study can run with."""
         for name, least in (("nx", 2), ("k", 0), ("nx_min", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
@@ -105,6 +105,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"nx_min={self.nx_min} is larger than nx_max={self.nx_max}, "
                 "so the stability study would have no rows"
+            )
+        if not (self.radius_fraction == 0.0 or 0.0 < self.radius_fraction < 0.5):
+            raise ValueError(
+                f"radius_fraction must be 0 (the default) or in (0, 0.5), got {self.radius_fraction}"
             )
         if self.experiment == "landscape" and self.nx != 3:
             raise ValueError(f"nx must be 3 for the landscape study (its 3x3 grid), got {self.nx}")
@@ -212,23 +216,23 @@ def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:
     top-right one. For every pixel the coefficient runs through
     ``sigma_step .. sigma_max`` (all other pixels at 1), one CSV row
     ``pixel, sigma_i, F_value`` per sample; pixel ids are 1-based
-    (lower-left pixel is 1, row-major upward).
+    (lower-left pixel is 1, row-major upward). Each pixel's sweep is one
+    :func:`forward_pair_sweep` call: one factorization serves all its
+    samples.
     """
     config.validate()
     k = config.k or 4
     fraction = config.radius_fraction or 0.25
     _, _, _, stiffness, loads = _experiment_setup(config, config.nx, k, fraction)
-    y_l, y_r = loads[0], loads[-1]
+    pairs = [(loads[0], loads[-1])]
     values = _sweep_values(config.sigma_step, config.sigma_max)
     rows = []
     for pixel in range(stiffness.n):
-        for s in values:
-            sigma = np.ones(stiffness.n)
-            sigma[pixel] = s
-            value, _ = forward_single(
-                stiffness, sigma, y_l, y_r, tol=config.tol, max_iter=config.solver_max_iter
-            )
-            rows.append((pixel + 1, s, value))
+        F = forward_pair_sweep(
+            stiffness, np.ones(stiffness.n), [pixel], values[:, None], pairs,
+            tol=config.tol, max_iter=config.solver_max_iter,
+        )
+        rows.extend((pixel + 1, s, value) for s, value in zip(values, F[:, 0]))
     return ExperimentResult(header=["pixel", "sigma_i", "F_value"], rows=rows, config=config)
 
 
@@ -240,7 +244,9 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     mid-left and mid-right pixels. Both swept coefficients run through
     ``landscape_step .. landscape_max`` on a square grid (the diagonal of
     which is the equal-coefficients slice). Rows are ``sigma4, sigma6, R``
-    with the 1-based pixel naming of the 3x3 grid.
+    with the 1-based pixel naming of the 3x3 grid. The whole grid and the
+    truth are one :func:`forward_pair_sweep` call: one factorization serves
+    every point, and the truth's row reads exactly 0.
     """
     # Checked as a landscape run, however the config is tagged.
     dataclasses.replace(config, experiment="landscape").validate()
@@ -248,24 +254,17 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     fraction = config.radius_fraction or 0.25
     _, _, _, stiffness, loads = _experiment_setup(config, 3, k, fraction)
     pairs = [(loads[0], loads[6]), (loads[0], loads[7])]
-    truth = np.ones(9)
-    truth[3] = 0.5
-    truth[5] = 0.5
-    data = forward_pair_values(
-        stiffness, truth, pairs, tol=config.tol, max_iter=config.solver_max_iter
-    )
     values = _sweep_values(config.landscape_step, config.landscape_max)
-    rows = []
-    for a in values:
-        for b in values:
-            sigma = np.ones(9)
-            sigma[3] = a
-            sigma[5] = b
-            current = forward_pair_values(
-                stiffness, sigma, pairs, tol=config.tol, max_iter=config.solver_max_iter
-            )
-            misfit = current - data
-            rows.append((a, b, float(misfit @ misfit)))
+    a, b = np.meshgrid(values, values, indexing="ij")
+    points = np.column_stack([a.ravel(), b.ravel()])
+    # The truth, 0.5 in both swept pixels, is the last sample.
+    swept = forward_pair_sweep(
+        stiffness, np.ones(9), [3, 5], np.vstack([points, [0.5, 0.5]]), pairs,
+        tol=config.tol, max_iter=config.solver_max_iter,
+    )
+    misfit = swept[:-1] - swept[-1]
+    R = (misfit * misfit).sum(axis=1)
+    rows = list(zip(points[:, 0], points[:, 1], R))
     return ExperimentResult(header=["sigma4", "sigma6", "R"], rows=rows, config=config)
 
 

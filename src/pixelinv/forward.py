@@ -21,6 +21,17 @@ result (``MeasurementMatrix.solves_used``). The resulting matrix map is
 symmetric positive semidefinite, monotonically non-increasing and convex
 in the Loewner order, and grows pointwise under nested mesh refinement;
 these properties are exercised by the test suite.
+
+Pair values along a sweep, where only a few pixel coefficients change
+from sample to sample, take a second path (:func:`forward_pair_sweep`).
+Every ``B_i`` of a swept pixel lives on the unknowns ``S`` of that pixel's
+vertices, so the rest ``R`` of ``B_sigma`` is the same for every sample:
+``B_RR`` is factored once, and each sample costs one small dense solve
+with the Schur complement ``B_SS - B_SR B_RR^{-1} B_RS`` plus the swept
+pixels' blocks (static condensation, the symmetric form of the
+Sherman-Morrison-Woodbury update). Every sample's full residual is still
+checked against ``tol``. :func:`forward_pair_values` is the sweep with no
+swept pixel and one sample.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ __all__ = [
     "forward_matrix",
     "forward_pairs",
     "forward_pair_values",
+    "forward_pair_sweep",
     "directional_derivative",
     "true_reference",
 ]
@@ -130,13 +142,12 @@ def _solve(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
     return np.column_stack([rep.solution for rep in reports]), len(reports)
 
 
-def _solve_distinct(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
-    """Solution columns of the distinct load objects among ``loads``, and the
-    column of each entry of ``loads``."""
+def _distinct(loads: list):
+    """The distinct load objects among ``loads``, and the index of each entry
+    of ``loads`` among them."""
     distinct = {id(ld): ld for ld in loads}
     column = {key: j for j, key in enumerate(distinct)}
-    lam, _ = _solve(stiffness, sigma, list(distinct.values()), tol, max_iter)
-    return lam, np.array([column[id(ld)] for ld in loads], dtype=np.int64)
+    return list(distinct.values()), np.array([column[id(ld)] for ld in loads], dtype=np.int64)
 
 
 def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
@@ -204,7 +215,8 @@ def forward_pairs(
     load object is solved once. The Loewner-order structure of symmetric
     layouts does not apply to such plain vectors of measurements.
     """
-    lam, column = _solve_distinct(stiffness, sigma, [ld for pair in pairs for ld in pair], tol, max_iter)
+    distinct, column = _distinct([ld for pair in pairs for ld in pair])
+    lam, _ = _solve(stiffness, sigma, distinct, tol, max_iter)
     left, right = column[0::2], column[1::2]
     Y_r = np.column_stack([r.y for _, r in pairs])
     values = np.einsum("ij,ij->j", lam[:, left], Y_r)
@@ -220,9 +232,138 @@ def forward_pair_values(
     tol: float = linsolve.DEFAULT_TOL,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Values only for (excitation, measurement) pairs; solves excitations only."""
-    lam, column = _solve_distinct(stiffness, sigma, [l for l, _ in pairs], tol, max_iter)
-    return np.einsum("ij,ij->j", lam[:, column], np.column_stack([r.y for _, r in pairs]))
+    """Values only for (excitation, measurement) pairs; solves excitations only.
+
+    This is :func:`forward_pair_sweep` with no swept pixel and one sample.
+    """
+    return forward_pair_sweep(stiffness, sigma, [], np.empty((1, 0)), pairs, tol, max_iter)[0]
+
+
+# Samples per batched dense solve in forward_pair_sweep. It bounds the stack
+# of reduced matrices held at once: 32 x |S| x |S| doubles, 0.4 MB for the 40
+# swept unknowns of the landscape study.
+_SWEEP_BLOCK = 32
+
+
+def _stacked(matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x[b]`` for every matrix of a ``(b, n, e)`` stack, as one product."""
+    b, n, e = x.shape
+    return (matrix @ x.transpose(1, 0, 2).reshape(n, b * e)).reshape(-1, b, e).transpose(1, 0, 2)
+
+
+def forward_pair_sweep(
+    stiffness: StiffnessSet,
+    sigma,
+    pixels,
+    samples,
+    pairs: list,
+    tol: float = linsolve.DEFAULT_TOL,
+    max_iter: int | None = None,
+) -> np.ndarray:
+    """Pair values along a sweep of a few pixel coefficients.
+
+    Row ``j`` of the returned ``(P, p)`` array holds the ``p`` pair values
+    at ``sigma`` with ``sigma[pixels] = samples[j]``, for each of the ``P``
+    rows of ``samples``.
+
+    ``S`` are the unknowns on the swept pixels' vertices and ``R`` the
+    rest. Only ``B_SS`` depends on the sample, so ``B_RR`` is factored once
+    and solved for the distinct excitations and the ``|S|`` columns of
+    ``B_RS``: a sweep costs that many solves, whatever ``P`` is. Each
+    sample then takes one ``|S| x |S|`` dense solve with the Schur
+    complement plus ``sum_j (samples[., j] - sigma[pixels[j]]) K_j``
+    (``K_j`` is ``B_j`` on ``S``), solved in batches. Every sample's
+    relative residual ``||B_sample lam - y|| / ||y||`` is checked against
+    ``tol``; one that misses it gets up to ``max_iter`` refinement steps
+    through the same elimination (each solves ``B_RR`` again), and one
+    that still misses it raises :class:`linsolve.SolverError` naming the
+    sample.
+
+    Raises
+    ------
+    ValueError
+        If ``pixels`` has repeated or out-of-range entries, ``samples`` is
+        not ``(P, len(pixels))``, ``pairs`` is empty, or ``sigma`` or a
+        sample has an entry that is not finite and strictly positive.
+    """
+    if not pairs:
+        raise ValueError("need at least one load")
+    B = global_matrix(stiffness, sigma)
+    base = np.asarray(sigma, dtype=float).reshape(-1)
+    pixels = np.asarray(pixels, dtype=np.int64).reshape(-1)
+    if np.unique(pixels).size != pixels.size or not np.all((pixels >= 0) & (pixels < stiffness.n)):
+        raise ValueError(f"pixels must be distinct indices below {stiffness.n}, got {pixels.tolist()}")
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != pixels.size:
+        raise ValueError(f"samples must have shape (P, {pixels.size}), got {samples.shape}")
+    check_sigma(samples, samples.size)
+
+    dofs = stiffness.dofs[pixels]
+    S = np.unique(dofs[dofs >= 0])
+    R = np.setdiff1d(np.arange(stiffness.N), S)
+    B_RR, B_RS, B_SR = B[R][:, R], B[R][:, S], B[S][:, R]
+    excitations, left = _distinct([y_l for y_l, _ in pairs])
+    Y = np.column_stack([ld.y for ld in excitations])
+    Y_r = np.column_stack([r.y for _, r in pairs])
+    e = Y.shape[1]
+    reports = linsolve.solve_multi(
+        B_RR, list(Y[R].T) + list(B_RS.T.toarray()), tol=tol, max_iter=max_iter
+    )
+    solved = np.column_stack([rep.solution for rep in reports])
+    U, W = solved[:, :e], solved[:, e:]  # B_RR^{-1} y_R and B_RR^{-1} B_RS
+    schur = B[S][:, S].toarray() - B_SR @ W
+    load_S = Y[S] - B_SR @ U
+    K = np.array([stiffness.pixel_matrix(i)[S][:, S].toarray() for i in pixels])
+    K = K.reshape(pixels.size, S.size, S.size)  # also when no pixel is swept
+    y_norm = np.linalg.norm(Y, axis=0)
+    y_norm[y_norm == 0.0] = 1.0  # a zero load has the zero solution, residual 0
+    steps_allowed = linsolve.DEFAULT_REFINE_STEPS if max_iter is None else max_iter
+
+    def eliminate(reduced, condensed, solved_R):
+        """Solutions of the samples' systems from their condensed loads."""
+        lam_S = np.linalg.solve(reduced, condensed)
+        lam = np.empty((reduced.shape[0], stiffness.N, e))
+        lam[:, S] = lam_S
+        lam[:, R] = solved_R - W @ lam_S
+        return lam
+
+    values = np.empty((samples.shape[0], len(pairs)))
+    for start in range(0, samples.shape[0], _SWEEP_BLOCK):
+        shift = samples[start:start + _SWEEP_BLOCK] - base[pixels]
+        # Elementwise, not a BLAS product, so that a sample's result does not
+        # depend on its position in the sweep.
+        perturbation = np.zeros((shift.shape[0], S.size, S.size))
+        for j in range(pixels.size):
+            perturbation += shift[:, j, None, None] * K[j]
+        reduced = schur + perturbation
+        lam = eliminate(reduced, load_S, U)
+        steps = 0
+        while True:
+            residual = Y - _stacked(B, lam)
+            residual[:, S] -= perturbation @ lam[:, S]
+            achieved = np.linalg.norm(residual, axis=1) / y_norm
+            missed = ~np.all(achieved <= tol, axis=1)
+            if not missed.any() or steps >= steps_allowed:
+                break
+            r = residual[missed]
+            columns = r[:, R].transpose(0, 2, 1).reshape(r.shape[0] * e, R.size)
+            refine = linsolve.solve_multi(B_RR, list(columns), tol=tol, max_iter=max_iter)
+            V = np.array([rep.solution for rep in refine]).reshape(r.shape[0], e, R.size).transpose(0, 2, 1)
+            lam[missed] += eliminate(reduced[missed], r[:, S] - _stacked(B_SR, V), V)
+            steps += 1
+        if missed.any():
+            j = int(np.flatnonzero(missed)[0])
+            worst = float(achieved[j].max())
+            raise linsolve.SolverError(
+                f"sweep sample {start + j + 1} of {samples.shape[0]} (coefficients "
+                f"{samples[start + j].tolist()} on pixels {pixels.tolist()}) missed tolerance "
+                f"{tol} after {steps} refinement steps (achieved relative residual {worst:.3e})",
+                residual_norm=worst,
+                iterations=steps,
+            )
+        values[start:start + _SWEEP_BLOCK] = (lam[:, :, left] * Y_r).sum(axis=1)
+    _require_finite(np.concatenate([base, samples.ravel()]), values)
+    return values
 
 
 def directional_derivative(jac: JacobianStack, tau) -> np.ndarray:

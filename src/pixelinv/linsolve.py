@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "DEFAULT_TOL",
+    "DEFAULT_REFINE_STEPS",
     "SolveReport",
     "SolverError",
     "solve_spd",
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-_DEFAULT_REFINE_STEPS = 10
+DEFAULT_REFINE_STEPS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +77,7 @@ def _solve(lu, matrix, rhs, tol, max_iter) -> SolveReport:
     if rhs_norm == 0.0:
         return SolveReport(solution=np.zeros_like(rhs), iterations=0, residual_norm=0.0)
     if max_iter is None:
-        max_iter = _DEFAULT_REFINE_STEPS
+        max_iter = DEFAULT_REFINE_STEPS
     x = lu.solve(rhs)
     r = rhs - matrix @ x
     achieved = float(np.linalg.norm(r)) / rhs_norm

@@ -35,6 +35,10 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
         ("landscape", "nx=4"),
         ("stability", "nx_min=1"),
         ("stability", "nx_min=5\nnx_max=3"),
+        ("stability", "radius_fraction=-0.25"),
+        ("nonuniqueness", "radius_fraction=0.5"),
+        ("landscape", "radius_fraction=5"),
+        ("properties", "radius_fraction=nan"),
     ],
 )
 def test_bad_step_or_tolerance_is_usage_error(tmp_path, capsys, experiment, setting):

@@ -74,6 +74,10 @@ class TestConfig:
             ({"nx_min": 1}, "nx_min must be at least 2, got 1"),
             ({"nx_min": 5, "nx_max": 3}, "nx_min=5 is larger than nx_max=3"),
             ({"experiment": "landscape", "nx": 4}, "nx must be 3 for the landscape study"),
+            ({"radius_fraction": -0.25}, r"radius_fraction must be 0 \(the default\) or in \(0, 0.5\), got -0.25"),
+            ({"radius_fraction": 0.5}, r"radius_fraction must be 0 .* got 0.5"),
+            ({"radius_fraction": 5.0}, r"radius_fraction must be 0 .* got 5.0"),
+            ({"radius_fraction": float("nan")}, r"radius_fraction must be 0 .* got nan"),
         ],
     )
     def test_empty_or_oversized_sweep_rejected(self, settings, message):
@@ -150,6 +154,14 @@ class TestNonuniquenessSweep:
             assert np.all(diffs[:peak] > 0)
             assert np.all(diffs[peak:] < 0)
 
+    def test_solves_do_not_grow_with_samples(self, solve_counter):
+        counts = []
+        for step in (1.0, 0.25):
+            before = solve_counter.solves
+            run_nonuniqueness_sweep(ExperimentConfig(k=2, sigma_step=step))
+            counts.append(solve_counter.solves - before)
+        assert counts[0] == counts[1] > 0
+
     def test_deterministic_output(self, tmp_path):
         # Byte-identical across reruns, including when the destination
         # path differs (the config comment omits the output path).
@@ -181,6 +193,14 @@ class TestResidualLandscape:
         at_truth = [r for r in result.rows if r[0] == 0.5 and r[1] == 0.5]
         assert len(at_truth) == 1
         assert at_truth[0][2] == 0.0
+
+    def test_solves_do_not_grow_with_points(self, solve_counter):
+        counts = []
+        for step in (0.1, 0.05):
+            before = solve_counter.solves
+            run_residual_landscape(ExperimentConfig(k=2, landscape_step=step, landscape_max=0.6))
+            counts.append(solve_counter.solves - before)
+        assert counts[0] == counts[1] > 0
 
     def test_requires_3x3(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from pixelinv import forward
+from pixelinv.assembly import LoadVector, assemble_load, assemble_pixel_matrices
 from pixelinv.forward import (
     directional_derivative,
     forward_matrix,
+    forward_pair_sweep,
     forward_pair_values,
     forward_pairs,
     forward_single,
     true_reference,
 )
-from pixelinv.mesh import build_mesh, standard_disk_layout
+from pixelinv.linsolve import SolverError
+from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
 
@@ -206,6 +215,127 @@ class TestForwardPairs:
         assert solve_counter.solves == 1  # one distinct excitation
         full, _ = forward_pairs(stiffness3x4, TRUTH, pairs)
         assert np.allclose(values, full, rtol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def problem(nx, k):
+    """Pixel family and standard loads of an ``nx x nx`` grid at mesh parameter ``k``."""
+    grid = PixelGrid(nx)
+    mesh = build_mesh(grid, k)
+    loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
+    return assemble_pixel_matrices(mesh, grid), loads
+
+
+def per_point(stiffness, sigma, pixels, samples, pairs):
+    """The sweep evaluated the slow way: one full solve per sample."""
+    rows = []
+    for sample in samples:
+        point = np.array(sigma, dtype=float)
+        point[list(pixels)] = sample
+        rows.append(forward_pair_values(stiffness, point, pairs))
+    return np.array(rows)
+
+
+def assert_sweep_matches(stiffness, sigma, pixels, samples, pairs):
+    swept = forward_pair_sweep(stiffness, sigma, pixels, samples, pairs)
+    expected = per_point(stiffness, sigma, pixels, samples, pairs)
+    assert swept.shape == expected.shape == (len(samples), len(pairs))
+    assert np.max(np.abs(swept - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@st.composite
+def sweeps(draw):
+    nx, k = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    stiffness, loads = problem(nx, k)
+    log_coefficient = st.floats(-2.0, 2.0)
+    sigma = 10.0 ** draw(arrays(float, stiffness.n, elements=log_coefficient))
+    pixels = draw(st.lists(st.integers(0, stiffness.n - 1), unique=True, max_size=stiffness.n))
+    count = draw(st.integers(1, 6))
+    samples = 10.0 ** draw(arrays(float, (count, len(pixels)), elements=log_coefficient))
+    load = st.integers(0, len(loads) - 1)
+    pairs = [(loads[i], loads[j]) for i, j in draw(st.lists(st.tuples(load, load), min_size=1, max_size=3))]
+    return stiffness, sigma, pixels, samples, pairs
+
+
+class TestForwardPairSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep=sweeps())
+    def test_matches_one_solve_per_point(self, sweep):
+        assert_sweep_matches(*sweep)
+
+    def test_no_remaining_unknowns(self, rng):
+        # nx=2, k=1 has one unknown, on every pixel: R is empty.
+        stiffness, _ = problem(2, 1)
+        assert stiffness.N == 1
+        load = LoadVector(y=np.ones(1), disk=None)
+        samples = rng.uniform(0.1, 2.0, (5, 2))
+        assert_sweep_matches(stiffness, np.ones(4), [0, 2], samples, [(load, load)])
+
+    def test_every_pixel_swept(self, stiffness3x4, loads3x4, rng):
+        pairs = [(loads3x4[0], loads3x4[7]), (loads3x4[2], loads3x4[2])]
+        samples = rng.uniform(0.1, 3.0, (4, 9))
+        assert_sweep_matches(stiffness3x4, np.ones(9), list(range(9)), samples, pairs)
+
+    def test_no_pixel_swept(self, stiffness3x4, loads3x4, rng):
+        sigma = rng.uniform(0.5, 2.0, 9)
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
+        swept = forward_pair_sweep(stiffness3x4, sigma, [], np.empty((3, 0)), pairs)
+        direct = forward_pairs(stiffness3x4, sigma, pairs)[0]
+        assert swept.shape == (3, 2)
+        assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_across_a_block_boundary(self, stiffness3x4, loads3x4, rng, extra):
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
+        samples = rng.uniform(0.05, 1.0, (forward._SWEEP_BLOCK + extra, 2))
+        samples[-1] = samples[0]
+        assert_sweep_matches(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        # A sample's values do not depend on its position in the sweep.
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        assert np.array_equal(swept[0], swept[-1])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_sample_rejected(self, stiffness3x4, loads3x4, bad):
+        samples = np.full((3, 1), 0.5)
+        samples[1, 0] = bad
+        with pytest.raises(ValueError, match="finite and > 0"):
+            forward_pair_sweep(stiffness3x4, np.ones(9), [4], samples, [(loads3x4[0], loads3x4[7])])
+
+    @pytest.mark.parametrize(
+        "pixels, shape, message",
+        [
+            ([4, 4], (2, 2), "distinct"),
+            ([9], (2, 1), "distinct"),
+            ([-1], (2, 1), "distinct"),
+            ([4], (2, 2), "shape"),
+        ],
+    )
+    def test_bad_pixels_or_sample_shape_rejected(self, stiffness3x4, loads3x4, pixels, shape, message):
+        with pytest.raises(ValueError, match=message):
+            forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.ones(shape), [(loads3x4[0], loads3x4[7])])
+
+    @pytest.mark.parametrize("max_iter", [None, 0, -1])
+    @pytest.mark.parametrize("nx, k", [(2, 1), (3, 4)])
+    def test_missed_tolerance_raises(self, nx, k, max_iter):
+        # With nx=2, k=1 the B_RR solves are empty, so the sweep's own
+        # residual check is what refuses the samples.
+        stiffness, loads = problem(nx, k)
+        samples = np.linspace(0.1, 3.0, 40).reshape(20, 2)
+        pairs = [(loads[0], loads[1])]
+        with pytest.raises(SolverError, match="missed tolerance"):
+            forward_pair_sweep(
+                stiffness, np.ones(stiffness.n), [0, 2], samples, pairs, tol=1e-300, max_iter=max_iter
+            )
+
+    @pytest.mark.parametrize("count", [1, 7, 100])
+    def test_solves_do_not_grow_with_samples(self, stiffness3x4, loads3x4, solve_counter, count):
+        pixels = [3, 5]
+        dofs = stiffness3x4.dofs[pixels]
+        swept_unknowns = np.unique(dofs[dofs >= 0]).size
+        assert swept_unknowns == 40
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7]), (loads3x4[0], loads3x4[7])]
+        forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.full((count, 2), 0.7), pairs)
+        assert solve_counter.solves == 2 + swept_unknowns  # two distinct excitations
 
 
 class TestTrueReference:
