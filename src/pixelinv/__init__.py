@@ -36,7 +36,6 @@ from .forward import (
     forward_pair_sweep,
     forward_pair_values,
     forward_pairs,
-    forward_single,
     true_reference,
 )
 from .analysis import (

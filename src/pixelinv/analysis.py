@@ -163,27 +163,20 @@ def reconstruct_lm(
             if ok:
                 sigma, r, jac, value = candidate, r_new, jac_new, value_new
                 damping /= 3.0
-                trace.append(
-                    {
-                        "iteration": iteration,
-                        "accepted": True,
-                        "residual": value,
-                        "damping": damping,
-                        "step_norm": float(np.linalg.norm(step)),
-                    }
-                )
-                break
-            damping *= 2.0
-            rejections += 1
+            else:
+                damping *= 2.0
+                rejections += 1
             trace.append(
                 {
                     "iteration": iteration,
-                    "accepted": False,
+                    "accepted": ok,
                     "residual": value,
                     "damping": damping,
                     "step_norm": float(np.linalg.norm(step)),
                 }
             )
+            if ok:
+                break
             if rejections >= 10:
                 raise ReconstructionError(
                     f"no acceptable step after {rejections} damping increases "

@@ -33,7 +33,6 @@ __all__ = [
     "assemble_global",
     "global_matrix",
     "assemble_load",
-    "write_matrix",
 ]
 
 
@@ -282,13 +281,3 @@ def assemble_load(mesh: TriMesh, disk: DiskSpec) -> LoadVector:
         )
     return LoadVector(y=y, disk=disk)
 
-
-def write_matrix(matrix, stream) -> None:
-    """Dump a sparse matrix in coordinate text form, ``i j value`` per line.
-
-    Indices are 1-based; entries appear in row-major order.
-    """
-    coo = sp.csr_matrix(matrix).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        stream.write(f"{r + 1} {c + 1} {v:.17g}\n")

@@ -48,7 +48,7 @@ __all__ = [
     "run_residual_landscape",
     "run_stability_study",
     "run_property_suite",
-    "DEFAULT_CHECK_TOLERANCES",
+    "CHECKS",
 ]
 
 # Most samples per sweep axis; the landscape study squares it.
@@ -57,18 +57,20 @@ _MAX_SWEEP_POINTS = 10**6
 
 @dataclass
 class ExperimentConfig:
-    """Knobs for the experiment drivers; all fields have working defaults.
+    """Knobs for the experiment drivers; every field holds the value the
+    studies run with.
 
-    ``k = 0`` and ``radius_fraction = 0.0`` mean "per-experiment default":
-    disks default to a quarter of the pixel width everywhere, the
-    sweep/landscape studies use k=4 on their 3x3 grid, and the stability
-    study uses k=4 below nx=10 and k=2 from there on to bound runtime.
+    ``k`` is the number of mesh elements per pixel side in every study and
+    at every stability rung, ``radius_fraction`` the disk radius in pixel
+    widths, ``max_iter`` the most iterative-refinement steps a solve may
+    take, and ``tolerance_overrides`` maps a :data:`CHECKS` name to the
+    tolerance the property suite uses for it instead of the built-in one.
     """
 
     experiment: str = ""
     nx: int = 3
-    k: int = 0
-    radius_fraction: float = 0.0
+    k: int = 4
+    radius_fraction: float = 0.25
     sigma_step: float = 0.01
     sigma_max: float = 3.0
     landscape_step: float = 0.002
@@ -76,7 +78,7 @@ class ExperimentConfig:
     nx_min: int = 2
     nx_max: int = 15
     tol: float = 1e-10
-    max_iter: int = 0
+    max_iter: int = linsolve.DEFAULT_REFINE_STEPS
     seed: int = 1234
     out: str = ""
     tolerance_overrides: dict = field(default_factory=dict)
@@ -96,9 +98,9 @@ class ExperimentConfig:
         return "config: " + " ".join(parts)
 
     def validate(self) -> None:
-        """Reject grid sizes, disk radii, sweep steps, ranges and solver
-        tolerances no study can run with."""
-        for name, least in (("nx", 2), ("k", 0), ("nx_min", 2)):
+        """Reject grid sizes, disk radii, sweep steps, ranges, solver settings
+        and check tolerances no study can run with."""
+        for name, least in (("nx", 2), ("k", 1), ("nx_min", 2), ("max_iter", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.nx_min > self.nx_max:
@@ -106,10 +108,13 @@ class ExperimentConfig:
                 f"nx_min={self.nx_min} is larger than nx_max={self.nx_max}, "
                 "so the stability study would have no rows"
             )
-        if not (self.radius_fraction == 0.0 or 0.0 < self.radius_fraction < 0.5):
-            raise ValueError(
-                f"radius_fraction must be 0 (the default) or in (0, 0.5), got {self.radius_fraction}"
-            )
+        if not 0.0 < self.radius_fraction < 0.5:
+            raise ValueError(f"radius_fraction must be in (0, 0.5), got {self.radius_fraction}")
+        for name, tolerance in self.tolerance_overrides.items():
+            if name not in CHECKS:
+                raise ValueError(f"tol_{name} names no property check; known: {', '.join(CHECKS)}")
+            if not 0.0 <= tolerance < math.inf:
+                raise ValueError(f"tol_{name} must be finite and at least 0, got {tolerance}")
         if self.experiment == "landscape" and self.nx != 3:
             raise ValueError(f"nx must be 3 for the landscape study (its 3x3 grid), got {self.nx}")
         for name in ("sigma_step", "sigma_max", "landscape_step", "landscape_max", "tol"):
@@ -128,10 +133,6 @@ class ExperimentConfig:
                     f"{step_name}={step} asks for {stop / step:.3g} sweep points up to "
                     f"{stop_name}={stop}; at most {_MAX_SWEEP_POINTS} are allowed"
                 )
-
-    @property
-    def solver_max_iter(self):
-        return None if self.max_iter <= 0 else self.max_iter
 
 
 _CONFIG_TYPES = {
@@ -200,10 +201,10 @@ def _sweep_values(step: float, stop: float) -> np.ndarray:
     return (np.arange(count) + 1) * step
 
 
-def _experiment_setup(cfg: ExperimentConfig, nx: int, k: int, fraction: float):
+def _experiment_setup(config: ExperimentConfig, nx: int):
     grid = PixelGrid(nx)
-    mesh = build_mesh(grid, k)
-    disks = standard_disk_layout(mesh, fraction)
+    mesh = build_mesh(grid, config.k)
+    disks = standard_disk_layout(mesh, config.radius_fraction)
     stiffness = assemble_pixel_matrices(mesh, grid)
     loads = [assemble_load(mesh, d) for d in disks]
     return grid, mesh, disks, stiffness, loads
@@ -221,16 +222,14 @@ def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:
     samples.
     """
     config.validate()
-    k = config.k or 4
-    fraction = config.radius_fraction or 0.25
-    _, _, _, stiffness, loads = _experiment_setup(config, config.nx, k, fraction)
+    _, _, _, stiffness, loads = _experiment_setup(config, config.nx)
     pairs = [(loads[0], loads[-1])]
     values = _sweep_values(config.sigma_step, config.sigma_max)
     rows = []
     for pixel in range(stiffness.n):
         F = forward_pair_sweep(
             stiffness, np.ones(stiffness.n), [pixel], values[:, None], pairs,
-            tol=config.tol, max_iter=config.solver_max_iter,
+            tol=config.tol, max_iter=config.max_iter,
         )
         rows.extend((pixel + 1, s, value) for s, value in zip(values, F[:, 0]))
     return ExperimentResult(header=["pixel", "sigma_i", "F_value"], rows=rows, config=config)
@@ -250,9 +249,7 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     """
     # Checked as a landscape run, however the config is tagged.
     dataclasses.replace(config, experiment="landscape").validate()
-    k = config.k or 4
-    fraction = config.radius_fraction or 0.25
-    _, _, _, stiffness, loads = _experiment_setup(config, 3, k, fraction)
+    _, _, _, stiffness, loads = _experiment_setup(config, 3)
     pairs = [(loads[0], loads[6]), (loads[0], loads[7])]
     values = _sweep_values(config.landscape_step, config.landscape_max)
     a, b = np.meshgrid(values, values, indexing="ij")
@@ -260,7 +257,7 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     # The truth, 0.5 in both swept pixels, is the last sample.
     swept = forward_pair_sweep(
         stiffness, np.ones(9), [3, 5], np.vstack([points, [0.5, 0.5]]), pairs,
-        tol=config.tol, max_iter=config.solver_max_iter,
+        tol=config.tol, max_iter=config.max_iter,
     )
     misfit = swept[:-1] - swept[-1]
     R = (misfit * misfit).sum(axis=1)
@@ -268,32 +265,21 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(header=["sigma4", "sigma6", "R"], rows=rows, config=config)
 
 
-def _stability_k(config: ExperimentConfig, nx: int) -> int:
-    if config.k:
-        return config.k
-    return 4 if nx < 10 else 2
-
-
 def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
     """Condition number of the flattened Jacobian at the all-ones coefficient.
 
-    For each grid size the full symmetric boundary-disk layout is used,
-    so the flattened Jacobian has ``(4*nx-4)^2`` rows and ``nx^2``
-    columns. Rank-deficient Jacobians report an infinite condition number
-    in their row instead of aborting the sweep.
+    Every grid size uses the mesh with ``config.k`` elements per pixel
+    side and the full symmetric boundary-disk layout, so the flattened
+    Jacobian has ``(4*nx-4)^2`` rows and ``nx^2`` columns. Rank-deficient
+    Jacobians report an infinite condition number in their row instead of
+    aborting the sweep.
     """
     config.validate()
     rows = []
     for nx in range(config.nx_min, config.nx_max + 1):
-        k = _stability_k(config, nx)
-        fraction = config.radius_fraction or 0.25
-        _, _, _, stiffness, loads = _experiment_setup(config, nx, k, fraction)
+        _, _, _, stiffness, loads = _experiment_setup(config, nx)
         _, jac = forward_matrix(
-            stiffness,
-            np.ones(stiffness.n),
-            loads,
-            tol=config.tol,
-            max_iter=config.solver_max_iter,
+            stiffness, np.ones(stiffness.n), loads, tol=config.tol, max_iter=config.max_iter
         )
         rows.append((nx, nx * nx, len(loads), condition_number(jac).condition))
     return ExperimentResult(header=["nx", "n", "m", "cond"], rows=rows, config=config)
@@ -302,57 +288,40 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # property suite
 
-DEFAULT_CHECK_TOLERANCES = {
-    "pixel_sum_identity": 1e-14,
-    "difference_identity": 1e-14,
-    "pixel_psd": 1e-12,
-    "coercivity_ordering": 1e-12,
-    "quadrature_oracle": 1e-12,
-    "cg_oracle": 1e-8,
-    "solve_symmetry": 1e-8,
-    "jacobian_fd": 1e-5,
-    "matrix_symmetry": 1e-10,
-    "matrix_psd": 1e-10,
-    "positive_definite_at_ones": 0.0,
-    "directional_nsd": 1e-10,
-    "monotonicity": 1e-9,
-    "convexity": 1e-9,
-    "segment_convexity": 1e-9,
-    "refinement_ordering": 1e-9,
-    "refinement_diagonal": 1e-12,
-    "refinement_cauchy": 0.0,
-    "solve_economy": 0.0,
+# Built-in tolerance and comparison sense of each property check, in report
+# order: "le" passes when measured <= tolerance, "ge" when measured >=
+# -tolerance and "gt" when measured > tolerance.
+CHECKS = {
+    "pixel_sum_identity": (1e-14, "le"),
+    "difference_identity": (1e-14, "le"),
+    "pixel_psd": (1e-12, "ge"),
+    "coercivity_ordering": (1e-12, "ge"),
+    "quadrature_oracle": (1e-12, "le"),
+    "solver_oracle": (1e-8, "le"),
+    "solve_symmetry": (1e-8, "le"),
+    "jacobian_fd": (1e-5, "le"),
+    "matrix_symmetry": (1e-10, "le"),
+    "matrix_psd": (1e-10, "ge"),
+    "positive_definite_at_ones": (0.0, "gt"),
+    "solve_economy": (0.0, "le"),
+    "directional_nsd": (1e-10, "le"),
+    "monotonicity": (1e-9, "ge"),
+    "convexity": (1e-9, "ge"),
+    "segment_convexity": (1e-9, "ge"),
+    "refinement_ordering": (1e-9, "ge"),
+    "refinement_diagonal": (1e-12, "ge"),
+    "refinement_cauchy": (0.0, "le"),
 }
 
-# Comparison sense per check: "le" passes when measured <= tolerance,
-# "ge" when measured >= -tolerance, "gt" when measured > tolerance.
-_CHECK_SENSE = {
-    "pixel_sum_identity": "le",
-    "difference_identity": "le",
-    "pixel_psd": "ge",
-    "coercivity_ordering": "ge",
-    "quadrature_oracle": "le",
-    "cg_oracle": "le",
-    "solve_symmetry": "le",
-    "jacobian_fd": "le",
-    "matrix_symmetry": "le",
-    "matrix_psd": "ge",
-    "positive_definite_at_ones": "gt",
-    "directional_nsd": "le",
-    "monotonicity": "ge",
-    "convexity": "ge",
-    "segment_convexity": "ge",
-    "refinement_ordering": "ge",
-    "refinement_diagonal": "ge",
-    "refinement_cauchy": "le",
-    "solve_economy": "le",
+_COMPARISONS = {
+    "le": lambda measured, tolerance: measured <= tolerance,
+    "ge": lambda measured, tolerance: measured >= -tolerance,
+    "gt": lambda measured, tolerance: measured > tolerance,
 }
 
 
 def _fd_jacobian(stiffness, sigma, loads, step, tol, max_iter):
-    n = stiffness.n
-    ref, _ = forward_matrix(stiffness, sigma, loads, tol=tol, max_iter=max_iter)
-    m = ref.m
+    n, m = stiffness.n, len(loads)
     fd = np.empty((n, m, m))
     for i in range(n):
         plus = sigma.copy()
@@ -373,28 +342,17 @@ def run_property_suite(config: ExperimentConfig) -> dict:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    nx = config.nx
-    k = config.k or 4
-    fraction = config.radius_fraction or 0.25
-    tol = config.tol
-    max_iter = config.solver_max_iter
-    grid, mesh, disks, stiffness, loads = _experiment_setup(config, nx, k, fraction)
+    nx, k, tol, max_iter = config.nx, config.k, config.tol, config.max_iter
+    grid, mesh, disks, stiffness, loads = _experiment_setup(config, nx)
     n, N, m = stiffness.n, stiffness.N, len(loads)
 
     checks = []
 
     def record(name, measured):
-        tolerance = config.tolerance_overrides.get(name, DEFAULT_CHECK_TOLERANCES[name])
-        sense = _CHECK_SENSE[name]
-        if sense == "le":
-            passed = measured <= tolerance
-            default_ok = measured <= DEFAULT_CHECK_TOLERANCES[name]
-        elif sense == "ge":
-            passed = measured >= -tolerance
-            default_ok = measured >= -DEFAULT_CHECK_TOLERANCES[name]
-        else:
-            passed = measured > tolerance
-            default_ok = measured > DEFAULT_CHECK_TOLERANCES[name]
+        default, sense = CHECKS[name]
+        tolerance = config.tolerance_overrides.get(name, default)
+        passes = _COMPARISONS[sense]
+        passed = passes(measured, tolerance)
         entry = {
             "name": name,
             "passed": bool(passed),
@@ -402,7 +360,7 @@ def run_property_suite(config: ExperimentConfig) -> dict:
             "tolerance": float(tolerance),
             "comparison": sense,
         }
-        if not passed and default_ok:
+        if not passed and passes(measured, default):
             entry["note"] = "fails only under the overridden tolerance"
         checks.append(entry)
 
@@ -415,7 +373,7 @@ def run_property_suite(config: ExperimentConfig) -> dict:
 
     worst = 0.0
     for i in range(n):
-        diff = assemble_global(mesh, grid, ones + _unit(n, i)) - B_ones
+        diff = assemble_global(mesh, grid, ones + np.eye(n)[i]) - B_ones
         worst = max(worst, _max_abs(B_pixels[i] - diff))
     record("difference_identity", worst)
 
@@ -446,7 +404,7 @@ def run_property_suite(config: ExperimentConfig) -> dict:
         b = rng.standard_normal(20)
         x = linsolve.solve_spd(A, b, tol=1e-12).solution
         worst = max(worst, float(np.linalg.norm(x - np.linalg.solve(A, b))))
-    record("cg_oracle", worst)
+    record("solver_oracle", worst)
 
     B = global_matrix(stiffness, ones)
     y = loads[0].y
@@ -536,24 +494,16 @@ def run_property_suite(config: ExperimentConfig) -> dict:
         "config": {
             "nx": nx,
             "k": k,
-            "radius_fraction": fraction,
+            "radius_fraction": config.radius_fraction,
             "tol": tol,
             "seed": config.seed,
         },
     }
 
 
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
 def _max_abs(matrix) -> float:
-    m = matrix.tocoo() if hasattr(matrix, "tocoo") else None
-    if m is None:
-        return float(np.max(np.abs(matrix)))
-    return float(np.max(np.abs(m.data))) if m.nnz else 0.0
+    """Largest absolute entry of a sparse matrix, 0 for an all-zero one."""
+    return float(abs(matrix).max())
 
 
 def _quadrature_deviation() -> float:

@@ -42,7 +42,6 @@ import numpy as np
 
 from . import linsolve
 from .assembly import (
-    LoadVector,
     StiffnessSet,
     assemble_load,
     assemble_pixel_matrices,
@@ -55,7 +54,6 @@ __all__ = [
     "MeasurementMatrix",
     "JacobianStack",
     "check_sigma",
-    "forward_single",
     "forward_matrix",
     "forward_pairs",
     "forward_pair_values",
@@ -85,7 +83,6 @@ class MeasurementMatrix:
     """
 
     values: np.ndarray
-    loads: list
     solves_used: int
 
     @property
@@ -154,28 +151,7 @@ def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol, max_it
     """Measurement matrix of a symmetric layout, plus the solutions behind it."""
     lam, used = _solve(stiffness, sigma, loads, tol, max_iter)
     values = lam.T @ np.column_stack([ld.y for ld in loads])
-    return MeasurementMatrix(values=values, loads=list(loads), solves_used=used), lam
-
-
-def forward_single(
-    stiffness: StiffnessSet,
-    sigma,
-    y_l: LoadVector,
-    y_r: LoadVector,
-    tol: float = linsolve.DEFAULT_TOL,
-    max_iter: int | None = None,
-):
-    """One measurement value and its full coefficient gradient.
-
-    Solves the two systems for the excitation and measurement loads and
-    returns ``(value, gradient)`` with ``gradient[i]`` the derivative with
-    respect to the i-th pixel coefficient. Costs exactly two solves.
-    """
-    lam, _ = _solve(stiffness, sigma, [y_l, y_r], tol, max_iter)
-    value = float(lam[:, 0] @ y_r.y)
-    gradient = -_pixel_quadratic_forms(stiffness, lam[:, :1], lam[:, 1:])[:, 0, 0]
-    _require_finite(sigma, value, gradient)
-    return value, gradient
+    return MeasurementMatrix(values=values, solves_used=used), lam
 
 
 def forward_matrix(

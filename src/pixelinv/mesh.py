@@ -35,7 +35,6 @@ __all__ = [
     "refine_disk",
     "resolve_disk",
     "standard_disk_layout",
-    "write_mesh",
 ]
 
 
@@ -311,14 +310,3 @@ def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[D
         for p in grid.boundary_pixels()
     ]
 
-
-def write_mesh(mesh: TriMesh, stream) -> None:
-    """Dump the mesh as plain text for external inspection.
-
-    One line per vertex ``v x y`` followed by one line per triangle
-    ``t i j k pixel``. Indices are 0-based.
-    """
-    for x, y in mesh.vertices:
-        stream.write(f"v {x:.17g} {y:.17g}\n")
-    for (i, j, kk), p in zip(mesh.triangles, mesh.element_pixel):
-        stream.write(f"t {i} {j} {kk} {p}\n")

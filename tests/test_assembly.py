@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from pixelinv.assembly import (
     assemble_pixel_matrices,
     element_stiffness,
     global_matrix,
-    write_matrix,
 )
 from pixelinv.forward import forward_matrix, true_reference
 from pixelinv.mesh import PixelGrid, build_mesh, refine, refine_disk, resolve_disk, standard_disk_layout
@@ -274,13 +271,3 @@ class TestLoadVector:
             load = assemble_load(mesh, region)
         assert not load.y.any()
 
-
-def test_write_matrix_coordinate_format(stiffness3x4):
-    buf = io.StringIO()
-    write_matrix(stiffness3x4.pixel_matrix(0), buf)
-    lines = buf.getvalue().strip().split("\n")
-    coo = stiffness3x4.pixel_matrix(0).tocoo()
-    assert len(lines) == coo.nnz
-    i, j, v = lines[0].split()
-    assert int(i) >= 1 and int(j) >= 1  # 1-based indices
-    float(v)

@@ -31,6 +31,10 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
         ("properties", "tol=inf"),
         ("properties", "nx=1"),
         ("nonuniqueness", "k=-1"),
+        ("stability", "k=0"),
+        ("nonuniqueness", "max_iter=-1"),
+        ("properties", "tol_jacobain_fd=1e-30"),
+        ("properties", "tol_jacobian_fd=nan"),
         ("landscape", "nx=0"),
         ("landscape", "nx=4"),
         ("stability", "nx_min=1"),
@@ -71,6 +75,13 @@ def test_cli_flags_override_config(tmp_path):
     assert code == 0
     comment = out.read_text(encoding="utf-8").split("\n")[0]
     assert "k=2" in comment
+
+
+def test_zero_k_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "stab.csv"
+    assert main(["stability", "--k", "0", "--out", str(out)]) == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_properties_pass_and_fail_exit_codes(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pixelinv import experiments
 from pixelinv.assembly import assemble_pixel_matrices
 from pixelinv.experiments import (
-    DEFAULT_CHECK_TOLERANCES,
+    CHECKS,
     ExperimentConfig,
     load_config,
     run_nonuniqueness_sweep,
@@ -70,14 +70,20 @@ class TestConfig:
             ({"sigma_step": 1e-300}, "sigma_step=1e-300 asks for 3e\\+300 sweep points"),
             ({"landscape_step": 1e-7}, "landscape_step=1e-07 asks for 6e\\+06 sweep points"),
             ({"nx": 1}, "nx must be at least 2, got 1"),
-            ({"k": -1}, "k must be at least 0, got -1"),
+            ({"k": -1}, "k must be at least 1, got -1"),
             ({"nx_min": 1}, "nx_min must be at least 2, got 1"),
             ({"nx_min": 5, "nx_max": 3}, "nx_min=5 is larger than nx_max=3"),
             ({"experiment": "landscape", "nx": 4}, "nx must be 3 for the landscape study"),
-            ({"radius_fraction": -0.25}, r"radius_fraction must be 0 \(the default\) or in \(0, 0.5\), got -0.25"),
-            ({"radius_fraction": 0.5}, r"radius_fraction must be 0 .* got 0.5"),
-            ({"radius_fraction": 5.0}, r"radius_fraction must be 0 .* got 5.0"),
-            ({"radius_fraction": float("nan")}, r"radius_fraction must be 0 .* got nan"),
+            ({"radius_fraction": -0.25}, r"radius_fraction must be in \(0, 0.5\), got -0.25"),
+            ({"radius_fraction": 0.5}, r"radius_fraction must be in \(0, 0.5\), got 0.5"),
+            ({"radius_fraction": 5.0}, r"radius_fraction must be in \(0, 0.5\), got 5.0"),
+            ({"radius_fraction": float("nan")}, r"radius_fraction must be in \(0, 0.5\), got nan"),
+            ({"radius_fraction": 0.0}, r"radius_fraction must be in \(0, 0.5\), got 0.0"),
+            ({"k": 0}, "k must be at least 1, got 0"),
+            ({"max_iter": -1}, "max_iter must be at least 0, got -1"),
+            ({"tolerance_overrides": {"jacobain_fd": 1e-30}}, "tol_jacobain_fd names no property check"),
+            ({"tolerance_overrides": {"jacobian_fd": float("nan")}}, "tol_jacobian_fd must be finite and at least 0, got nan"),
+            ({"tolerance_overrides": {"jacobian_fd": -1e-5}}, "tol_jacobian_fd must be finite and at least 0"),
         ],
     )
     def test_empty_or_oversized_sweep_rejected(self, settings, message):
@@ -116,6 +122,12 @@ class TestConfig:
         assert [r[0] for r in result.rows] == list(range(nx_min, nx_max + 1))
         for row in result.rows:
             assert row[3] == np.inf or (np.isfinite(row[3]) and row[3] >= 1.0)
+
+    def test_defaults_are_the_values_used(self):
+        cfg = ExperimentConfig()
+        assert (cfg.k, cfg.radius_fraction, cfg.max_iter) == (4, 0.25, 10)
+        comment = cfg.comment()
+        assert " k=4 " in comment and " radius_fraction=0.25 " in comment and " max_iter=10 " in comment
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -231,6 +243,14 @@ class TestStabilityStudy:
         conds = [r[3] for r in result.rows]
         assert all(b > a for a, b in zip(conds, conds[1:]))
 
+    def test_every_rung_uses_the_configured_k(self):
+        # No hidden coarser mesh from nx=10 on: the default run equals k=4.
+        default = run_stability_study(ExperimentConfig(nx_min=9, nx_max=10))
+        explicit = run_stability_study(ExperimentConfig(nx_min=9, nx_max=10, k=4))
+        assert default.rows == explicit.rows
+        # The growth ratio across nx=9 -> 10 stays in line with its neighbours.
+        assert default.rows[1][3] / default.rows[0][3] > 3.0
+
     def test_only_rank_deficiency_reads_as_infinite(self, monkeypatch):
         def broken(jac):
             raise ValueError("not a rank problem")
@@ -249,7 +269,9 @@ class TestStabilityStudy:
 class TestPropertySuite:
     def test_all_checks_pass(self, suite_report):
         assert suite_report["all_passed"]
-        assert {c["name"] for c in suite_report["checks"]} == set(DEFAULT_CHECK_TOLERANCES)
+        assert [c["name"] for c in suite_report["checks"]] == list(CHECKS)
+        for check in suite_report["checks"]:
+            assert (check["tolerance"], check["comparison"]) == CHECKS[check["name"]]
 
     def test_report_is_json_ready(self, suite_report):
         encoded = json.dumps(suite_report)
@@ -270,13 +292,17 @@ class TestPropertySuite:
         assert not report["all_passed"]
 
     def test_tightened_tolerance_flagged(self):
+        # One "le" and one "gt" check, each failing only under its override.
         cfg = ExperimentConfig()
         cfg.tolerance_overrides["difference_identity"] = 1e-18
+        cfg.tolerance_overrides["positive_definite_at_ones"] = 1e10
         report = run_property_suite(cfg)
         by_name = {c["name"]: c for c in report["checks"]}
-        check = by_name["difference_identity"]
-        assert not check["passed"]
-        assert "tolerance" in check["note"]
+        for name in ("difference_identity", "positive_definite_at_ones"):
+            check = by_name[name]
+            assert not check["passed"]
+            assert "tolerance" in check["note"]
+        assert "note" not in by_name["jacobian_fd"]
         assert not report["all_passed"]
 
 

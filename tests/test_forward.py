@@ -14,13 +14,18 @@ from pixelinv.forward import (
     forward_pair_sweep,
     forward_pair_values,
     forward_pairs,
-    forward_single,
     true_reference,
 )
 from pixelinv.linsolve import SolverError
 from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
+
+
+def single(stiffness, sigma, y_l, y_r):
+    """Value and gradient of one measurement: ``forward_pairs`` with one pair."""
+    values, jac = forward_pairs(stiffness, sigma, [(y_l, y_r)])
+    return values[0], jac[0]
 
 
 def fd_matrix_jacobian(stiffness, sigma, loads, step=1e-5):
@@ -58,53 +63,57 @@ class TestExtremeScale:
             with pytest.raises(FloatingPointError, match="non-finite"):
                 forward_pairs(stiffness3x4, sigma, [pair])
             with pytest.raises(FloatingPointError, match="non-finite"):
-                forward_single(stiffness3x4, sigma, *pair)
+                forward_pairs(stiffness3x4, sigma, [(loads3x4[0], loads3x4[0])])
 
 
 class TestForwardSingle:
+    """One measurement value and its gradient: one pair through forward_pairs."""
+
     def test_same_functional_is_nonnegative(self, stiffness3x4, loads3x4):
-        value, _ = forward_single(stiffness3x4, np.ones(9), loads3x4[0], loads3x4[0])
+        value, _ = single(stiffness3x4, np.ones(9), loads3x4[0], loads3x4[0])
         assert value > 0.0
 
     def test_homogeneity_in_sigma(self, stiffness3x4, loads3x4):
         # With no coefficient-independent part, scaling sigma by c scales
         # the value by 1/c and the gradient by 1/c^2.
         sigma = np.ones(9)
-        v1, g1 = forward_single(stiffness3x4, sigma, loads3x4[0], loads3x4[7])
-        v2, g2 = forward_single(stiffness3x4, 2.0 * sigma, loads3x4[0], loads3x4[7])
+        v1, g1 = single(stiffness3x4, sigma, loads3x4[0], loads3x4[7])
+        v2, g2 = single(stiffness3x4, 2.0 * sigma, loads3x4[0], loads3x4[7])
         assert v2 == pytest.approx(v1 / 2.0, rel=1e-9)
         assert np.allclose(g2, g1 / 4.0, rtol=1e-8, atol=1e-18)
 
     def test_gradient_matches_finite_differences(self, stiffness3x4, loads3x4):
         sigma = np.ones(9)
         y_l, y_r = loads3x4[0], loads3x4[7]
-        _, grad = forward_single(stiffness3x4, sigma, y_l, y_r)
+        _, grad = single(stiffness3x4, sigma, y_l, y_r)
         step = 1e-5
         for i in range(9):
             plus, minus = sigma.copy(), sigma.copy()
             plus[i] += step
             minus[i] -= step
-            vp, _ = forward_single(stiffness3x4, plus, y_l, y_r)
-            vm, _ = forward_single(stiffness3x4, minus, y_l, y_r)
+            vp, _ = single(stiffness3x4, plus, y_l, y_r)
+            vm, _ = single(stiffness3x4, minus, y_l, y_r)
             fd = (vp - vm) / (2 * step)
             assert abs(fd - grad[i]) / max(1.0, abs(grad[i])) <= 1e-5
 
-    def test_costs_two_solves(self, stiffness3x4, loads3x4, solve_counter):
-        forward_single(stiffness3x4, np.ones(9), loads3x4[0], loads3x4[0])
-        assert solve_counter.solves == 2
+    def test_solves_each_distinct_load_once(self, stiffness3x4, loads3x4, solve_counter):
+        single(stiffness3x4, np.ones(9), loads3x4[0], loads3x4[0])
+        assert solve_counter.solves == 1
+        single(stiffness3x4, np.ones(9), loads3x4[0], loads3x4[7])
+        assert solve_counter.solves == 1 + 2
 
     def test_rejects_nonpositive_sigma(self, stiffness3x4, loads3x4):
         bad = np.ones(9)
         bad[0] = 0.0
         with pytest.raises(ValueError):
-            forward_single(stiffness3x4, bad, loads3x4[0], loads3x4[1])
+            single(stiffness3x4, bad, loads3x4[0], loads3x4[1])
 
 
 class TestForwardMatrix:
-    def test_single_load_reduces_to_forward_single(self, stiffness3x4, loads3x4):
+    def test_single_load_reduces_to_single_pair(self, stiffness3x4, loads3x4):
         sigma = np.full(9, 1.3)
         F, jac = forward_matrix(stiffness3x4, sigma, loads3x4[:1])
-        value, grad = forward_single(stiffness3x4, sigma, loads3x4[0], loads3x4[0])
+        value, grad = single(stiffness3x4, sigma, loads3x4[0], loads3x4[0])
         assert F.values[0, 0] == pytest.approx(value, rel=1e-12)
         assert np.allclose(jac.slices[:, 0, 0], grad, rtol=1e-12)
 
@@ -200,12 +209,12 @@ class TestLoewnerStructure:
 
 
 class TestForwardPairs:
-    def test_values_match_forward_single(self, stiffness3x4, loads3x4):
+    def test_values_match_single_pairs(self, stiffness3x4, loads3x4):
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
         sigma = TRUTH
         values, jac = forward_pairs(stiffness3x4, sigma, pairs)
         for q, (y_l, y_r) in enumerate(pairs):
-            value, grad = forward_single(stiffness3x4, sigma, y_l, y_r)
+            value, grad = single(stiffness3x4, sigma, y_l, y_r)
             assert values[q] == pytest.approx(value, rel=1e-12)
             assert np.allclose(jac[q], grad, rtol=1e-10, atol=1e-18)
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from pixelinv.mesh import (
     refine_element_set,
     resolve_disk,
     standard_disk_layout,
-    write_mesh,
 )
 
 
@@ -236,14 +233,3 @@ class TestStandardLayout:
         with pytest.raises(ValueError):
             standard_disk_layout(mesh, 0.25)
 
-
-def test_write_mesh_format():
-    mesh = build_mesh(PixelGrid(1), 1)
-    buf = io.StringIO()
-    write_mesh(mesh, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 4 + 2
-    assert lines[0].split() == ["v", "0", "0"]
-    tline = lines[4].split()
-    assert tline[0] == "t" and len(tline) == 5
-    assert tline[4] == "0"
