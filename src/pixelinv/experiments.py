@@ -51,7 +51,7 @@ __all__ = [
     "CHECKS",
 ]
 
-# Most samples per sweep axis; the landscape study squares it.
+# Most samples per sweep; a landscape grid counts every point of its square.
 _MAX_SWEEP_POINTS = 10**6
 
 
@@ -128,10 +128,11 @@ class ExperimentConfig:
                     f"{step_name}={step} is larger than {stop_name}={stop}, "
                     "so the sweep would have no points"
                 )
-            if stop / step > _MAX_SWEEP_POINTS:
+            limit = math.isqrt(_MAX_SWEEP_POINTS) if step_name == "landscape_step" else _MAX_SWEEP_POINTS
+            if stop / step > limit:
                 raise ValueError(
-                    f"{step_name}={step} asks for {stop / step:.3g} sweep points up to "
-                    f"{stop_name}={stop}; at most {_MAX_SWEEP_POINTS} are allowed"
+                    f"{step_name}={step} asks for {stop / step:.3g} sweep points per axis up to "
+                    f"{stop_name}={stop}; at most {limit} per axis are allowed"
                 )
 
 

@@ -23,22 +23,23 @@ in the Loewner order, and grows pointwise under nested mesh refinement;
 these properties are exercised by the test suite.
 
 Pair values along a sweep, where only a few pixel coefficients change
-from sample to sample, take a second path (:func:`forward_pair_sweep`).
-Every ``B_i`` of a swept pixel lives on the unknowns ``S`` of that pixel's
-vertices, so the rest ``R`` of ``B_sigma`` is the same for every sample:
-``B_RR`` is factored once, and each sample costs one small dense solve
-with the Schur complement ``B_SS - B_SR B_RR^{-1} B_RS`` plus the swept
-pixels' blocks (static condensation, the symmetric form of the
-Sherman-Morrison-Woodbury update). Every sample's full residual is still
-checked against ``tol``. :func:`forward_pair_values` is the sweep with no
-swept pixel and one sample.
+from sample to sample, take a second path (:func:`forward_pair_sweep`):
+``B_RR`` on the unknowns ``R`` off the swept pixels is factored once and
+each sample is condensed onto the rest ``S`` (static condensation).
+Samples that differ only in the last swept pixel form a line, along
+which the condensed matrix is a symmetric-definite pencil: one ``eigh``
+per line serves all its samples (Golub & Van Loan, *Matrix Computations*,
+4th ed., 8.7). Every sample's full residual is still checked against
+``tol``. :func:`forward_pair_values` is the sweep with no swept pixel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from . import linsolve
 from .assembly import (
@@ -215,16 +216,15 @@ def forward_pair_values(
     return forward_pair_sweep(stiffness, sigma, [], np.empty((1, 0)), pairs, tol, max_iter)[0]
 
 
-# Samples per batched dense solve in forward_pair_sweep. It bounds the stack
-# of reduced matrices held at once: 32 x |S| x |S| doubles, 0.4 MB for the 40
-# swept unknowns of the landscape study.
-_SWEEP_BLOCK = 32
+# Most samples of a line handled at once, so memory does not grow with the
+# line; above any landscape line (1,000 points and the truth).
+_LINE_PIECE = 1024
 
 
-def _stacked(matrix, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x[b]`` for every matrix of a ``(b, n, e)`` stack, as one product."""
-    b, n, e = x.shape
-    return (matrix @ x.transpose(1, 0, 2).reshape(n, b * e)).reshape(-1, b, e).transpose(1, 0, 2)
+def _apply(matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix`` applied along the first axis of ``x``, as one product."""
+    rest = x.shape[1:]
+    return (matrix @ x.reshape(x.shape[0], math.prod(rest))).reshape(matrix.shape[0], *rest)
 
 
 def forward_pair_sweep(
@@ -243,17 +243,20 @@ def forward_pair_sweep(
     rows of ``samples``.
 
     ``S`` are the unknowns on the swept pixels' vertices and ``R`` the
-    rest. Only ``B_SS`` depends on the sample, so ``B_RR`` is factored once
-    and solved for the distinct excitations and the ``|S|`` columns of
-    ``B_RS``: a sweep costs that many solves, whatever ``P`` is. Each
-    sample then takes one ``|S| x |S|`` dense solve with the Schur
-    complement plus ``sum_j (samples[., j] - sigma[pixels[j]]) K_j``
-    (``K_j`` is ``B_j`` on ``S``), solved in batches. Every sample's
-    relative residual ``||B_sample lam - y|| / ||y||`` is checked against
-    ``tol``; one that misses it gets up to ``max_iter`` refinement steps
-    through the same elimination (each solves ``B_RR`` again), and one
-    that still misses it raises :class:`linsolve.SolverError` naming the
-    sample.
+    rest. ``B_RR`` is solved for the distinct excitations (``U``) and the
+    ``|S|`` columns of ``B_RS`` (``W``): a sweep costs that many solves,
+    whatever ``P`` is. On a line, ``M`` is the Schur complement plus the
+    other pixels' shifted blocks (``K_j`` is ``B_j`` on ``S``) and ``t`` the
+    last pixel ``q``'s shift from ``sigma[q]``. The pencil is decomposed,
+    once per line or per 1,024 samples of a longer one, at ``rho``, the
+    geometric mean of the extreme values ``v`` of ``q`` there: ``K_q V = (M +
+    (rho - sigma[q]) K_q) V diag(mu)`` gives ``0 <= mu <= 1 / rho``, so every
+    ``1 + (v - rho) mu`` is within ``sqrt(max / min)`` of 1. Every sample's
+    relative residual ``||B_sample lam - y|| / ||y||`` is formed from set-up
+    quantities and ``M + t K_q`` and checked against ``tol``. A line with a
+    sample that misses it gets up to ``max_iter`` refinement steps through
+    the same elimination (each solves ``B_RR`` again), and a sample that
+    still misses it raises :class:`linsolve.SolverError` naming it.
 
     Raises
     ------
@@ -277,67 +280,63 @@ def forward_pair_sweep(
     dofs = stiffness.dofs[pixels]
     S = np.unique(dofs[dofs >= 0])
     R = np.setdiff1d(np.arange(stiffness.N), S)
-    B_RR, B_RS, B_SR = B[R][:, R], B[R][:, S], B[S][:, R]
+    B_RR, B_RS, B_SR = B[R][:, R], B[R][:, S].toarray(), B[S][:, R]
     excitations, left = _distinct([y_l for y_l, _ in pairs])
-    Y = np.column_stack([ld.y for ld in excitations])
+    Y, e = np.column_stack([ld.y for ld in excitations]), len(excitations)
     Y_r = np.column_stack([r.y for _, r in pairs])
-    e = Y.shape[1]
-    reports = linsolve.solve_multi(
-        B_RR, list(Y[R].T) + list(B_RS.T.toarray()), tol=tol, max_iter=max_iter
-    )
+    reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol, max_iter=max_iter)
     solved = np.column_stack([rep.solution for rep in reports])
     U, W = solved[:, :e], solved[:, e:]  # B_RR^{-1} y_R and B_RR^{-1} B_RS
     schur = B[S][:, S].toarray() - B_SR @ W
     load_S = Y[S] - B_SR @ U
+    # With lam_R = U - W lam_S, rows R of y - B lam are E_W lam_S - e_U; values lam_S . G + offset.
+    E_W, e_U = B_RR @ W - B_RS, B_RR @ U - Y[R]
+    G, offset = Y_r[S] - W.T @ Y_r[R], np.einsum("ij,ij->j", U[:, left], Y_r[R])
     K = np.array([stiffness.pixel_matrix(i)[S][:, S].toarray() for i in pixels])
     K = K.reshape(pixels.size, S.size, S.size)  # also when no pixel is swept
-    y_norm = np.linalg.norm(Y, axis=0)
-    y_norm[y_norm == 0.0] = 1.0  # a zero load has the zero solution, residual 0
+    y_norm = np.linalg.norm(Y, axis=0) + np.all(Y == 0.0, axis=0)  # a zero load: zero solution, residual 0
     steps_allowed = linsolve.DEFAULT_REFINE_STEPS if max_iter is None else max_iter
 
-    def eliminate(reduced, condensed, solved_R):
-        """Solutions of the samples' systems from their condensed loads."""
-        lam_S = np.linalg.solve(reduced, condensed)
-        lam = np.empty((reduced.shape[0], stiffness.N, e))
-        lam[:, S] = lam_S
-        lam[:, R] = solved_R - W @ lam_S
-        return lam
-
+    # Heads, and the last pixel q's samples and base value (0, K_q empty, with no pixel swept).
+    heads, K_q = samples[:, :-1] - base[pixels[:-1]], K[-1:].sum(axis=0)
+    last, q0 = samples[:, -1:].sum(axis=1), base[pixels[-1:]].sum()
+    order = np.lexsort((np.arange(len(samples)), *heads.T[::-1]))  # lines, each in sweep order
+    lines = np.split(order, np.flatnonzero((np.diff(heads[order], axis=0) != 0).any(axis=1)) + 1)
+    pieces = [p for line in lines for p in np.array_split(line, range(_LINE_PIECE, line.size, _LINE_PIECE))]
     values = np.empty((samples.shape[0], len(pairs)))
-    for start in range(0, samples.shape[0], _SWEEP_BLOCK):
-        shift = samples[start:start + _SWEEP_BLOCK] - base[pixels]
-        # Elementwise, not a BLAS product, so that a sample's result does not
-        # depend on its position in the sweep.
-        perturbation = np.zeros((shift.shape[0], S.size, S.size))
-        for j in range(pixels.size):
-            perturbation += shift[:, j, None, None] * K[j]
-        reduced = schur + perturbation
-        lam = eliminate(reduced, load_S, U)
-        steps = 0
-        while True:
-            residual = Y - _stacked(B, lam)
-            residual[:, S] -= perturbation @ lam[:, S]
-            achieved = np.linalg.norm(residual, axis=1) / y_norm
+    for rows in filter(len, pieces):  # an empty sweep has one empty line
+        M, t = schur + np.tensordot(heads[rows[0]], K[:-1], 1), last[rows] - q0
+        rho = np.sqrt(last[rows].min() * last[rows].max())
+        mu, V = eigh(K_q, M + (rho - q0) * K_q)  # (M + t K_q)^{-1} = V diag(D[j]) V^T
+        D, c = 1.0 / (1.0 + (last[rows] - rho)[:, None] * mu), V.T @ load_S
+        # Elementwise, not BLAS, so no value depends on its place in its line.
+        values[rows] = (D[:, None, :] * (c[:, left] * (V.T @ G)).T).sum(axis=2) + offset
+        X = _apply(V, D.T[:, :, None] * c[:, None])  # lam_S of every sample, (|S|, n, e)
+        Z, BZ_R, BZ_S = np.zeros((R.size,) + X.shape[1:]), 0.0, 0.0  # corrections to lam_R, B_RR Z, B_SR Z
+        for steps in range(max(steps_allowed, 0) + 1):
+            r_R = _apply(E_W, X) - e_U[:, None] - BZ_R
+            r_S = load_S[:, None] - _apply(M, X) - t[:, None] * _apply(K_q, X) - BZ_S
+            achieved = np.sqrt((r_R * r_R).sum(axis=0) + (r_S * r_S).sum(axis=0)) / y_norm
             missed = ~np.all(achieved <= tol, axis=1)
             if not missed.any() or steps >= steps_allowed:
                 break
-            r = residual[missed]
-            columns = r[:, R].transpose(0, 2, 1).reshape(r.shape[0] * e, R.size)
-            refine = linsolve.solve_multi(B_RR, list(columns), tol=tol, max_iter=max_iter)
-            V = np.array([rep.solution for rep in refine]).reshape(r.shape[0], e, R.size).transpose(0, 2, 1)
-            lam[missed] += eliminate(reduced[missed], r[:, S] - _stacked(B_SR, V), V)
-            steps += 1
+            # Refine every sample of the piece: lam_R gains z - W dS, lam_S gains dS.
+            columns = list(r_R.reshape(R.size, rows.size * e).T)
+            refine = linsolve.solve_multi(B_RR, columns, tol=tol, max_iter=max_iter)
+            z = np.array([rep.solution for rep in refine]).T.reshape(Z.shape)
+            X += _apply(V, D.T[:, :, None] * _apply(V.T, r_S - _apply(B_SR, z)))
+            Z += z
+            BZ_R, BZ_S = _apply(B_RR, Z), _apply(B_SR, Z)
         if missed.any():
-            j = int(np.flatnonzero(missed)[0])
-            worst = float(achieved[j].max())
+            j, worst = rows[missed][0], float(achieved[missed][0].max())
             raise linsolve.SolverError(
-                f"sweep sample {start + j + 1} of {samples.shape[0]} (coefficients "
-                f"{samples[start + j].tolist()} on pixels {pixels.tolist()}) missed tolerance "
-                f"{tol} after {steps} refinement steps (achieved relative residual {worst:.3e})",
-                residual_norm=worst,
-                iterations=steps,
+                f"sweep sample {j + 1} of {samples.shape[0]} (coefficients {samples[j].tolist()} on pixels "
+                f"{pixels.tolist()}) missed tolerance {tol} after {steps} refinement steps (achieved "
+                f"relative residual {worst:.3e})", residual_norm=worst, iterations=steps,
             )
-        values[start:start + _SWEEP_BLOCK] = (lam[:, :, left] * Y_r).sum(axis=1)
+        if steps:  # values from lam_S and lam_R = U + Z - W lam_S
+            values[rows] = offset + np.einsum("smp,sp->mp", X[:, :, left], G)
+            values[rows] += np.einsum("rmp,rp->mp", Z[:, :, left], Y_r[R])
     _require_finite(np.concatenate([base, samples.ravel()]), values)
     return values
 

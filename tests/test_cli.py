@@ -36,6 +36,7 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
         ("properties", "tol_jacobain_fd=1e-30"),
         ("properties", "tol_jacobian_fd=nan"),
         ("landscape", "nx=0"),
+        ("landscape", "landscape_step=1e-6"),
         ("landscape", "nx=4"),
         ("stability", "nx_min=1"),
         ("stability", "nx_min=5\nnx_max=3"),

@@ -69,6 +69,8 @@ class TestConfig:
             ({"landscape_step": 1.0}, "landscape_step=1.0 is larger than landscape_max"),
             ({"sigma_step": 1e-300}, "sigma_step=1e-300 asks for 3e\\+300 sweep points"),
             ({"landscape_step": 1e-7}, "landscape_step=1e-07 asks for 6e\\+06 sweep points"),
+            ({"landscape_step": 1e-6}, "landscape_step=1e-06 asks for 6e\\+05 sweep points per axis .* at most 1000"),
+            ({"landscape_step": 1e-300}, "landscape_step=1e-300 asks for 6e\\+299 sweep points per axis"),
             ({"nx": 1}, "nx must be at least 2, got 1"),
             ({"k": -1}, "k must be at least 1, got -1"),
             ({"nx_min": 1}, "nx_min must be at least 2, got 1"),
@@ -202,6 +204,15 @@ class TestResidualLandscape:
         result = run_residual_landscape(cfg)
         assert result.header == ["sigma4", "sigma6", "R"]
         assert len(result.rows) == 36
+        at_truth = [r for r in result.rows if r[0] == 0.5 and r[1] == 0.5]
+        assert len(at_truth) == 1
+        assert at_truth[0][2] == 0.0
+
+    def test_truth_reads_exactly_zero_at_k4(self):
+        # The truth is its own sample and shares its line with the grid's
+        # (0.5, 0.5), in another place: both must give bit-identical values.
+        result = run_residual_landscape(ExperimentConfig(k=4, landscape_step=0.02, landscape_max=0.6))
+        assert len(result.rows) == 900
         at_truth = [r for r in result.rows if r[0] == 0.5 and r[1] == 0.5]
         assert len(at_truth) == 1
         assert at_truth[0][2] == 0.0

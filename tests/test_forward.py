@@ -1,13 +1,15 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import eigh
 
-from pixelinv import forward
-from pixelinv.assembly import LoadVector, assemble_load, assemble_pixel_matrices
+from pixelinv import forward, linsolve
+from pixelinv.assembly import LoadVector, assemble_load, assemble_pixel_matrices, global_matrix
 from pixelinv.forward import (
     directional_derivative,
     forward_matrix,
@@ -16,7 +18,7 @@ from pixelinv.forward import (
     forward_pairs,
     true_reference,
 )
-from pixelinv.linsolve import SolverError
+from pixelinv.linsolve import SolveReport, SolverError, solve_multi
 from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
@@ -293,15 +295,130 @@ class TestForwardPairSweep:
         assert swept.shape == (3, 2)
         assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_across_a_block_boundary(self, stiffness3x4, loads3x4, rng, extra):
+    @pytest.mark.parametrize("lines", ["one_line", "separate_lines"])
+    def test_values_do_not_depend_on_place(self, stiffness3x4, loads3x4, rng, lines):
+        # The same sample placed first and last: in a sweep that is one line,
+        # and in one whose samples each start a line of their own (the two
+        # copies then form one line between all the others).
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
-        samples = rng.uniform(0.05, 1.0, (forward._SWEEP_BLOCK + extra, 2))
+        samples = rng.uniform(0.05, 1.0, (40, 2))
+        if lines == "one_line":
+            samples[:, 0] = samples[0, 0]
         samples[-1] = samples[0]
         assert_sweep_matches(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
-        # A sample's values do not depend on its position in the sweep.
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
         assert np.array_equal(swept[0], swept[-1])
+
+    @pytest.mark.parametrize("a, b", [(1, 6), (5, 1), (3, 7)])
+    def test_one_eigendecomposition_per_line(self, stiffness3x4, loads3x4, solve_counter, monkeypatch, a, b):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "eigh", counted)
+        heads, lasts = np.meshgrid(np.linspace(0.2, 2.0, a), np.linspace(0.3, 1.5, b), indexing="ij")
+        samples = np.column_stack([heads.ravel(), lasts.ravel()])
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7])]
+        forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        assert calls == [(40, 40)] * a  # one per distinct head, not one per sample
+        assert solve_counter.solves == 2 + 40
+
+    def test_long_lines_in_pieces(self, stiffness3x4, loads3x4, monkeypatch):
+        # A line longer than _LINE_PIECE samples is decomposed once per piece,
+        # so the arrays a sweep holds do not grow with its length.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "eigh", counted)
+        monkeypatch.setattr(forward, "_LINE_PIECE", 8)
+        samples, pairs = np.linspace(0.05, 3.0, 20)[:, None], [(loads3x4[0], loads3x4[7])]
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [4], samples, pairs)
+        assert len(calls) == 3  # pieces of 8, 8 and 4 samples
+        expected = per_point(stiffness3x4, np.ones(9), [4], samples, pairs)
+        assert np.max(np.abs(swept - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep=sweeps())
+    def test_setup_residual_is_the_direct_one(self, sweep):
+        # Spoil the B_RR solutions and the decomposition, so that the samples'
+        # solutions have residuals in the rows of both R and S; the residual
+        # the sweep reports must be ||B_sample lam - y|| / ||y|| of the solution
+        # it formed for the sample it names.
+        stiffness, sigma, pixels, samples, pairs = sweep
+        samples = samples.copy()
+        samples[:, :-1] = samples[0, :-1]  # one line
+        excitations = list({id(y_l): y_l for y_l, _ in pairs}.values())
+        e = len(excitations)
+        spoiled = {}
+
+        def spoiled_multi(matrix, rhs_list, **kwargs):
+            reports = solve_multi(matrix, rhs_list, **kwargs)
+            factors = [1.0 + 1e-2] * e + [1.0 + 1e-7] * (len(reports) - e)
+            spoiled["solutions"] = [rep.solution * f for rep, f in zip(reports, factors)]
+            return [SolveReport(x, rep.iterations, rep.residual_norm) for x, rep in zip(spoiled["solutions"], reports)]
+
+        def spoiled_eigh(*args, **kwargs):
+            mu, V = eigh(*args, **kwargs)
+            spoiled["eigh"] = mu, V * (1.0 + 1e-3)
+            return spoiled["eigh"]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linsolve, "solve_multi", spoiled_multi)
+            mp.setattr(forward, "eigh", spoiled_eigh)
+            with pytest.raises(SolverError, match=r"sweep sample \d+ of") as err:
+                forward_pair_sweep(stiffness, sigma, pixels, samples, pairs, tol=1e-6, max_iter=-1)
+        j = int(re.search(r"sweep sample (\d+) of", str(err.value)).group(1)) - 1
+
+        dofs = stiffness.dofs[pixels]
+        S = np.unique(dofs[dofs >= 0])
+        R = np.setdiff1d(np.arange(stiffness.N), S)
+        solved = np.array(spoiled["solutions"]).reshape(e + S.size, R.size).T
+        U, W = solved[:, :e], solved[:, e:]
+        point = np.array(sigma)
+        point[pixels] = samples[j]
+        B = global_matrix(stiffness, point)
+        Y = np.column_stack([y_l.y for y_l in excitations])
+        t = 0.0
+        if pixels:  # the line's pencil is decomposed at rho; t is the shift from rho
+            t = samples[j, -1] - np.sqrt(samples[:, -1].min() * samples[:, -1].max())
+        mu, V = spoiled["eigh"]
+        lam = np.zeros((stiffness.N, e))
+        lam[S] = V @ ((V.T @ (Y[S] - B[S][:, R] @ U)) / (1.0 + t * mu)[:, None])
+        lam[R] = U - W @ lam[S]
+        direct = np.linalg.norm(Y - B @ lam, axis=0) / np.linalg.norm(Y, axis=0)
+        assert err.value.residual_norm == pytest.approx(direct.max(), rel=1e-9)
+
+    @pytest.mark.parametrize("spoil", ["solves", "decomposition"])
+    def test_refinement_recovers_spoiled_set_up(self, stiffness3x4, loads3x4, monkeypatch, spoil):
+        # Set-up quantities off by 1e-6 show in the residual; refinement steps
+        # then bring every sample to tol and its values to the direct ones.
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7])]
+        samples = np.linspace(0.1, 3.0, 40).reshape(20, 2)
+        expected = per_point(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        calls = []
+        factor = 1.0 + 1e-6
+
+        def counted_multi(*args, **kwargs):
+            calls.append(1)
+            scale = factor if spoil == "solves" else 1.0
+            return [SolveReport(rep.solution * scale, rep.iterations, rep.residual_norm)
+                    for rep in solve_multi(*args, **kwargs)]
+
+        def spoiled_eigh(*args, **kwargs):
+            mu, V = eigh(*args, **kwargs)
+            return mu, V * factor
+
+        monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
+        if spoil == "decomposition":
+            monkeypatch.setattr(forward, "eigh", spoiled_eigh)
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs, tol=1e-13)
+        assert len(calls) > 1  # the set-up solve and at least one refinement step
+        assert np.max(np.abs(swept - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
     def test_bad_sample_rejected(self, stiffness3x4, loads3x4, bad):
