@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from . import linsolve
@@ -245,18 +246,22 @@ def forward_pair_sweep(
     ``S`` are the unknowns on the swept pixels' vertices and ``R`` the
     rest. ``B_RR`` is solved for the distinct excitations (``U``) and the
     ``|S|`` columns of ``B_RS`` (``W``): a sweep costs that many solves,
-    whatever ``P`` is. On a line, ``M`` is the Schur complement plus the
-    other pixels' shifted blocks (``K_j`` is ``B_j`` on ``S``) and ``t`` the
-    last pixel ``q``'s shift from ``sigma[q]``. The pencil is decomposed,
-    once per line or per 1,024 samples of a longer one, at ``rho``, the
-    geometric mean of the extreme values ``v`` of ``q`` there: ``K_q V = (M +
-    (rho - sigma[q]) K_q) V diag(mu)`` gives ``0 <= mu <= 1 / rho``, so every
-    ``1 + (v - rho) mu`` is within ``sqrt(max / min)`` of 1. Every sample's
-    relative residual ``||B_sample lam - y|| / ||y||`` is formed from set-up
-    quantities and ``M + t K_q`` and checked against ``tol``. A line with a
-    sample that misses it gets up to ``max_iter`` refinement steps through
-    the same elimination (each solves ``B_RR`` again), and a sample that
-    still misses it raises :class:`linsolve.SolverError` naming it.
+    whatever ``P`` is. The Schur complement is formed without the swept
+    pixels' blocks, so ``sigma[pixels]`` never enters the samples' matrices.
+    On a line, ``M`` is that complement plus the other pixels' blocks (``K_j``
+    is ``B_j`` on ``S``) at their samples, and ``t`` the last pixel ``q``'s
+    sample. The pencil is decomposed, once per line or per 1,024 samples of
+    a longer one, at ``rho``, the geometric mean of the extreme ``t`` there:
+    ``K_q V = (M + rho K_q) V diag(mu)`` gives ``0 <= mu <= 1 / rho``, so
+    every ``1 + (t - rho) mu`` is within ``sqrt(max / min)`` of 1. Each
+    sample's ``lam_S`` from the decomposition gets one correction against
+    ``M + t K_q``, which makes it as accurate as a direct solve. Every
+    sample's relative residual ``||B_sample lam - y|| / ||y||`` is formed
+    from set-up quantities and ``M + t K_q`` and checked against ``tol``.
+    A line with a sample that misses it gets up to ``max_iter`` refinement
+    steps through the same elimination (each solves ``B_RR`` again), and a
+    sample that still misses it raises :class:`linsolve.SolverError`
+    naming it.
 
     Raises
     ------
@@ -281,41 +286,67 @@ def forward_pair_sweep(
     S = np.unique(dofs[dofs >= 0])
     R = np.setdiff1d(np.arange(stiffness.N), S)
     B_RR, B_RS, B_SR = B[R][:, R], B[R][:, S].toarray(), B[S][:, R]
+    # B_SS without the swept pixels' blocks: they enter through the samples
+    # only, so no sample's matrix cancels sigma[pixels] back out of B_sigma
+    # (at a contrast of 1e4 that cancellation costs four digits).
+    outside = base.copy()
+    outside[pixels] = 0.0
+    pattern = stiffness.pattern
+    B_SS = sp.csr_matrix((stiffness.C @ outside, pattern.indices, pattern.indptr), shape=pattern.shape)[S][:, S]
     excitations, left = _distinct([y_l for y_l, _ in pairs])
     Y, e = np.column_stack([ld.y for ld in excitations]), len(excitations)
     Y_r = np.column_stack([r.y for _, r in pairs])
     reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol, max_iter=max_iter)
     solved = np.column_stack([rep.solution for rep in reports])
     U, W = solved[:, :e], solved[:, e:]  # B_RR^{-1} y_R and B_RR^{-1} B_RS
-    schur = B[S][:, S].toarray() - B_SR @ W
+    schur = B_SS.toarray() - B_SR @ W
     load_S = Y[S] - B_SR @ U
     # With lam_R = U - W lam_S, rows R of y - B lam are E_W lam_S - e_U; values lam_S . G + offset.
     E_W, e_U = B_RR @ W - B_RS, B_RR @ U - Y[R]
     G, offset = Y_r[S] - W.T @ Y_r[R], np.einsum("ij,ij->j", U[:, left], Y_r[R])
     K = np.array([stiffness.pixel_matrix(i)[S][:, S].toarray() for i in pixels])
     K = K.reshape(pixels.size, S.size, S.size)  # also when no pixel is swept
+    # Row j of `on` averages over pixel j's unknowns in S (zero with none);
+    # K1 holds the row sums K_j 1, each rounded once.
+    on = (dofs[:, :, None] == S).any(axis=1).astype(float).reshape(pixels.size, S.size)
+    on /= np.maximum(on.sum(axis=1, keepdims=True), 1.0)
+    K1 = np.array([[math.fsum(row) for row in K_j] for K_j in K]).reshape(pixels.size, S.size)
+
+    def residual_S(X, s):
+        """``load_S - (schur + sum_j s_j K_j) X`` for the samples ``s``, (p, n).
+
+        Each ``K_j X`` is formed as ``K_j (X - c) + c K_j 1``, with ``c`` the
+        mean of ``X`` on pixel ``j``: on a pixel of high coefficient
+        ``lam_S`` is nearly constant, and ``K_j X`` as it stands would cancel
+        away as many digits as the contrast has.
+        """
+        r = load_S[:, None] - _apply(schur, X)
+        for K_j, K1_j, s_j, c in zip(K, K1, s, _apply(on, X)):
+            r -= s_j[:, None] * (_apply(K_j, X - c) + K1_j[:, None, None] * c)
+        return r
+
     y_norm = np.linalg.norm(Y, axis=0) + np.all(Y == 0.0, axis=0)  # a zero load: zero solution, residual 0
     steps_allowed = linsolve.DEFAULT_REFINE_STEPS if max_iter is None else max_iter
 
-    # Heads, and the last pixel q's samples and base value (0, K_q empty, with no pixel swept).
-    heads, K_q = samples[:, :-1] - base[pixels[:-1]], K[-1:].sum(axis=0)
-    last, q0 = samples[:, -1:].sum(axis=1), base[pixels[-1:]].sum()
+    # Heads, and the last pixel q's samples (0, K_q empty, with no pixel swept).
+    heads, K_q, last = samples[:, :-1], K[-1:].sum(axis=0), samples[:, -1:].sum(axis=1)
     order = np.lexsort((np.arange(len(samples)), *heads.T[::-1]))  # lines, each in sweep order
     lines = np.split(order, np.flatnonzero((np.diff(heads[order], axis=0) != 0).any(axis=1)) + 1)
     pieces = [p for line in lines for p in np.array_split(line, range(_LINE_PIECE, line.size, _LINE_PIECE))]
     values = np.empty((samples.shape[0], len(pairs)))
     for rows in filter(len, pieces):  # an empty sweep has one empty line
-        M, t = schur + np.tensordot(heads[rows[0]], K[:-1], 1), last[rows] - q0
-        rho = np.sqrt(last[rows].min() * last[rows].max())
-        mu, V = eigh(K_q, M + (rho - q0) * K_q)  # (M + t K_q)^{-1} = V diag(D[j]) V^T
-        D, c = 1.0 / (1.0 + (last[rows] - rho)[:, None] * mu), V.T @ load_S
-        # Elementwise, not BLAS, so no value depends on its place in its line.
-        values[rows] = (D[:, None, :] * (c[:, left] * (V.T @ G)).T).sum(axis=2) + offset
-        X = _apply(V, D.T[:, :, None] * c[:, None])  # lam_S of every sample, (|S|, n, e)
+        M, t, s = schur + np.tensordot(heads[rows[0]], K[:-1], 1), last[rows], samples[rows].T
+        rho = np.sqrt(t.min() * t.max())
+        mu, V = eigh(K_q, M + rho * K_q)  # (M + t K_q)^{-1} = V diag(D[j]) V^T
+        D = 1.0 / (1.0 + (t - rho)[:, None] * mu)
+        X = _apply(V, D.T[:, :, None] * (V.T @ load_S)[:, None])  # lam_S of every sample, (|S|, n, e)
+        # One correction against M + t K_q: at a high contrast inside S the
+        # decomposition alone is less accurate than a direct solve.
+        X += _apply(V, D.T[:, :, None] * _apply(V.T, residual_S(X, s)))
         Z, BZ_R, BZ_S = np.zeros((R.size,) + X.shape[1:]), 0.0, 0.0  # corrections to lam_R, B_RR Z, B_SR Z
         for steps in range(max(steps_allowed, 0) + 1):
             r_R = _apply(E_W, X) - e_U[:, None] - BZ_R
-            r_S = load_S[:, None] - _apply(M, X) - t[:, None] * _apply(K_q, X) - BZ_S
+            r_S = residual_S(X, s) - BZ_S
             achieved = np.sqrt((r_R * r_R).sum(axis=0) + (r_S * r_S).sum(axis=0)) / y_norm
             missed = ~np.all(achieved <= tol, axis=1)
             if not missed.any() or steps >= steps_allowed:
@@ -334,8 +365,10 @@ def forward_pair_sweep(
                 f"{pixels.tolist()}) missed tolerance {tol} after {steps} refinement steps (achieved "
                 f"relative residual {worst:.3e})", residual_norm=worst, iterations=steps,
             )
-        if steps:  # values from lam_S and lam_R = U + Z - W lam_S
-            values[rows] = offset + np.einsum("smp,sp->mp", X[:, :, left], G)
+        # Values from lam_S and lam_R = U + Z - W lam_S, elementwise and not
+        # BLAS, so that no value depends on its place in its line.
+        values[rows] = offset + np.einsum("smp,sp->mp", X[:, :, left], G)
+        if steps:
             values[rows] += np.einsum("rmp,rp->mp", Z[:, :, left], Y_r[R])
     _require_finite(np.concatenate([base, samples.ravel()]), values)
     return values

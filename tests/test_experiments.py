@@ -69,8 +69,6 @@ class TestConfig:
             ({"landscape_step": 1.0}, "landscape_step=1.0 is larger than landscape_max"),
             ({"sigma_step": 1e-300}, "sigma_step=1e-300 asks for 3e\\+300 sweep points"),
             ({"landscape_step": 1e-7}, "landscape_step=1e-07 asks for 6e\\+06 sweep points"),
-            ({"landscape_step": 1e-6}, "landscape_step=1e-06 asks for 6e\\+05 sweep points per axis .* at most 1000"),
-            ({"landscape_step": 1e-300}, "landscape_step=1e-300 asks for 6e\\+299 sweep points per axis"),
             ({"nx": 1}, "nx must be at least 2, got 1"),
             ({"k": -1}, "k must be at least 1, got -1"),
             ({"nx_min": 1}, "nx_min must be at least 2, got 1"),
@@ -86,6 +84,8 @@ class TestConfig:
             ({"tolerance_overrides": {"jacobain_fd": 1e-30}}, "tol_jacobain_fd names no property check"),
             ({"tolerance_overrides": {"jacobian_fd": float("nan")}}, "tol_jacobian_fd must be finite and at least 0, got nan"),
             ({"tolerance_overrides": {"jacobian_fd": -1e-5}}, "tol_jacobian_fd must be finite and at least 0"),
+            ({"landscape_step": 1e-6}, "landscape_step=1e-06 asks for 6e\\+05 sweep points per axis .* at most 1000"),
+            ({"landscape_step": 1e-300}, "landscape_step=1e-300 asks for 6e\\+299 sweep points per axis"),
         ],
     )
     def test_empty_or_oversized_sweep_rejected(self, settings, message):

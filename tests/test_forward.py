@@ -238,12 +238,30 @@ def problem(nx, k):
 
 
 def per_point(stiffness, sigma, pixels, samples, pairs):
-    """The sweep evaluated the slow way: one full solve per sample."""
+    """The sweep evaluated the slow way: one full solve per sample.
+
+    ``B`` is assembled and each dense solve refined in long double, so the
+    reference is exact to double precision where long double is wider
+    (x86-64). In double precision alone, at a coefficient contrast of 1e4,
+    both steps are off by about 1e-12 of a value, the whole of the bound
+    the sweep is held to: with sigma = 0.01 and 100 on pixel 4, nx=3, the
+    rounding of ``C @ sigma`` moves a value by 0.9e-12 (k=3) and a direct
+    solve of the rounded matrix is off by another 1.1e-12 (k=2).
+    """
+    C = stiffness.C.toarray().astype(np.longdouble)
+    entries = np.repeat(np.arange(stiffness.N), np.diff(stiffness.pattern.indptr)), stiffness.pattern.indices
+    Y_l = np.column_stack([y_l.y for y_l, _ in pairs])
+    Y_r = np.column_stack([y_r.y for _, y_r in pairs]).astype(np.longdouble)
     rows = []
     for sample in samples:
         point = np.array(sigma, dtype=float)
         point[list(pixels)] = sample
-        rows.append(forward_pair_values(stiffness, point, pairs))
+        B = np.zeros((stiffness.N, stiffness.N), dtype=np.longdouble)
+        B[entries] = C @ point
+        X = np.linalg.solve(B.astype(float), Y_l)
+        for _ in range(2):
+            X += np.linalg.solve(B.astype(float), (Y_l - B @ X).astype(float))
+        rows.append((X * Y_r).sum(axis=0).astype(float))
     return np.array(rows)
 
 
@@ -308,6 +326,19 @@ class TestForwardPairSweep:
         assert_sweep_matches(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
         assert np.array_equal(swept[0], swept[-1])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_high_coefficient_island(self, k):
+        # Pixel 4 swept to 100 in a background of 0.01 (contrast 1e4): lam_S
+        # is nearly constant on it, and a float64 direct solve reads values
+        # off by up to 1e-12. The sweep must get each pair's values right to
+        # 1e-13 of their size.
+        stiffness, loads = problem(3, k)
+        pairs = [(y_l, y_r) for y_l in loads for y_r in loads]
+        samples = np.array([[100.0], [1.0], [0.01]])
+        swept = forward_pair_sweep(stiffness, np.full(9, 0.01), [4], samples, pairs)
+        expected = per_point(stiffness, np.full(9, 0.01), [4], samples, pairs)
+        assert np.all(np.abs(swept - expected) <= 1e-13 * np.abs(expected).max(axis=0))
 
     @pytest.mark.parametrize("a, b", [(1, 6), (5, 1), (3, 7)])
     def test_one_eigendecomposition_per_line(self, stiffness3x4, loads3x4, solve_counter, monkeypatch, a, b):
@@ -387,8 +418,14 @@ class TestForwardPairSweep:
         if pixels:  # the line's pencil is decomposed at rho; t is the shift from rho
             t = samples[j, -1] - np.sqrt(samples[:, -1].min() * samples[:, -1].max())
         mu, V = spoiled["eigh"]
+        reduced, load_S = B[S][:, S].toarray() - B[S][:, R] @ W, Y[S] - B[S][:, R] @ U
+
+        def from_pencil(rhs):
+            return V @ ((V.T @ rhs) / (1.0 + t * mu)[:, None])
+
         lam = np.zeros((stiffness.N, e))
-        lam[S] = V @ ((V.T @ (Y[S] - B[S][:, R] @ U)) / (1.0 + t * mu)[:, None])
+        lam[S] = from_pencil(load_S)
+        lam[S] += from_pencil(load_S - reduced @ lam[S])  # the one correction against M + t K_q
         lam[R] = U - W @ lam[S]
         direct = np.linalg.norm(Y - B @ lam, axis=0) / np.linalg.norm(Y, axis=0)
         assert err.value.residual_norm == pytest.approx(direct.max(), rel=1e-9)
