@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
+from . import linsolve
 from .forward import JacobianStack, forward_matrix, forward_pairs
 
 __all__ = [
@@ -44,8 +45,8 @@ class SymmetricLayout:
 
     loads: list
 
-    def evaluate(self, stiffness, sigma, tol, max_iter):
-        F, jac = forward_matrix(stiffness, sigma, self.loads, tol=tol, max_iter=max_iter)
+    def evaluate(self, stiffness, sigma, tol):
+        F, jac = forward_matrix(stiffness, sigma, self.loads, tol=tol)
         return F.values.ravel(), jac.flattened()
 
     def data_shape(self):
@@ -59,8 +60,8 @@ class PairLayout:
 
     pairs: list
 
-    def evaluate(self, stiffness, sigma, tol, max_iter):
-        return forward_pairs(stiffness, sigma, self.pairs, tol=tol, max_iter=max_iter)
+    def evaluate(self, stiffness, sigma, tol):
+        return forward_pairs(stiffness, sigma, self.pairs, tol=tol)
 
     def data_shape(self):
         return (len(self.pairs),)
@@ -78,8 +79,7 @@ class ResidualProblem:
     layout: object
     data: np.ndarray
     sigma_floor: float = 1e-6
-    tol: float = 1e-10
-    max_iter: int | None = None
+    tol: float = linsolve.DEFAULT_TOL
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -92,7 +92,7 @@ class ResidualProblem:
 
     def misfit(self, sigma):
         """Residual vector and its Jacobian at ``sigma``."""
-        values, jac = self.layout.evaluate(self.stiffness, sigma, self.tol, self.max_iter)
+        values, jac = self.layout.evaluate(self.stiffness, sigma, self.tol)
         return values - self.data.ravel(), jac
 
 

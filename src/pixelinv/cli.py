@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiments import (
     ExperimentConfig,
@@ -59,13 +60,15 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.out = args.out
         config.validate()
+        out = config.out or ("properties.json" if args.experiment == "properties" else f"{args.experiment}.csv")
+        if not Path(out).parent.is_dir():
+            raise ValueError(f"out={out}: directory {Path(out).parent} does not exist")
     except (OSError, ValueError) as err:
         print(f"pixelinv: bad config: {err}", file=sys.stderr)
         return 2
 
     if args.experiment == "properties":
         report = run_property_suite(config)
-        out = config.out or "properties.json"
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -77,7 +80,6 @@ def main(argv=None) -> int:
         return 0 if report["all_passed"] else 1
 
     result = _RUNNERS[args.experiment](config)
-    out = config.out or f"{args.experiment}.csv"
     write_csv(result, out)
     print(f"{len(result.rows)} rows written to {out}")
     return 0

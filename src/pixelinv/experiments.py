@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,10 +61,10 @@ class ExperimentConfig:
     studies run with.
 
     ``k`` is the number of mesh elements per pixel side in every study and
-    at every stability rung, ``radius_fraction`` the disk radius in pixel
-    widths, ``max_iter`` the most iterative-refinement steps a solve may
-    take, and ``tolerance_overrides`` maps a :data:`CHECKS` name to the
-    tolerance the property suite uses for it instead of the built-in one.
+    at every stability rung, and ``radius_fraction`` the disk radius in
+    pixel widths. The refinement cap (:data:`linsolve.REFINE_STEPS`) and
+    the property checks' tolerances (:data:`CHECKS`) are fixed, not
+    settings.
     """
 
     experiment: str = ""
@@ -77,30 +77,21 @@ class ExperimentConfig:
     landscape_max: float = 0.6
     nx_min: int = 2
     nx_max: int = 15
-    tol: float = 1e-10
-    max_iter: int = linsolve.DEFAULT_REFINE_STEPS
+    tol: float = linsolve.DEFAULT_TOL
     seed: int = 1234
     out: str = ""
-    tolerance_overrides: dict = field(default_factory=dict)
 
     def comment(self) -> str:
         # The output path does not influence the data; leaving it out keeps
         # reruns byte-identical wherever they are written.
-        parts = []
-        for f in dataclasses.fields(self):
-            if f.name == "out":
-                continue
-            if f.name == "tolerance_overrides":
-                for key in sorted(self.tolerance_overrides):
-                    parts.append(f"tol_{key}={self.tolerance_overrides[key]}")
-            else:
-                parts.append(f"{f.name}={getattr(self, f.name)}")
-        return "config: " + " ".join(parts)
+        return "config: " + " ".join(
+            f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self) if f.name != "out"
+        )
 
     def validate(self) -> None:
-        """Reject grid sizes, disk radii, sweep steps, ranges, solver settings
-        and check tolerances no study can run with."""
-        for name, least in (("nx", 2), ("k", 1), ("nx_min", 2), ("max_iter", 0)):
+        """Reject grid sizes, disk radii, sweep steps, ranges, tolerances and
+        seeds no study can run with."""
+        for name, least in (("nx", 2), ("k", 1), ("nx_min", 2), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.nx_min > self.nx_max:
@@ -110,11 +101,6 @@ class ExperimentConfig:
             )
         if not 0.0 < self.radius_fraction < 0.5:
             raise ValueError(f"radius_fraction must be in (0, 0.5), got {self.radius_fraction}")
-        for name, tolerance in self.tolerance_overrides.items():
-            if name not in CHECKS:
-                raise ValueError(f"tol_{name} names no property check; known: {', '.join(CHECKS)}")
-            if not 0.0 <= tolerance < math.inf:
-                raise ValueError(f"tol_{name} must be finite and at least 0, got {tolerance}")
         if self.experiment == "landscape" and self.nx != 3:
             raise ValueError(f"nx must be 3 for the landscape study (its 3x3 grid), got {self.nx}")
         for name in ("sigma_step", "sigma_max", "landscape_step", "landscape_max", "tol"):
@@ -154,10 +140,7 @@ def load_config(path) -> ExperimentConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key.startswith("tol_"):
-                cfg.tolerance_overrides[key[4:]] = float(value)
-                continue
-            if key not in _CONFIG_TYPES or key == "tolerance_overrides":
+            if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             kind = _CONFIG_TYPES[key]
             if kind in ("int", int):
@@ -228,10 +211,7 @@ def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:
     values = _sweep_values(config.sigma_step, config.sigma_max)
     rows = []
     for pixel in range(stiffness.n):
-        F = forward_pair_sweep(
-            stiffness, np.ones(stiffness.n), [pixel], values[:, None], pairs,
-            tol=config.tol, max_iter=config.max_iter,
-        )
+        F = forward_pair_sweep(stiffness, np.ones(stiffness.n), [pixel], values[:, None], pairs, tol=config.tol)
         rows.extend((pixel + 1, s, value) for s, value in zip(values, F[:, 0]))
     return ExperimentResult(header=["pixel", "sigma_i", "F_value"], rows=rows, config=config)
 
@@ -256,10 +236,8 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     a, b = np.meshgrid(values, values, indexing="ij")
     points = np.column_stack([a.ravel(), b.ravel()])
     # The truth, 0.5 in both swept pixels, is the last sample.
-    swept = forward_pair_sweep(
-        stiffness, np.ones(9), [3, 5], np.vstack([points, [0.5, 0.5]]), pairs,
-        tol=config.tol, max_iter=config.max_iter,
-    )
+    samples = np.vstack([points, [0.5, 0.5]])
+    swept = forward_pair_sweep(stiffness, np.ones(9), [3, 5], samples, pairs, tol=config.tol)
     misfit = swept[:-1] - swept[-1]
     R = (misfit * misfit).sum(axis=1)
     rows = list(zip(points[:, 0], points[:, 1], R))
@@ -279,9 +257,7 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for nx in range(config.nx_min, config.nx_max + 1):
         _, _, _, stiffness, loads = _experiment_setup(config, nx)
-        _, jac = forward_matrix(
-            stiffness, np.ones(stiffness.n), loads, tol=config.tol, max_iter=config.max_iter
-        )
+        _, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, tol=config.tol)
         rows.append((nx, nx * nx, len(loads), condition_number(jac).condition))
     return ExperimentResult(header=["nx", "n", "m", "cond"], rows=rows, config=config)
 
@@ -321,7 +297,7 @@ _COMPARISONS = {
 }
 
 
-def _fd_jacobian(stiffness, sigma, loads, step, tol, max_iter):
+def _fd_jacobian(stiffness, sigma, loads, step, tol):
     n, m = stiffness.n, len(loads)
     fd = np.empty((n, m, m))
     for i in range(n):
@@ -329,41 +305,31 @@ def _fd_jacobian(stiffness, sigma, loads, step, tol, max_iter):
         plus[i] += step
         minus = sigma.copy()
         minus[i] -= step
-        Fp, _ = forward_matrix(stiffness, plus, loads, tol=tol, max_iter=max_iter)
-        Fm, _ = forward_matrix(stiffness, minus, loads, tol=tol, max_iter=max_iter)
+        Fp, _ = forward_matrix(stiffness, plus, loads, tol=tol)
+        Fm, _ = forward_matrix(stiffness, minus, loads, tol=tol)
         fd[i] = (Fp.values - Fm.values) / (2.0 * step)
     return fd
 
 
 def run_property_suite(config: ExperimentConfig) -> dict:
-    """Run every structural check and return a JSON-ready report.
-
-    Checks failing only because a tolerance was overridden below its
-    built-in default are annotated as tolerance-related.
-    """
+    """Run every structural check and return a JSON-ready report."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    nx, k, tol, max_iter = config.nx, config.k, config.tol, config.max_iter
+    nx, k, tol = config.nx, config.k, config.tol
     grid, mesh, disks, stiffness, loads = _experiment_setup(config, nx)
     n, N, m = stiffness.n, stiffness.N, len(loads)
 
     checks = []
 
     def record(name, measured):
-        default, sense = CHECKS[name]
-        tolerance = config.tolerance_overrides.get(name, default)
-        passes = _COMPARISONS[sense]
-        passed = passes(measured, tolerance)
-        entry = {
+        tolerance, sense = CHECKS[name]
+        checks.append({
             "name": name,
-            "passed": bool(passed),
+            "passed": bool(_COMPARISONS[sense](measured, tolerance)),
             "measured": float(measured),
             "tolerance": float(tolerance),
             "comparison": sense,
-        }
-        if not passed and passes(measured, default):
-            entry["note"] = "fails only under the overridden tolerance"
-        checks.append(entry)
+        })
 
     ones = np.ones(n)
 
@@ -410,8 +376,8 @@ def run_property_suite(config: ExperimentConfig) -> dict:
     B = global_matrix(stiffness, ones)
     y = loads[0].y
     z = loads[-1].y
-    sy = linsolve.solve_spd(B, y, tol=tol, max_iter=max_iter).solution
-    sz = linsolve.solve_spd(B, z, tol=tol, max_iter=max_iter).solution
+    sy = linsolve.solve_spd(B, y, tol=tol).solution
+    sz = linsolve.solve_spd(B, z, tol=tol).solution
     lhs, rhs = float(sy @ z), float(y @ sz)
     record("solve_symmetry", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
@@ -419,17 +385,17 @@ def run_property_suite(config: ExperimentConfig) -> dict:
     sigmas = [ones] + [rng.uniform(0.5, 2.0, n) for _ in range(5)]
     worst = 0.0
     for s in sigmas:
-        _, jac = forward_matrix(stiffness, s, loads, tol=tol, max_iter=max_iter)
-        fd = _fd_jacobian(stiffness, s, loads, 1e-5, tol, max_iter)
+        _, jac = forward_matrix(stiffness, s, loads, tol=tol)
+        fd = _fd_jacobian(stiffness, s, loads, 1e-5, tol)
         err = np.abs(fd - jac.slices) / np.maximum(1.0, np.abs(jac.slices))
         worst = max(worst, float(err.max()))
     record("jacobian_fd", worst)
 
     s = rng.uniform(0.5, 2.0, n)
-    F, jac = forward_matrix(stiffness, s, loads, tol=tol, max_iter=max_iter)
+    F, jac = forward_matrix(stiffness, s, loads, tol=tol)
     record("matrix_symmetry", float(np.max(np.abs(F.values - F.values.T))))
     record("matrix_psd", loewner_min_eig(F.values))
-    F1, jac1 = forward_matrix(stiffness, ones, loads, tol=tol, max_iter=max_iter)
+    F1, jac1 = forward_matrix(stiffness, ones, loads, tol=tol)
     record("positive_definite_at_ones", loewner_min_eig(F1.values))
     record("solve_economy", abs(F1.solves_used - m))
 
@@ -441,8 +407,8 @@ def run_property_suite(config: ExperimentConfig) -> dict:
     for _ in range(20):
         s1 = rng.uniform(0.5, 2.0, n)
         s2 = rng.uniform(s1, 2.0)
-        Fa, _ = forward_matrix(stiffness, s1, loads, tol=tol, max_iter=max_iter)
-        Fb, _ = forward_matrix(stiffness, s2, loads, tol=tol, max_iter=max_iter)
+        Fa, _ = forward_matrix(stiffness, s1, loads, tol=tol)
+        Fb, _ = forward_matrix(stiffness, s2, loads, tol=tol)
         worst = min(worst, loewner_min_eig(Fa.values - Fb.values))
     record("monotonicity", worst)
 
@@ -451,14 +417,12 @@ def run_property_suite(config: ExperimentConfig) -> dict:
     for _ in range(20):
         s0 = rng.uniform(0.5, 2.0, n)
         s1 = rng.uniform(0.5, 2.0, n)
-        F0, jac0 = forward_matrix(stiffness, s0, loads, tol=tol, max_iter=max_iter)
-        Fs, _ = forward_matrix(stiffness, s1, loads, tol=tol, max_iter=max_iter)
+        F0, jac0 = forward_matrix(stiffness, s0, loads, tol=tol)
+        Fs, _ = forward_matrix(stiffness, s1, loads, tol=tol)
         linearized = directional_derivative(jac0, s1 - s0)
         worst = min(worst, loewner_min_eig(Fs.values - F0.values - linearized))
         for t in (0.25, 0.5, 0.75):
-            Ft, _ = forward_matrix(
-                stiffness, (1 - t) * s0 + t * s1, loads, tol=tol, max_iter=max_iter
-            )
+            Ft, _ = forward_matrix(stiffness, (1 - t) * s0 + t * s1, loads, tol=tol)
             gap = (1 - t) * F0.values + t * Fs.values - Ft.values
             worst_segment = min(worst_segment, loewner_min_eig(gap))
     record("convexity", worst)
@@ -468,7 +432,7 @@ def run_property_suite(config: ExperimentConfig) -> dict:
     # order, diagonals are non-decreasing, and level gaps shrink.
     s = rng.uniform(0.5, 2.0, n)
     F_by_level = {
-        level: true_reference(grid, disks, s, k, level, tol=tol, max_iter=max_iter).values
+        level: true_reference(grid, disks, s, k, level, tol=tol).values
         for level in (k, 2 * k, 4 * k)
     }
     record(

@@ -87,10 +87,6 @@ class MeasurementMatrix:
     values: np.ndarray
     solves_used: int
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class JacobianStack:
@@ -131,13 +127,13 @@ def _pixel_quadratic_forms(stiffness: StiffnessSet, left: np.ndarray, right: np.
     return L.transpose(0, 2, 1) @ (stiffness.blocks @ R)
 
 
-def _solve(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
+def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
     """Solution columns ``lam_j`` of ``B_sigma @ lam_j = y_j``, one per load,
     all against one factorization, and the number of solves that took."""
     if not loads:
         raise ValueError("need at least one load")
     B = global_matrix(stiffness, sigma)
-    reports = linsolve.solve_multi(B, [ld.y for ld in loads], tol=tol, max_iter=max_iter)
+    reports = linsolve.solve_multi(B, [ld.y for ld in loads], tol=tol)
     return np.column_stack([rep.solution for rep in reports]), len(reports)
 
 
@@ -149,9 +145,9 @@ def _distinct(loads: list):
     return list(distinct.values()), np.array([column[id(ld)] for ld in loads], dtype=np.int64)
 
 
-def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol, max_iter):
+def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol):
     """Measurement matrix of a symmetric layout, plus the solutions behind it."""
-    lam, used = _solve(stiffness, sigma, loads, tol, max_iter)
+    lam, used = _solve(stiffness, sigma, loads, tol)
     values = lam.T @ np.column_stack([ld.y for ld in loads])
     return MeasurementMatrix(values=values, solves_used=used), lam
 
@@ -161,7 +157,6 @@ def forward_matrix(
     sigma,
     loads: list,
     tol: float = linsolve.DEFAULT_TOL,
-    max_iter: int | None = None,
 ):
     """Measurement matrix and Jacobian stack for a symmetric layout.
 
@@ -173,7 +168,7 @@ def forward_matrix(
     -------
     (MeasurementMatrix, JacobianStack)
     """
-    F, lam = _measurement_matrix(stiffness, sigma, loads, tol, max_iter)
+    F, lam = _measurement_matrix(stiffness, sigma, loads, tol)
     slices = -_pixel_quadratic_forms(stiffness, lam, lam)
     _require_finite(sigma, F.values, slices)
     return F, JacobianStack(slices=slices)
@@ -184,7 +179,6 @@ def forward_pairs(
     sigma,
     pairs: list,
     tol: float = linsolve.DEFAULT_TOL,
-    max_iter: int | None = None,
 ):
     """Values and Jacobian rows for arbitrary (excitation, measurement) pairs.
 
@@ -194,7 +188,7 @@ def forward_pairs(
     layouts does not apply to such plain vectors of measurements.
     """
     distinct, column = _distinct([ld for pair in pairs for ld in pair])
-    lam, _ = _solve(stiffness, sigma, distinct, tol, max_iter)
+    lam, _ = _solve(stiffness, sigma, distinct, tol)
     left, right = column[0::2], column[1::2]
     Y_r = np.column_stack([r.y for _, r in pairs])
     values = np.einsum("ij,ij->j", lam[:, left], Y_r)
@@ -208,13 +202,12 @@ def forward_pair_values(
     sigma,
     pairs: list,
     tol: float = linsolve.DEFAULT_TOL,
-    max_iter: int | None = None,
 ) -> np.ndarray:
     """Values only for (excitation, measurement) pairs; solves excitations only.
 
     This is :func:`forward_pair_sweep` with no swept pixel and one sample.
     """
-    return forward_pair_sweep(stiffness, sigma, [], np.empty((1, 0)), pairs, tol, max_iter)[0]
+    return forward_pair_sweep(stiffness, sigma, [], np.empty((1, 0)), pairs, tol)[0]
 
 
 # Most samples of a line handled at once, so memory does not grow with the
@@ -235,7 +228,6 @@ def forward_pair_sweep(
     samples,
     pairs: list,
     tol: float = linsolve.DEFAULT_TOL,
-    max_iter: int | None = None,
 ) -> np.ndarray:
     """Pair values along a sweep of a few pixel coefficients.
 
@@ -258,10 +250,10 @@ def forward_pair_sweep(
     ``M + t K_q``, which makes it as accurate as a direct solve. Every
     sample's relative residual ``||B_sample lam - y|| / ||y||`` is formed
     from set-up quantities and ``M + t K_q`` and checked against ``tol``.
-    A line with a sample that misses it gets up to ``max_iter`` refinement
-    steps through the same elimination (each solves ``B_RR`` again), and a
-    sample that still misses it raises :class:`linsolve.SolverError`
-    naming it.
+    A line with a sample that misses it gets up to ``linsolve.REFINE_STEPS``
+    refinement steps through the same elimination (each solves ``B_RR``
+    again), and a sample that still misses it raises
+    :class:`linsolve.SolverError` naming it.
 
     Raises
     ------
@@ -296,7 +288,7 @@ def forward_pair_sweep(
     excitations, left = _distinct([y_l for y_l, _ in pairs])
     Y, e = np.column_stack([ld.y for ld in excitations]), len(excitations)
     Y_r = np.column_stack([r.y for _, r in pairs])
-    reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol, max_iter=max_iter)
+    reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol)
     solved = np.column_stack([rep.solution for rep in reports])
     U, W = solved[:, :e], solved[:, e:]  # B_RR^{-1} y_R and B_RR^{-1} B_RS
     schur = B_SS.toarray() - B_SR @ W
@@ -326,7 +318,6 @@ def forward_pair_sweep(
         return r
 
     y_norm = np.linalg.norm(Y, axis=0) + np.all(Y == 0.0, axis=0)  # a zero load: zero solution, residual 0
-    steps_allowed = linsolve.DEFAULT_REFINE_STEPS if max_iter is None else max_iter
 
     # Heads, and the last pixel q's samples (0, K_q empty, with no pixel swept).
     heads, K_q, last = samples[:, :-1], K[-1:].sum(axis=0), samples[:, -1:].sum(axis=1)
@@ -344,16 +335,16 @@ def forward_pair_sweep(
         # decomposition alone is less accurate than a direct solve.
         X += _apply(V, D.T[:, :, None] * _apply(V.T, residual_S(X, s)))
         Z, BZ_R, BZ_S = np.zeros((R.size,) + X.shape[1:]), 0.0, 0.0  # corrections to lam_R, B_RR Z, B_SR Z
-        for steps in range(max(steps_allowed, 0) + 1):
+        for steps in range(linsolve.REFINE_STEPS + 1):
             r_R = _apply(E_W, X) - e_U[:, None] - BZ_R
             r_S = residual_S(X, s) - BZ_S
             achieved = np.sqrt((r_R * r_R).sum(axis=0) + (r_S * r_S).sum(axis=0)) / y_norm
             missed = ~np.all(achieved <= tol, axis=1)
-            if not missed.any() or steps >= steps_allowed:
+            if not missed.any() or steps >= linsolve.REFINE_STEPS:
                 break
             # Refine every sample of the piece: lam_R gains z - W dS, lam_S gains dS.
             columns = list(r_R.reshape(R.size, rows.size * e).T)
-            refine = linsolve.solve_multi(B_RR, columns, tol=tol, max_iter=max_iter)
+            refine = linsolve.solve_multi(B_RR, columns, tol=tol)
             z = np.array([rep.solution for rep in refine]).T.reshape(Z.shape)
             X += _apply(V, D.T[:, :, None] * _apply(V.T, r_S - _apply(B_SR, z)))
             Z += z
@@ -394,7 +385,6 @@ def true_reference(
     k: int,
     k_max: int,
     tol: float = linsolve.DEFAULT_TOL,
-    max_iter: int | None = None,
 ) -> MeasurementMatrix:
     """Measurement matrix on a nested refinement, as a reference surrogate.
 
@@ -419,4 +409,4 @@ def true_reference(
 
     stiffness = assemble_pixel_matrices(mesh, grid)
     loads = [assemble_load(mesh, d) for d in carried]
-    return _measurement_matrix(stiffness, sigma, loads, tol, max_iter)[0]
+    return _measurement_matrix(stiffness, sigma, loads, tol)[0]

@@ -4,11 +4,12 @@ Each matrix is factored once by SuperLU (``scipy.sparse.linalg.splu``)
 under the fixed symmetric fill-reducing ordering ``MMD_AT_PLUS_A``, and
 every right-hand side is back-substituted against that one factor. The
 relative residual ``||B x - y|| / ||y||`` of every solution is checked
-before it is returned; one that misses ``tol`` gets iterative-refinement
-steps, and one that still misses it raises :class:`SolverError`. SuperLU
-runs single-threaded with a fixed ordering, so repeated runs are
-bit-identical. Each solved right-hand side yields one
-:class:`SolveReport`, so callers count solves from what is returned.
+before it is returned; one that misses ``tol`` gets up to
+:data:`REFINE_STEPS` iterative-refinement steps, and one that still misses
+it raises :class:`SolverError`. SuperLU runs single-threaded with a
+fixed ordering, so repeated runs are bit-identical. Each solved
+right-hand side yields one :class:`SolveReport`, so callers count solves
+from what is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "DEFAULT_TOL",
-    "DEFAULT_REFINE_STEPS",
+    "REFINE_STEPS",
     "SolveReport",
     "SolverError",
     "solve_spd",
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_REFINE_STEPS = 10
+REFINE_STEPS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,19 +71,17 @@ def _factor(matrix, tol):
         ) from err
 
 
-def _solve(lu, matrix, rhs, tol, max_iter) -> SolveReport:
+def _solve(lu, matrix, rhs, tol) -> SolveReport:
     """Back-substitute ``rhs``, then refine while the residual misses ``tol`` and falls."""
     rhs = np.asarray(rhs, dtype=float).reshape(-1)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return SolveReport(solution=np.zeros_like(rhs), iterations=0, residual_norm=0.0)
-    if max_iter is None:
-        max_iter = DEFAULT_REFINE_STEPS
     x = lu.solve(rhs)
     r = rhs - matrix @ x
     achieved = float(np.linalg.norm(r)) / rhs_norm
     steps = 0
-    while achieved > tol and steps < max_iter:
+    while achieved > tol and steps < REFINE_STEPS:
         x_new = x + lu.solve(r)
         r_new = rhs - matrix @ x_new
         achieved_new = float(np.linalg.norm(r_new)) / rhs_norm
@@ -100,7 +99,7 @@ def _solve(lu, matrix, rhs, tol, max_iter) -> SolveReport:
     return SolveReport(solution=x, iterations=steps, residual_norm=achieved)
 
 
-def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> SolveReport:
+def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL) -> SolveReport:
     """Solve ``matrix @ x = rhs`` by a sparse LU factorization.
 
     Parameters
@@ -109,9 +108,6 @@ def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL, max_iter: int | None = None
     rhs : (N,) array
     tol : float
         Relative residual target; must be positive and finite.
-    max_iter : int, optional
-        Most iterative-refinement steps taken when the first solution
-        misses ``tol``; defaults to 10.
 
     Raises
     ------
@@ -120,10 +116,10 @@ def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL, max_iter: int | None = None
         misses ``tol``; carries the achieved residual and refinement steps.
     """
     lu = _factor(matrix, tol)
-    return _solve(lu, matrix, rhs, tol, max_iter)
+    return _solve(lu, matrix, rhs, tol)
 
 
-def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL, max_iter: int | None = None) -> list[SolveReport]:
+def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL) -> list[SolveReport]:
     """Solve one SPD system for several right-hand sides.
 
     The matrix is factored once; each right-hand side is back-substituted
@@ -134,7 +130,7 @@ def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL, max_iter: int | None
     reports = []
     for j, rhs in enumerate(rhs_list):
         try:
-            reports.append(_solve(lu, matrix, rhs, tol, max_iter))
+            reports.append(_solve(lu, matrix, rhs, tol))
         except SolverError as err:
             raise SolverError(
                 f"right-hand side {j + 1} of {len(rhs_list)}: {err}",

@@ -123,11 +123,6 @@ class TriMesh:
         """Number of interior (unknown) vertices."""
         return int((~self.boundary_vertex).sum())
 
-    @property
-    def h(self) -> float:
-        """Lattice spacing ``1 / (nx * k)``."""
-        return 1.0 / (self.grid.nx * self.k)
-
     def areas(self) -> np.ndarray:
         """Signed triangle areas; positive for this mesh's orientation."""
         return self._areas

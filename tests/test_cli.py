@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pixelinv import cli, experiments
 from pixelinv.cli import main
 
 
@@ -44,6 +45,7 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
         ("nonuniqueness", "radius_fraction=0.5"),
         ("landscape", "radius_fraction=5"),
         ("properties", "radius_fraction=nan"),
+        ("properties", "seed=-1"),
     ],
 )
 def test_bad_step_or_tolerance_is_usage_error(tmp_path, capsys, experiment, setting):
@@ -85,15 +87,29 @@ def test_zero_k_flag_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_properties_pass_and_fail_exit_codes(tmp_path):
+@pytest.mark.parametrize("experiment", ["nonuniqueness", "properties"])
+def test_out_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, experiment):
+    # Refused before the study runs, not when its output is written.
+    def not_run(config):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setitem(cli._RUNNERS, "nonuniqueness", not_run)
+    monkeypatch.setattr(cli, "run_property_suite", not_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([experiment, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad config" in err and "does not exist" in err
+    assert not out.parent.exists()
+
+
+def test_properties_pass_and_fail_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "props.json"
     assert main(["properties", "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["all_passed"]
 
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text("tol_difference_identity=1e-18\n", encoding="utf-8")
+    monkeypatch.setitem(experiments.CHECKS, "difference_identity", (1e-18, "le"))
     out2 = tmp_path / "props2.json"
-    assert main(["properties", "--config", str(cfg), "--out", str(out2)]) == 1
+    assert main(["properties", "--out", str(out2)]) == 1
     report = json.loads(out2.read_text(encoding="utf-8"))
     assert not report["all_passed"]

@@ -36,8 +36,7 @@ class TestConfig:
             "nx=4\n"
             "k = 2\n"
             "sigma_step=0.1\n"
-            "out=result.csv\n"
-            "tol_jacobian_fd=1e-7\n",
+            "out=result.csv\n",
             encoding="utf-8",
         )
         cfg = load_config(cfg_file)
@@ -45,13 +44,25 @@ class TestConfig:
         assert cfg.k == 2
         assert cfg.sigma_step == 0.1
         assert cfg.out == "result.csv"
-        assert cfg.tolerance_overrides == {"jacobian_fd": 1e-7}
 
     def test_unknown_key_rejected(self, tmp_path):
+        # The refinement cap and the check tolerances are constants, not
+        # settings: their old keys are unknown, whatever the value.
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("bogus=1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown config key"):
-            load_config(cfg_file)
+        for line in (
+            "bogus=1",
+            "max_iter=-1",
+            "max_iter=10",
+            "tol_jacobain_fd=1e-30",
+            "tol_jacobian_fd=nan",
+            "tol_jacobian_fd=-1e-5",
+            "tol_jacobian_fd=1e-7",
+            "tolerance_overrides=1",
+        ):
+            cfg_file.write_text(line + "\n", encoding="utf-8")
+            key = line.partition("=")[0]
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                load_config(cfg_file)
 
     @pytest.mark.parametrize("field", ["sigma_step", "landscape_step", "tol"])
     @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
@@ -80,10 +91,10 @@ class TestConfig:
             ({"radius_fraction": float("nan")}, r"radius_fraction must be in \(0, 0.5\), got nan"),
             ({"radius_fraction": 0.0}, r"radius_fraction must be in \(0, 0.5\), got 0.0"),
             ({"k": 0}, "k must be at least 1, got 0"),
-            ({"max_iter": -1}, "max_iter must be at least 0, got -1"),
-            ({"tolerance_overrides": {"jacobain_fd": 1e-30}}, "tol_jacobain_fd names no property check"),
-            ({"tolerance_overrides": {"jacobian_fd": float("nan")}}, "tol_jacobian_fd must be finite and at least 0, got nan"),
-            ({"tolerance_overrides": {"jacobian_fd": -1e-5}}, "tol_jacobian_fd must be finite and at least 0"),
+            ({"seed": -1}, "seed must be at least 0, got -1"),
+            ({"sigma_max": 0.0}, "sigma_max must be positive and finite, got 0.0"),
+            ({"sigma_max": float("nan")}, "sigma_max must be positive and finite, got nan"),
+            ({"landscape_max": float("inf")}, "landscape_max must be positive and finite, got inf"),
             ({"landscape_step": 1e-6}, "landscape_step=1e-06 asks for 6e\\+05 sweep points per axis .* at most 1000"),
             ({"landscape_step": 1e-300}, "landscape_step=1e-300 asks for 6e\\+299 sweep points per axis"),
         ],
@@ -127,9 +138,10 @@ class TestConfig:
 
     def test_defaults_are_the_values_used(self):
         cfg = ExperimentConfig()
-        assert (cfg.k, cfg.radius_fraction, cfg.max_iter) == (4, 0.25, 10)
+        assert (cfg.k, cfg.radius_fraction, cfg.tol) == (4, 0.25, 1e-10)
         comment = cfg.comment()
-        assert " k=4 " in comment and " radius_fraction=0.25 " in comment and " max_iter=10 " in comment
+        assert " k=4 " in comment and " radius_fraction=0.25 " in comment and " tol=1e-10 " in comment
+        assert "max_iter" not in comment and "tol_" not in comment
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -302,18 +314,18 @@ class TestPropertySuite:
         assert not by_name["difference_identity"]["passed"]
         assert not report["all_passed"]
 
-    def test_tightened_tolerance_flagged(self):
-        # One "le" and one "gt" check, each failing only under its override.
-        cfg = ExperimentConfig()
-        cfg.tolerance_overrides["difference_identity"] = 1e-18
-        cfg.tolerance_overrides["positive_definite_at_ones"] = 1e10
-        report = run_property_suite(cfg)
+    def test_tightened_tolerance_flagged(self, monkeypatch):
+        # One "le" and one "gt" check, each failing only under a tightened
+        # entry of CHECKS, which the report reads directly.
+        monkeypatch.setitem(CHECKS, "difference_identity", (1e-18, "le"))
+        monkeypatch.setitem(CHECKS, "positive_definite_at_ones", (1e10, "gt"))
+        report = run_property_suite(ExperimentConfig())
         by_name = {c["name"]: c for c in report["checks"]}
-        for name in ("difference_identity", "positive_definite_at_ones"):
+        for name, tolerance in (("difference_identity", 1e-18), ("positive_definite_at_ones", 1e10)):
             check = by_name[name]
             assert not check["passed"]
-            assert "tolerance" in check["note"]
-        assert "note" not in by_name["jacobian_fd"]
+            assert check["tolerance"] == tolerance
+        assert by_name["jacobian_fd"]["passed"]
         assert not report["all_passed"]
 
 

@@ -401,8 +401,9 @@ class TestForwardPairSweep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linsolve, "solve_multi", spoiled_multi)
             mp.setattr(forward, "eigh", spoiled_eigh)
+            mp.setattr(linsolve, "REFINE_STEPS", 0)
             with pytest.raises(SolverError, match=r"sweep sample \d+ of") as err:
-                forward_pair_sweep(stiffness, sigma, pixels, samples, pairs, tol=1e-6, max_iter=-1)
+                forward_pair_sweep(stiffness, sigma, pixels, samples, pairs, tol=1e-6)
         j = int(re.search(r"sweep sample (\d+) of", str(err.value)).group(1)) - 1
 
         dofs = stiffness.dofs[pixels]
@@ -477,18 +478,18 @@ class TestForwardPairSweep:
         with pytest.raises(ValueError, match=message):
             forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.ones(shape), [(loads3x4[0], loads3x4[7])])
 
-    @pytest.mark.parametrize("max_iter", [None, 0, -1])
+    @pytest.mark.parametrize("refine_steps", [None, 0])
     @pytest.mark.parametrize("nx, k", [(2, 1), (3, 4)])
-    def test_missed_tolerance_raises(self, nx, k, max_iter):
+    def test_missed_tolerance_raises(self, nx, k, refine_steps, monkeypatch):
         # With nx=2, k=1 the B_RR solves are empty, so the sweep's own
-        # residual check is what refuses the samples.
+        # residual check is what refuses the samples; None keeps the cap.
+        if refine_steps is not None:
+            monkeypatch.setattr(linsolve, "REFINE_STEPS", refine_steps)
         stiffness, loads = problem(nx, k)
         samples = np.linspace(0.1, 3.0, 40).reshape(20, 2)
         pairs = [(loads[0], loads[1])]
         with pytest.raises(SolverError, match="missed tolerance"):
-            forward_pair_sweep(
-                stiffness, np.ones(stiffness.n), [0, 2], samples, pairs, tol=1e-300, max_iter=max_iter
-            )
+            forward_pair_sweep(stiffness, np.ones(stiffness.n), [0, 2], samples, pairs, tol=1e-300)
 
     @pytest.mark.parametrize("count", [1, 7, 100])
     def test_solves_do_not_grow_with_samples(self, stiffness3x4, loads3x4, solve_counter, count):

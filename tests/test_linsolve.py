@@ -47,11 +47,12 @@ def test_residual_meets_tolerance(rng):
     assert np.linalg.norm(A @ report.solution - b) / np.linalg.norm(b) <= 1e-10
 
 
-def test_nonconvergence_carries_residual(rng):
+def test_nonconvergence_carries_residual(rng, monkeypatch):
+    monkeypatch.setattr(linsolve, "REFINE_STEPS", 1)
     A = random_spd(rng, 40, shift=1e-4)
     b = rng.standard_normal(40)
     with pytest.raises(SolverError) as err:
-        solve_spd(A, b, tol=1e-14, max_iter=1)
+        solve_spd(A, b, tol=1e-14)
     assert err.value.iterations == 1
     assert 0.0 < err.value.residual_norm
 
@@ -110,11 +111,12 @@ class TestSolveMulti:
         assert len(reports) == 8
         assert all(rep.residual_norm <= 1e-10 for rep in reports)
 
-    def test_failure_identifies_rhs(self, rng):
+    def test_failure_identifies_rhs(self, rng, monkeypatch):
+        monkeypatch.setattr(linsolve, "REFINE_STEPS", 1)
         A = random_spd(rng, 20, shift=1e-4)
         rhs = [np.zeros(20), rng.standard_normal(20)]
         with pytest.raises(SolverError, match="2 of 2"):
-            solve_multi(A, rhs, tol=1e-14, max_iter=1)
+            solve_multi(A, rhs, tol=1e-14)
 
 
 def test_solve_counter_increments(rng, solve_counter):
