@@ -13,11 +13,12 @@ measurements) the full ``m x m`` matrix and all ``n`` Jacobian slices
 follow from just ``m`` linear solves.
 
 Every map below takes one path: ``global_matrix`` validates ``sigma`` and
-forms ``B_sigma`` once, ``linsolve.solve_multi`` factors it once and
-back-substitutes every load, and all Jacobian entries come from one
-batched contraction of the per-pixel blocks with the solutions gathered
-onto each pixel's vertices. The number of solves is returned with the
-result (``MeasurementMatrix.solves_used``). The resulting matrix map is
+forms ``B_sigma`` once, ``linsolve.solve_multi`` factors its band once
+by Cholesky and back-substitutes all loads in one block, and all
+Jacobian entries come from one batched contraction of the per-pixel
+blocks with the solutions gathered onto each pixel's vertices. The
+number of solves is returned with the result
+(``MeasurementMatrix.solves_used``). The resulting matrix map is
 symmetric positive semidefinite, monotonically non-increasing and convex
 in the Loewner order, and grows pointwise under nested mesh refinement;
 these properties are exercised by the test suite.
@@ -327,8 +328,15 @@ def forward_pair_sweep(
     values = np.empty((samples.shape[0], len(pairs)))
     for rows in filter(len, pieces):  # an empty sweep has one empty line
         M, t, s = schur + np.tensordot(heads[rows[0]], K[:-1], 1), last[rows], samples[rows].T
-        rho = np.sqrt(t.min() * t.max())
-        mu, V = eigh(K_q, M + rho * K_q)  # (M + t K_q)^{-1} = V diag(D[j]) V^T
+        rho = np.sqrt(t.min()) * np.sqrt(t.max())  # t.min() * t.max() can leave the double range
+        try:
+            mu, V = eigh(K_q, M + rho * K_q)  # (M + t K_q)^{-1} = V diag(D[j]) V^T
+        except (np.linalg.LinAlgError, ValueError) as err:  # not definite in double precision, or overflowed
+            raise linsolve.SolverError(
+                f"sweep samples {rows[0] + 1} to {rows[-1] + 1} of {samples.shape[0]} (a line, coefficients "
+                f"{samples[rows[0]].tolist()} to {samples[rows[-1]].tolist()} on pixels {pixels.tolist()}): "
+                f"cannot decompose its pencil: {err}", residual_norm=math.inf, iterations=0,
+            ) from err
         D = 1.0 / (1.0 + (t - rho)[:, None] * mu)
         X = _apply(V, D.T[:, :, None] * (V.T @ load_S)[:, None])  # lam_S of every sample, (|S|, n, e)
         # One correction against M + t K_q: at a high contrast inside S the
@@ -340,7 +348,8 @@ def forward_pair_sweep(
             r_S = residual_S(X, s) - BZ_S
             achieved = np.sqrt((r_R * r_R).sum(axis=0) + (r_S * r_S).sum(axis=0)) / y_norm
             missed = ~np.all(achieved <= tol, axis=1)
-            if not missed.any() or steps >= linsolve.REFINE_STEPS:
+            broken = ~np.isfinite(achieved).all(axis=1)  # a residual no refinement can mend
+            if not missed.any() or broken.any() or steps >= linsolve.REFINE_STEPS:
                 break
             # Refine every sample of the piece: lam_R gains z - W dS, lam_S gains dS.
             columns = list(r_R.reshape(R.size, rows.size * e).T)
@@ -350,7 +359,8 @@ def forward_pair_sweep(
             Z += z
             BZ_R, BZ_S = _apply(B_RR, Z), _apply(B_SR, Z)
         if missed.any():
-            j, worst = rows[missed][0], float(achieved[missed][0].max())
+            i = np.flatnonzero(broken if broken.any() else missed)[0]
+            j, worst = rows[i], float(achieved[i].max())
             raise linsolve.SolverError(
                 f"sweep sample {j + 1} of {samples.shape[0]} (coefficients {samples[j].tolist()} on pixels "
                 f"{pixels.tolist()}) missed tolerance {tol} after {steps} refinement steps (achieved "

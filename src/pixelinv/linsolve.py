@@ -1,15 +1,19 @@
-"""Direct sparse solver for the SPD systems behind every forward map.
+"""Direct band solver for the SPD systems behind every forward map.
 
-Each matrix is factored once by SuperLU (``scipy.sparse.linalg.splu``)
-under the fixed symmetric fill-reducing ordering ``MMD_AT_PLUS_A``, and
-every right-hand side is back-substituted against that one factor. The
-relative residual ``||B x - y|| / ||y||`` of every solution is checked
-before it is returned; one that misses ``tol`` gets up to
-:data:`REFINE_STEPS` iterative-refinement steps, and one that still misses
-it raises :class:`SolverError`. SuperLU runs single-threaded with a
-fixed ordering, so repeated runs are bit-identical. Each solved
-right-hand side yields one :class:`SolveReport`, so callers count solves
-from what is returned.
+Numbered lexicographically, ``B_sigma`` on ``nx x nx`` pixels with ``k``
+elements per pixel side has bandwidth ``b = nx*k``. Each matrix is
+factored once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper
+band, taken as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work
+(Golub & Van Loan, *Matrix Computations*, 4th ed., 4.3). All right-hand
+sides are back-substituted in one ``dpbtrs`` call, all residuals come
+from one product with the full matrix, and each relative residual
+``||B x - y|| / ||y||`` is checked against ``tol`` on its own. The columns
+that miss it are refined together, each while its residual falls, for up
+to :data:`REFINE_STEPS` steps; one that still misses it raises
+:class:`SolverError`, so an asymmetric matrix gives no wrong answer. Runs
+are deterministic for a fixed BLAS thread count. Each right-hand side
+yields one :class:`SolveReport`, so callers count solves from what is
+returned.
 """
 
 from __future__ import annotations
@@ -19,16 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-__all__ = [
-    "DEFAULT_TOL",
-    "REFINE_STEPS",
-    "SolveReport",
-    "SolverError",
-    "solve_spd",
-    "solve_multi",
-]
+__all__ = ["DEFAULT_TOL", "REFINE_STEPS", "SolveReport", "SolverError", "solve_spd", "solve_multi"]
 
 DEFAULT_TOL = 1e-10
 REFINE_STEPS = 10
@@ -57,84 +54,76 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def _factor(matrix, tol):
-    """Check the inputs, then factor ``matrix`` once for all right-hand sides."""
+def _upper_band(matrix) -> np.ndarray:
+    """The upper band of ``matrix`` in LAPACK band storage, ``(b + 1, N)``:
+    entry ``(i, j)``, ``i <= j``, at ``[b + i - j, j]`` (duplicates summed)."""
+    coo = sp.coo_array(matrix)
+    upper = coo.row <= coo.col
+    row, col = coo.row[upper], coo.col[upper]
+    b, n = int((col - row).max(initial=0)), matrix.shape[0]
+    band = np.bincount(b + row + b * col, weights=coo.data[upper], minlength=(b + 1) * n)
+    return band.reshape(n, b + 1).T
+
+
+def _solve_block(matrix, rhs_list, tol) -> list[SolveReport]:
+    """Factor ``matrix`` once, solve every right-hand side in one block, check
+    each residual and refine the columns that miss ``tol``."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    try:
-        return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(
-            f"cannot factor the {matrix.shape[0]}x{matrix.shape[1]} matrix: {err}",
-            residual_norm=math.inf,
-            iterations=0,
-        ) from err
-
-
-def _solve(lu, matrix, rhs, tol) -> SolveReport:
-    """Back-substitute ``rhs``, then refine while the residual misses ``tol`` and falls."""
-    rhs = np.asarray(rhs, dtype=float).reshape(-1)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        return SolveReport(solution=np.zeros_like(rhs), iterations=0, residual_norm=0.0)
-    x = lu.solve(rhs)
-    r = rhs - matrix @ x
-    achieved = float(np.linalg.norm(r)) / rhs_norm
-    steps = 0
-    while achieved > tol and steps < REFINE_STEPS:
-        x_new = x + lu.solve(r)
-        r_new = rhs - matrix @ x_new
-        achieved_new = float(np.linalg.norm(r_new)) / rhs_norm
-        steps += 1
-        if not achieved_new < achieved:
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+    m = len(rhs_list)
+    Y = np.array(rhs_list, dtype=float).reshape(m, n).T
+    finite = np.isfinite(Y).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"right-hand side {np.argmin(finite) + 1} of {m} is not finite")
+    factor, info = dpbtrf(_upper_band(matrix), overwrite_ab=1)
+    if info > 0:
+        raise SolverError(f"cannot factor the {n}x{n} matrix: leading minor of order {info} is not positive "
+                          "definite (singular or indefinite)", residual_norm=math.inf, iterations=0)
+    if not Y.size:  # LAPACK refuses an empty block; its only solution is empty
+        return [SolveReport(solution=np.zeros(n), iterations=0, residual_norm=0.0) for _ in range(m)]
+    X = dpbtrs(factor, Y)[0]
+    R = Y - matrix @ X
+    y_norm = np.linalg.norm(Y, axis=0) + (Y == 0.0).all(axis=0)  # a zero load: zero solution, residual 0
+    achieved = np.linalg.norm(R, axis=0) / y_norm
+    steps = np.zeros(m, dtype=np.int64)
+    active = np.flatnonzero(achieved > tol)
+    for _ in range(REFINE_STEPS):
+        if not active.size:
             break
-        x, r, achieved = x_new, r_new, achieved_new
-    if not achieved <= tol:
-        raise SolverError(
-            f"direct solve missed tolerance {tol} after {steps} refinement steps "
-            f"(achieved relative residual {achieved:.3e})",
-            residual_norm=achieved,
-            iterations=steps,
-        )
-    return SolveReport(solution=x, iterations=steps, residual_norm=achieved)
+        X_new = X[:, active] + dpbtrs(factor, R[:, active])[0]
+        R_new = Y[:, active] - matrix @ X_new
+        achieved_new = np.linalg.norm(R_new, axis=0) / y_norm[active]
+        steps[active] += 1
+        better = achieved_new < achieved[active]
+        kept = active[better]
+        X[:, kept], R[:, kept], achieved[kept] = X_new[:, better], R_new[:, better], achieved_new[better]
+        active = kept[achieved[kept] > tol]
+    missed = np.flatnonzero(~(achieved <= tol))
+    if missed.size:
+        j = missed[0]
+        raise SolverError(f"right-hand side {j + 1} of {m}: direct solve missed tolerance {tol} after {steps[j]} "
+                          f"refinement steps (achieved relative residual {achieved[j]:.3e})",
+                          residual_norm=float(achieved[j]), iterations=int(steps[j]))
+    return [SolveReport(solution=X[:, j], iterations=int(steps[j]), residual_norm=float(achieved[j]))
+            for j in range(m)]
 
 
 def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL) -> SolveReport:
-    """Solve ``matrix @ x = rhs`` by a sparse LU factorization.
+    """Solve ``matrix @ x = rhs`` for an SPD (sparse or dense) ``matrix``.
 
-    Parameters
-    ----------
-    matrix : sparse or dense symmetric positive definite matrix
-    rhs : (N,) array
-    tol : float
-        Relative residual target; must be positive and finite.
-
-    Raises
-    ------
-    SolverError
-        When the matrix is singular (infinite residual) or the solution
-        misses ``tol``; carries the achieved residual and refinement steps.
+    Raises ``ValueError`` when ``tol`` is not positive and finite, the
+    matrix is not square or ``rhs`` does not fit it or is not finite, and
+    :class:`SolverError` when the matrix is not positive definite (infinite
+    residual) or the solution misses ``tol``, with the achieved residual
+    and refinement steps.
     """
-    lu = _factor(matrix, tol)
-    return _solve(lu, matrix, rhs, tol)
+    return _solve_block(matrix, [rhs], tol)[0]
 
 
 def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL) -> list[SolveReport]:
-    """Solve one SPD system for several right-hand sides.
-
-    The matrix is factored once; each right-hand side is back-substituted
-    against that factor and checked on its own. Failures identify the
-    offending right-hand side.
-    """
-    lu = _factor(matrix, tol)
-    reports = []
-    for j, rhs in enumerate(rhs_list):
-        try:
-            reports.append(_solve(lu, matrix, rhs, tol))
-        except SolverError as err:
-            raise SolverError(
-                f"right-hand side {j + 1} of {len(rhs_list)}: {err}",
-                residual_norm=err.residual_norm,
-                iterations=err.iterations,
-            ) from err
-    return reports
+    """:func:`solve_spd` for several right-hand sides, against one factor;
+    errors name the right-hand side (``right-hand side j of k``)."""
+    return _solve_block(matrix, rhs_list, tol)

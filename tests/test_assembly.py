@@ -165,6 +165,18 @@ class TestGlobalMatrix:
         with pytest.raises(ValueError):
             global_matrix(stiffness3x4, bad)
 
+    @pytest.mark.parametrize("nx, k, refined", [(3, 4, False), (10, 2, False), (15, 4, False), (3, 8, True)])
+    def test_bandwidth_is_nx_k(self, nx, k, refined):
+        # linsolve's band Cholesky costs O(N b^2) for bandwidth b: a vertex
+        # renumbering that widened the band would make the factor dense
+        # without failing a single solve.
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, k)
+        if refined:
+            mesh = refine(mesh)
+        B = global_matrix(assemble_pixel_matrices(mesh, grid), np.ones(grid.n)).tocoo()
+        assert np.abs(B.row - B.col).max() == nx * mesh.k
+
     def test_coercivity_ordering(self, stiffness3x4, rng):
         B1 = global_matrix(stiffness3x4, np.ones(9))
         for _ in range(25):

@@ -491,6 +491,48 @@ class TestForwardPairSweep:
         with pytest.raises(SolverError, match="missed tolerance"):
             forward_pair_sweep(stiffness, np.ones(stiffness.n), [0, 2], samples, pairs, tol=1e-300)
 
+    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    def test_extreme_samples_match_forward_pairs(self, stiffness3x4, loads3x4, value):
+        # The line's shift rho is the geometric mean of its extreme samples;
+        # formed as sqrt(min * max) it under- or overflowed here.
+        pairs = [(loads3x4[0], loads3x4[6])]
+        sigma = np.ones(9)
+        sigma[[3, 5]] = value
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], np.array([[value, value]]), pairs)
+        expected, _ = forward_pairs(stiffness3x4, sigma, pairs)
+        assert np.max(np.abs(swept[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("value", [1e20, 1e308])
+    def test_pencil_failure_is_solver_error(self, stiffness3x4, loads3x4, value):
+        # At contrast 1e20 the pencil is not definite in double precision
+        # (LAPACK's LinAlgError); at 1e308 it overflows (eigh's ValueError).
+        # Both name the line, as every other sweep failure names its sample.
+        line = re.escape(f"coefficients {[value]} to {[value]} on pixels [4]")
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match=line) as err:
+            forward_pair_sweep(stiffness3x4, np.ones(9), [4], np.array([[value]]), [(loads3x4[0], loads3x4[6])])
+        assert err.value.residual_norm == np.inf
+
+    def test_non_finite_residual_is_not_refined(self, stiffness3x4, loads3x4, monkeypatch):
+        # A NaN residual cannot be refined away: the sweep names the sample
+        # instead of handing NaN right-hand sides to the solver.
+        calls = []
+
+        def counted_multi(*args, **kwargs):
+            calls.append(1)
+            return solve_multi(*args, **kwargs)
+
+        def nan_eigh(*args, **kwargs):
+            mu, V = eigh(*args, **kwargs)
+            V[:, 0] = np.nan
+            return mu, V
+
+        monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
+        monkeypatch.setattr(forward, "eigh", nan_eigh)
+        samples = np.linspace(0.5, 2.0, 6).reshape(3, 2)
+        with pytest.raises(SolverError, match=r"sweep sample 1 of 3 .* after 0 refinement steps .* nan"):
+            forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, [(loads3x4[0], loads3x4[6])])
+        assert len(calls) == 1  # the set-up solve only
+
     @pytest.mark.parametrize("count", [1, 7, 100])
     def test_solves_do_not_grow_with_samples(self, stiffness3x4, loads3x4, solve_counter, count):
         pixels = [3, 5]

@@ -88,6 +88,46 @@ def test_solve_is_symmetric_bilinear(rng):
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-8
 
 
+@pytest.mark.parametrize("entry", ["spd", "multi"])
+def test_non_finite_rhs_rejected_before_factoring(entry):
+    A = sp.csr_matrix((3, 3))  # not definite: factoring first would raise SolverError
+    bad = np.array([np.inf, 0.0, 0.0])
+    with pytest.raises(ValueError, match="right-hand side 1 of 1 is not finite"):
+        solve_spd(A, bad) if entry == "spd" else solve_multi(A, [bad])
+    if entry == "multi":
+        with pytest.raises(ValueError, match="right-hand side 2 of 2 is not finite"):
+            solve_multi(A, [np.ones(3), np.r_[0.0, np.nan, 0.0]])
+
+
+@pytest.mark.parametrize("entry", ["spd", "multi"])
+def test_non_square_matrix_rejected(entry):
+    A = sp.csr_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        solve_spd(A, np.ones(2)) if entry == "spd" else solve_multi(A, [np.ones(2)])
+
+
+@pytest.mark.parametrize("kind", ["slightly asymmetric", "asymmetric", "lower triangle", "indefinite"])
+def test_asymmetric_or_indefinite_never_wrong(rng, kind):
+    # Only the upper band is factored. Whatever the rest of the matrix holds,
+    # a returned solution meets tol against the full matrix, or the solve raises.
+    n = 20
+    spd = random_spd(rng, n).toarray()
+    lower = np.tril(rng.standard_normal((n, n)), -1)
+    A = {
+        "slightly asymmetric": spd + 1e-3 * lower,
+        "asymmetric": spd + 5.0 * lower,
+        "lower triangle": np.tril(spd),
+        "indefinite": spd - 3.0 * n * np.eye(n),
+    }[kind]
+    rhs = [rng.standard_normal(n) for _ in range(3)]
+    try:
+        reports = solve_multi(sp.csr_matrix(A), rhs, tol=1e-10)
+    except SolverError:
+        return
+    for b, rep in zip(rhs, reports):
+        assert np.linalg.norm(A @ rep.solution - b) / np.linalg.norm(b) <= 1e-10
+
+
 class TestSolveMulti:
     def test_identical_rhs_identical_solutions(self, rng):
         A = random_spd(rng, 15)
@@ -110,6 +150,41 @@ class TestSolveMulti:
         reports = solve_multi(B, [ld.y for ld in loads3x4], tol=1e-10)
         assert len(reports) == 8
         assert all(rep.residual_norm <= 1e-10 for rep in reports)
+
+    def test_one_back_substitution_for_all_loads(self, stiffness3x4, loads3x4, monkeypatch):
+        calls = []
+        dpbtrs = linsolve.dpbtrs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return dpbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(linsolve, "dpbtrs", counted)
+        B = global_matrix(stiffness3x4, np.ones(9))
+        reports = solve_multi(B, [ld.y for ld in loads3x4])
+        assert [rep.iterations for rep in reports] == [0] * 8
+        assert calls == [(B.shape[0], 8)]
+
+    def test_only_the_missing_column_is_refined(self, rng, monkeypatch):
+        A = random_spd(rng, 30)
+        rhs = [rng.standard_normal(30) for _ in range(4)]
+        clean = solve_multi(A, rhs[:1] + rhs[2:])
+        dpbtrs, calls = linsolve.dpbtrs, []
+
+        def spoil_column_2(factor, b):
+            x, info = dpbtrs(factor, b)
+            if not calls:  # the first back-substitution: column 2 misses tol
+                x[:, 1] *= 1.0 + 1e-6
+            calls.append(b.shape[1])
+            return x, info
+
+        monkeypatch.setattr(linsolve, "dpbtrs", spoil_column_2)
+        reports = solve_multi(A, rhs)
+        assert calls[0] == 4 and all(width == 1 for width in calls[1:])
+        assert [rep.iterations > 0 for rep in reports] == [False, True, False, False]
+        assert reports[1].residual_norm <= linsolve.DEFAULT_TOL
+        for rep, ref in zip(reports[:1] + reports[2:], clean):
+            assert np.array_equal(rep.solution, ref.solution)
 
     def test_failure_identifies_rhs(self, rng, monkeypatch):
         monkeypatch.setattr(linsolve, "REFINE_STEPS", 1)
