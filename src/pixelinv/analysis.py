@@ -7,6 +7,14 @@ flattened measurement Jacobian, and the smallest eigenvalue used for
 Loewner-order checks. Eigenvalues come from LAPACK's symmetric
 eigensolver and singular values from its preconditioned one-sided
 Jacobi SVD; the tests check both against matrices of known spectrum.
+
+The slices of a Jacobian stack are symmetric, so row ``(k, j)`` of the
+flattening ``A`` repeats row ``(j, k)``. The SVD runs on the packed
+matrix ``P`` of the ``m(m+1)/2`` rows with ``j <= k``, the off-diagonal
+ones scaled by ``sqrt(2)``: such a row ``a`` adds ``2 a a^T`` to
+``P^T P``, as the pair of equal rows does to ``A^T A``. So
+``P^T P = A^T A``, and ``P`` has the singular values of ``A`` from
+about half its rows.
 """
 
 from __future__ import annotations
@@ -248,19 +256,36 @@ class SpectralReport:
 def condition_number(jac) -> SpectralReport:
     """Condition number of a flattened measurement Jacobian.
 
-    Accepts a JacobianStack (flattened row-major to ``(m*m, n)``) or any
-    finite 2D array with at least as many rows as columns. A smallest
-    singular value at or below ``1e-14`` times the largest, zero included,
-    marks the report as rank deficient with condition number infinity.
+    Accepts a JacobianStack, whose spectrum is that of its ``(m*m, n)``
+    flattening but is taken from the packed distinct rows (see the module
+    notes; slices more asymmetric than ``1e-9`` of their largest entry are
+    rejected), or any finite 2D array with at least as many rows as
+    columns. A smallest singular value at or below ``1e-14`` times the
+    largest, zero included, marks the report as rank deficient with
+    condition number infinity.
     """
     if isinstance(jac, JacobianStack):
-        jac = jac.flattened()
-    J = np.asarray_chkfinite(jac, dtype=float)
-    if J.ndim != 2:
-        raise ValueError(f"expected a 2D Jacobian, got shape {J.shape}")
-    rows, cols = J.shape
-    if rows < cols:
-        raise ValueError(f"Jacobian must have at least {cols} rows, got {rows}")
+        n, m = jac.n, jac.m
+        j, k = np.triu_indices(m)
+        flat = np.asarray(jac.slices, dtype=float).reshape(n, m * m)
+        upper, lower = flat.take(j * m + k, axis=1), flat.take(k * m + j, axis=1)
+        lower -= upper  # in place, and max/min rather than abs: no temporaries the size of P
+        asym = max(lower.max(initial=0.0), -lower.min(initial=0.0))
+        if asym > 1e-9 * max(upper.max(initial=0.0), -upper.min(initial=0.0)):
+            raise ValueError(f"Jacobian slices are not symmetric (max asymmetry {asym:.3e})")
+        del lower  # not held through the SVD
+        upper *= np.where(j == k, 1.0, np.sqrt(2.0))
+        # Zero rows pad P to n rows when m(m+1)/2 < n <= m*m: only zero
+        # singular values join, as the flattening has them too.
+        J = upper.T if j.size >= n else np.vstack([upper.T, np.zeros((n - j.size, n))])
+        rows = m * m
+    else:
+        J = np.asarray_chkfinite(jac, dtype=float)
+        if J.ndim != 2:
+            raise ValueError(f"expected a 2D Jacobian, got shape {J.shape}")
+        rows = J.shape[0]
+    if rows < J.shape[1]:
+        raise ValueError(f"Jacobian must have at least {J.shape[1]} rows, got {rows}")
     s = singular_values(J)
     s_max, s_min = float(s[0]), float(s[-1])
     deficient = s_min <= RANK_DEFICIENCY_RATIO * s_max

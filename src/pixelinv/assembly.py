@@ -221,13 +221,17 @@ def global_matrix(stiffness: StiffnessSet, sigma) -> sp.csr_matrix:
     ------
     ValueError
         If ``sigma`` has the wrong length or an entry that is not finite
-        and strictly positive.
+        and strictly positive, or if an entry of ``B_sigma`` overflows.
     """
     s = check_sigma(sigma, stiffness.n)
+    data = stiffness.C @ s
+    if not np.all(np.isfinite(data)):
+        raise ValueError(
+            f"B_sigma overflows at the largest coefficient {s.max():.6g}; "
+            "scale sigma down (F(c sigma) = F(sigma) / c)"
+        )
     pattern = stiffness.pattern
-    return sp.csr_matrix(
-        (stiffness.C @ s, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape
-    )
+    return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()), shape=pattern.shape)
 
 
 def assemble_global(mesh: TriMesh, grid: PixelGrid, sigma) -> sp.csr_matrix:

@@ -109,6 +109,7 @@ class TriMesh:
     boundary_vertex: np.ndarray
     free_index: np.ndarray
     _areas: np.ndarray = field(repr=False, default=None)
+    _centroids: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_vertices(self) -> int:
@@ -128,7 +129,9 @@ class TriMesh:
         return self._areas
 
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        """Triangle centroids, ``(T, 2)``; computed once by :func:`build_mesh`
+        and shared, so every disk resolved on this mesh reads the same array."""
+        return self._centroids
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,6 +210,7 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
         boundary_vertex=boundary_vertex,
         free_index=free_index,
         _areas=areas,
+        _centroids=v.sum(axis=1) / 3.0,
     )
 
 

@@ -11,7 +11,9 @@ from pixelinv.analysis import (
     residual,
     singular_values,
 )
-from pixelinv.forward import forward_matrix, forward_pair_values
+from pixelinv.assembly import assemble_load, assemble_pixel_matrices
+from pixelinv.forward import JacobianStack, forward_matrix, forward_pair_values
+from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
 
@@ -117,6 +119,39 @@ class TestConditionNumber:
         flat = condition_number(jac.flattened())
         assert report.condition == pytest.approx(flat.condition, rel=1e-12)
         assert report.singular_values.size == 9
+
+    @pytest.mark.parametrize("nx", [10, 12])
+    def test_stack_matches_full_svd(self, nx):
+        # The stack's spectrum comes from its packed distinct rows; the
+        # reference is LAPACK's SVD of all m*m rows.
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, 2)
+        loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
+        _, jac = forward_matrix(assemble_pixel_matrices(mesh, grid), np.ones(grid.n), loads, tol=1e-10)
+        s = np.linalg.svd(jac.flattened(), compute_uv=False)
+        report = condition_number(jac)
+        assert report.singular_values.size == grid.n
+        assert np.max(np.abs(report.singular_values - s)) <= 1e-10 * s[0]
+        assert report.condition == pytest.approx(s[0] / s[-1], rel=1e-10)
+
+    def test_asymmetric_stack_rejected(self, rng):
+        slices = rng.standard_normal((4, 5, 5))
+        with pytest.raises(ValueError, match="not symmetric"):
+            condition_number(JacobianStack(slices))
+        # Symmetrized, the same stack is accepted and matches its flattening.
+        sym = JacobianStack(slices + slices.transpose(0, 2, 1))
+        assert condition_number(sym).condition == pytest.approx(
+            condition_number(sym.flattened()).condition, rel=1e-12
+        )
+
+    def test_stack_with_fewer_distinct_rows_than_columns(self, rng):
+        # m=3 gives 9 rows but 6 distinct ones, so 7 columns have rank <= 6:
+        # still 7 singular values, flagged deficient.
+        slices = rng.standard_normal((7, 3, 3))
+        report = condition_number(JacobianStack(slices + slices.transpose(0, 2, 1)))
+        assert report.singular_values.size == 7
+        assert report.rank_deficient
+        assert report.condition == np.inf
 
     def test_zero_singular_value_flagged(self):
         # An exactly zero singular value is flagged like a tiny one.

@@ -337,3 +337,22 @@ def test_write_csv_comment_records_config(tmp_path):
     assert first.startswith("# config:")
     assert "seed=7" in first
     assert "sigma_step=1.0" in first
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    # One format per row gives the bytes of formatting each cell on its own:
+    # integers via str(int(v)), everything else via format(float(v), ".17g").
+    rows = [
+        (1, np.int64(4), np.float64(0.1), 1.0 / 3.0),
+        (np.int32(-7), 2**40, np.float64(1e-300), np.inf),
+        (0, np.int64(0), np.float32(0.3), 784049.61433256767),
+    ]
+    result = experiments.ExperimentResult(header=["a", "b", "c", "cond"], rows=rows, config=ExperimentConfig())
+    out = tmp_path / "cells.csv"
+    write_csv(result, out)
+
+    def cell(v):
+        return str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+
+    expected = ["# " + result.config.comment(), "a,b,c,cond"] + [",".join(cell(v) for v in row) for row in rows]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")

@@ -55,6 +55,16 @@ class TestExtremeScale:
         assert np.all(np.isfinite(Fc.values)) and np.all(np.isfinite(jac.slices))
         assert np.max(np.abs(c * Fc.values - F1.values)) <= 1e-12 * np.max(np.abs(F1.values))
 
+    def test_overflowing_matrix_is_input_error(self, stiffness3x4, loads3x4):
+        # sigma[4] = 1e308 is finite, but B_sigma's entries around pixel 4
+        # overflow; the error names the coefficient, not a failed solve.
+        sigma = np.ones(9)
+        sigma[4] = 1e308
+        with pytest.raises(ValueError, match="overflows at the largest coefficient 1e\\+308"):
+            forward_matrix(stiffness3x4, sigma, loads3x4)
+        with pytest.raises(ValueError, match="overflows at the largest coefficient 1e\\+308"):
+            forward_pairs(stiffness3x4, sigma, [(loads3x4[0], loads3x4[6])])
+
     @pytest.mark.parametrize("c", [1e-160, 1e-300])
     def test_tiny_sigma_overflow_raises(self, stiffness3x4, loads3x4, c):
         sigma = c * np.ones(9)

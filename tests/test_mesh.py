@@ -103,6 +103,11 @@ class TestBuildMesh:
         assert abs(mesh.areas().sum() - 1.0) <= 1e-12
         assert np.all(mesh.areas() > 0)
 
+    @pytest.mark.parametrize("nx,k", [(3, 4), (9, 4), (12, 2), (15, 2), (15, 4), (3, 16)])
+    def test_centroids_are_vertex_means(self, nx, k):
+        mesh = build_mesh(PixelGrid(nx), k)
+        assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
+
     def test_free_index_contiguous(self):
         mesh = build_mesh(PixelGrid(3), 2)
         interior = mesh.free_index[mesh.free_index >= 0]
@@ -222,6 +227,18 @@ class TestStandardLayout:
             assert np.allclose(disk.center, grid.pixel_center(pixel))
             assert disk.radius == pytest.approx(0.25 / 3)
             assert np.all(mesh.element_pixel[disk.element_set] == pixel)
+
+    @pytest.mark.parametrize("nx,k,refined", [(3, 4, False), (9, 4, False), (15, 2, False), (15, 4, False), (3, 2, True)])
+    def test_element_sets_match_recomputed_centroids(self, nx, k, refined):
+        # The layout reads the centroids stored with the mesh; the sets are
+        # those of the centroid rule applied to freshly computed centroids.
+        mesh = build_mesh(PixelGrid(nx), k)
+        if refined:
+            mesh = refine(mesh)
+        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+        for disk in standard_disk_layout(mesh, 0.25):
+            d2 = ((centroids - disk.center) ** 2).sum(axis=1)
+            assert np.array_equal(disk.element_set, np.nonzero(d2 < disk.radius * disk.radius)[0])
 
     def test_rejects_bad_fraction(self):
         mesh = build_mesh(PixelGrid(3), 4)
