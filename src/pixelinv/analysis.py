@@ -203,12 +203,12 @@ def reconstruct_lm(
 def loewner_min_eig(matrix) -> float:
     """Smallest eigenvalue of a (numerically) symmetric matrix.
 
-    The input is symmetrized before the eigensolve; gross asymmetry is
-    rejected since comparing matrices in the semidefinite order is only
-    meaningful for symmetric ones.
+    The input is symmetrized before the eigensolve; asymmetry above
+    ``1e-9`` of the largest entry is rejected, since comparing matrices in
+    the semidefinite order is only meaningful for symmetric ones.
     """
     A = np.asarray_chkfinite(matrix, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
+    scale = float(np.max(np.abs(A))) if A.size else 0.0
     asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     if asym > 1e-9 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")

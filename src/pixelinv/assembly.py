@@ -6,10 +6,11 @@ unknowns, and the operator for a coefficient vector ``sigma`` is
 
     ``B_sigma = sum_i sigma_i * B_i``.
 
-:class:`StiffnessSet` holds this family once: each pixel's dense block
-over its own vertices, and the sparse map ``C`` from ``sigma`` to the
-values of ``B_sigma`` on one fixed CSR pattern. Homogeneous Dirichlet
-data is imposed by deleting boundary rows/columns, which keeps
+:class:`StiffnessSet` holds this family once: one dense block of exact
+half-integers over a pixel's vertices, which all pixels share (each holds
+the same triangles, translated), and the sparse map ``C`` from ``sigma``
+to the values of ``B_sigma`` on one fixed CSR pattern. Homogeneous
+Dirichlet data is imposed by deleting boundary rows/columns, which keeps
 ``B_sigma`` exactly symmetric positive definite. :func:`assemble_global`
 builds ``B_sigma`` element by element instead, as an independent oracle.
 """
@@ -87,10 +88,10 @@ class StiffnessSet:
     dofs : (n, s) int array
         Row ``i`` lists the unknown index of each of the ``s = (k+1)^2``
         vertices of pixel ``i``, or -1 for an eliminated boundary vertex.
-    blocks : (n, s, s) float array
-        Dense stiffness of pixel ``i`` over those vertices, boundary ones
-        included, so that ``B_i = blocks[i]`` restricted to the free
-        ``dofs[i]``.
+    block : (s, s) float array
+        Dense stiffness of a pixel over its vertices, boundary ones
+        included, the same exact half-integers for every pixel, so that
+        ``B_i = block`` restricted to the free ``dofs[i]``.
     pattern : (N, N) CSR matrix
         The sparsity pattern of every ``B_sigma`` (entries are ones),
         structural zeros included; it is the pattern of
@@ -101,7 +102,7 @@ class StiffnessSet:
     """
 
     dofs: np.ndarray
-    blocks: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
     pattern: sp.csr_matrix = field(repr=False)
     C: sp.csr_matrix = field(repr=False)
 
@@ -157,25 +158,13 @@ def _element_contributions(mesh: TriMesh):
     )
 
 
-def _element_matrices(vertices: np.ndarray) -> np.ndarray:
-    """Stiffness matrices of a (T, 3, 2) stack of triangles, as (T, 3, 3)."""
-    x, y = vertices[..., 0], vertices[..., 1]
-    twice_area = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
-    if np.any(twice_area <= 0):
-        raise ValueError("mesh has triangles of non-positive area")
-    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
-    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    outer = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    return outer / (2.0 * twice_area)[:, None, None]
-
-
 def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> StiffnessSet:
     """Assemble the per-pixel stiffness family of ``mesh``.
 
-    Element matrices are summed into each pixel's dense block in
-    ascending element order, so assembly is deterministic. Boundary rows
-    and columns are then dropped when ``C`` is formed, so every ``B_i``
-    acts on the ``N`` interior unknowns.
+    The shared block sums pixel 0's element matrices, one per distinct
+    triangle shape on integer lattice coordinates, so it is exact.
+    Boundary rows and columns are dropped when ``C`` is formed, so every
+    ``B_i`` acts on the ``N`` interior unknowns.
     """
     if grid is None:
         grid = mesh.grid
@@ -191,17 +180,19 @@ def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> Sti
     local = (np.arange(k + 1)[:, None] * side + np.arange(k + 1)).ravel()
     dofs = mesh.free_index[corner[:, None] + local]
 
-    # Local vertex number of each triangle corner within its pixel.
-    pix = mesh.element_pixel
-    iy, ix = np.divmod(mesh.triangles - corner[pix][:, None], side)
-    slot = iy * (k + 1) + ix
-    flat = ((pix[:, None, None] * s + slot[:, :, None]) * s + slot[:, None, :]).ravel()
-    K = _element_matrices(mesh.vertices[mesh.triangles])
-    blocks = np.bincount(flat, weights=K.ravel(), minlength=grid.n * s * s).reshape(grid.n, s, s)
+    # Pixel 0's triangles on integer coordinates (its corner is vertex 0). A
+    # shape is the offsets from the first corner, each -1, 0 or 1: six digits.
+    xy = np.stack(np.divmod(mesh.triangles[mesh.element_pixel == 0], side)[::-1], axis=2)
+    slot = xy @ np.array([1, k + 1])
+    codes = (xy - xy[:, :1] + 1).reshape(-1, 6) @ 3 ** np.arange(6)
+    _, first, shape = np.unique(codes, return_index=True, return_inverse=True)
+    K = np.array([element_stiffness(xy[t]) for t in first])[shape]
+    flat = (slot[:, :, None] * s + slot[:, None, :]).ravel()
+    block = np.bincount(flat, weights=K.ravel(), minlength=s * s).reshape(s, s)
 
     # Entries of B_i: vertex pairs sharing an element of pixel i, both free.
-    touched = np.bincount(flat, minlength=grid.n * s * s).reshape(grid.n, s, s) > 0
-    touched &= (dofs >= 0)[:, :, None] & (dofs >= 0)[:, None, :]
+    free = dofs >= 0
+    touched = (np.bincount(flat, minlength=s * s).reshape(s, s) > 0) & free[:, :, None] & free[:, None, :]
     i, a, b = np.nonzero(touched)
     N = mesh.n_free
     keys = dofs[i, a] * N + dofs[i, b]
@@ -209,9 +200,9 @@ def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> Sti
     rows, cols = np.divmod(unique_keys, max(N, 1))
     pattern = sp.csr_matrix((np.ones(unique_keys.size), (rows, cols)), shape=(N, N))
     C = sp.csr_matrix(
-        (blocks[i, a, b], (np.searchsorted(unique_keys, keys), i)), shape=(unique_keys.size, grid.n)
+        (block[a, b], (np.searchsorted(unique_keys, keys), i)), shape=(unique_keys.size, grid.n)
     )
-    return StiffnessSet(dofs=dofs, blocks=blocks, pattern=pattern, C=C)
+    return StiffnessSet(dofs=dofs, block=block, pattern=pattern, C=C)
 
 
 def global_matrix(stiffness: StiffnessSet, sigma) -> sp.csr_matrix:

@@ -15,9 +15,9 @@ follow from just ``m`` linear solves.
 Every map below takes one path: ``global_matrix`` validates ``sigma`` and
 forms ``B_sigma`` once, ``linsolve.solve_multi`` factors its band once
 by Cholesky and back-substitutes all loads in one block, and all
-Jacobian entries come from one batched contraction of the per-pixel
-blocks with the solutions gathered onto each pixel's vertices. The
-number of solves is returned with the result
+Jacobian entries come from one batched contraction of the pixel block
+all pixels share with the solutions gathered onto each pixel's vertices.
+The number of solves is returned with the result
 (``MeasurementMatrix.solves_used``). The resulting matrix map is
 symmetric positive semidefinite, monotonically non-increasing and convex
 in the Loewner order, and grows pointwise under nested mesh refinement;
@@ -116,16 +116,16 @@ class JacobianStack:
 def _pixel_quadratic_forms(stiffness: StiffnessSet, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """All values ``left[:, j] . (B_i @ right[:, k])`` as an (n, mj, mk) array.
 
-    Each pixel's block only sees the solution on its own vertices, which
-    one gather of ``[x; 0]`` through ``dofs`` picks out (the appended zero
-    stands in for the eliminated boundary vertices).
+    The shared block sees each pixel's solution on its own vertices only,
+    which one gather of ``[x; 0]`` through ``dofs`` picks out (the appended
+    zero stands in for the eliminated boundary vertices).
     """
     def local(x):
         return np.vstack([x, np.zeros((1, x.shape[1]))])[stiffness.dofs]
 
     L = local(left)
     R = L if right is left else local(right)
-    return L.transpose(0, 2, 1) @ (stiffness.blocks @ R)
+    return L.transpose(0, 2, 1) @ (stiffness.block @ R)
 
 
 def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
@@ -300,10 +300,10 @@ def forward_pair_sweep(
     K = np.array([stiffness.pixel_matrix(i)[S][:, S].toarray() for i in pixels])
     K = K.reshape(pixels.size, S.size, S.size)  # also when no pixel is swept
     # Row j of `on` averages over pixel j's unknowns in S (zero with none);
-    # K1 holds the row sums K_j 1, each rounded once.
+    # K1 holds the row sums K_j 1, exact as the entries are half-integers.
     on = (dofs[:, :, None] == S).any(axis=1).astype(float).reshape(pixels.size, S.size)
     on /= np.maximum(on.sum(axis=1, keepdims=True), 1.0)
-    K1 = np.array([[math.fsum(row) for row in K_j] for K_j in K]).reshape(pixels.size, S.size)
+    K1 = K.sum(axis=2)
 
     def residual_S(X, s):
         """``load_S - (schur + sum_j s_j K_j) X`` for the samples ``s``, (p, n).

@@ -41,6 +41,15 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError, match="not symmetric"):
             loewner_min_eig(A)
 
+    def test_asymmetry_is_relative_to_the_largest_entry(self):
+        # 10 % asymmetric with every entry below 1: rejected, not symmetrized.
+        with pytest.raises(ValueError, match="not symmetric"):
+            loewner_min_eig(np.array([[1e-9, 1e-10], [0.0, 1e-9]]))
+        tiny = np.array([[2e-12, 1e-12], [1e-12, 2e-12]])
+        assert loewner_min_eig(tiny) == pytest.approx(1e-12, rel=1e-12)
+        assert loewner_min_eig(np.zeros((0, 0))) == 0.0
+        assert loewner_min_eig(np.zeros((3, 3))) == 0.0
+
     def test_accuracy_scales_with_norm(self, rng):
         # Singular values spread over six decades, scaled up by 1e6: the
         # error stays a small multiple of eps times the largest one.

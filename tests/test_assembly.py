@@ -140,6 +140,31 @@ class TestPixelMatrices:
         oracle = quadrature_stiffness(mesh, np.ones(4))
         assert np.max(np.abs(assembled - oracle)) <= 1e-12
 
+    @pytest.mark.parametrize("nx, k", [(3, 4), (15, 4), (3, 16)])
+    def test_shared_block_is_exact(self, nx, k):
+        # On the integer lattice every element matrix is made of
+        # half-integers, so the one block all pixels share is exact: its
+        # rows sum to exactly 0, and so do those of B_i for a pixel with no
+        # boundary vertex.
+        grid = PixelGrid(nx)
+        stiffness = assemble_pixel_matrices(build_mesh(grid, k))
+        block = stiffness.block
+        assert block.shape == ((k + 1) ** 2, (k + 1) ** 2)
+        assert np.array_equal(2 * block, np.round(2 * block))
+        assert np.all(block.sum(axis=1) == 0.0)
+        interior = grid.pixel_of(nx // 2, nx // 2)
+        assert np.all(stiffness.dofs[interior] >= 0)
+        assert np.all(stiffness.pixel_matrix(interior) @ np.ones(stiffness.N) == 0.0)
+
+    def test_grid_defaults_to_the_mesh_grid(self, mesh3x4, stiffness3x4):
+        implicit = assemble_pixel_matrices(mesh3x4)
+        assert np.array_equal(implicit.dofs, stiffness3x4.dofs)
+        assert np.array_equal(implicit.block, stiffness3x4.block)
+        assert (implicit.pattern != stiffness3x4.pattern).nnz == 0
+        assert (implicit.C != stiffness3x4.C).nnz == 0
+        with pytest.raises(ValueError, match="different pixel grid"):
+            assemble_pixel_matrices(mesh3x4, PixelGrid(4))
+
 
 class TestGlobalMatrix:
     def test_spd_at_ones(self, stiffness3x4):

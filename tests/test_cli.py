@@ -113,3 +113,15 @@ def test_properties_pass_and_fail_exit_codes(tmp_path, monkeypatch):
     assert main(["properties", "--out", str(out2)]) == 1
     report = json.loads(out2.read_text(encoding="utf-8"))
     assert not report["all_passed"]
+
+
+def test_cli_nx_and_seed_flags_override_config(tmp_path):
+    out = tmp_path / "sweep.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_step=1.0\nsigma_max=3.0\n", encoding="utf-8")
+    code = main(["nonuniqueness", "--config", str(cfg), "--nx", "4", "--seed", "5", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").strip().split("\n")
+    fields = lines[0].split()
+    assert "nx=4" in fields and "seed=5" in fields
+    assert len(lines) == 2 + 16 * 3

@@ -115,6 +115,13 @@ class TestConfig:
         assert len(values) == count
         assert values[0] == step and values[-1] <= stop
 
+    def test_sweep_rounds_down_rather_than_pass_max(self):
+        # round(2.0 / 0.7) = 3 samples would end at 2.1, past sigma_max.
+        assert experiments._sweep_values(0.7, 2.0).tolist() == [0.7, 1.4]
+        result = run_nonuniqueness_sweep(ExperimentConfig(k=1, sigma_step=0.7, sigma_max=2.0))
+        assert sorted({row[1] for row in result.rows}) == [0.7, 1.4]
+        assert len(result.rows) == 9 * 2
+
     # Most draws are invalid and cost nothing; about one in ten runs the study.
     @settings(max_examples=300, deadline=None)
     @given(
