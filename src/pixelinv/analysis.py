@@ -147,9 +147,7 @@ def reconstruct_lm(
     r, jac = problem.misfit(sigma)
     value = float(r @ r)
     damping = lambda0
-    trace = [
-        {"iteration": 0, "accepted": True, "residual": value, "damping": damping, "step_norm": 0.0}
-    ]
+    trace = [{"iteration": 0, "accepted": True, "residual": value, "damping": damping, "step_norm": 0.0}]
 
     for iteration in range(1, max_iter + 1):
         gradient = 2.0 * (jac.T @ r)
@@ -174,15 +172,8 @@ def reconstruct_lm(
             else:
                 damping *= 2.0
                 rejections += 1
-            trace.append(
-                {
-                    "iteration": iteration,
-                    "accepted": ok,
-                    "residual": value,
-                    "damping": damping,
-                    "step_norm": float(np.linalg.norm(step)),
-                }
-            )
+            trace.append({"iteration": iteration, "accepted": ok, "residual": value, "damping": damping,
+                          "step_norm": float(np.linalg.norm(step))})
             if ok:
                 break
             if rejections >= 10:

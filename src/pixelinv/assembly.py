@@ -9,14 +9,19 @@ unknowns, and the operator for a coefficient vector ``sigma`` is
 :class:`StiffnessSet` holds this family once: one dense block of exact
 half-integers over a pixel's vertices, which all pixels share (each holds
 the same triangles, translated), and the sparse map ``C`` from ``sigma``
-to the values of ``B_sigma`` on one fixed CSR pattern. Homogeneous
-Dirichlet data is imposed by deleting boundary rows/columns, which keeps
-``B_sigma`` exactly symmetric positive definite. :func:`assemble_global`
-builds ``B_sigma`` element by element instead, as an independent oracle.
+to the values of ``B_sigma`` on one fixed CSR pattern. As ``sigma`` is
+constant on each pixel, the static condensation of the pixel interiors
+(:class:`Condensation`) does not depend on it either; it is built once,
+on first use. Homogeneous Dirichlet data is imposed by deleting boundary
+rows/columns, which keeps ``B_sigma`` exactly symmetric positive definite.
+:func:`assemble_global` builds ``B_sigma`` element by element instead, as
+an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -99,6 +104,8 @@ class StiffnessSet:
     C : (nnz, n) CSR matrix
         Column ``i`` holds the entries of ``B_i`` on ``pattern``, so that
         ``global_matrix(stiffness, sigma).data == C @ sigma``.
+    condensation : Condensation
+        Cached on first use; the sweep never needs it.
     """
 
     dofs: np.ndarray
@@ -124,38 +131,70 @@ class StiffnessSet:
             (col.data, (rows[col.row], self.pattern.indices[col.row])), shape=self.pattern.shape
         )
 
+    @functools.cached_property
+    def condensation(self) -> Condensation:
+        """The static condensation onto the skeleton, built on first use."""
+        k = math.isqrt(self.block.shape[0]) - 1
+        iy, ix = np.divmod(np.arange((k + 1) ** 2), k + 1)
+        inside = (ix > 0) & (ix < k) & (iy > 0) & (iy < k)
+        K_II, K_IE = self.block[inside][:, inside], self.block[inside][:, ~inside]
+        P = -np.linalg.solve(K_II, K_IE)
+        S_ref = self.block[~inside][:, ~inside] + K_IE.T @ P
+        # Skeleton numbers ascend with the local vertex order within a pixel.
+        edge = self.dofs[:, ~inside]
+        on_edge = np.zeros(self.N + 1, dtype=bool)
+        on_edge[edge] = True
+        skeleton = np.flatnonzero(on_edge[:-1])
+        number = np.full(self.N + 1, -1)  # -1 stays -1 for a boundary vertex
+        number[skeleton] = np.arange(skeleton.size)
+        local = number[edge]
+        a, b = np.triu_indices(edge.shape[1])
+        kept = (local[:, a] >= 0) & (local[:, b] >= 0)
+        row, col = local[:, a][kept], local[:, b][kept]
+        bandwidth = int((col - row).max(initial=0))
+        free, into = local >= 0, np.arange(edge.shape[1]) * self.n + np.arange(self.n)[:, None]
+        return Condensation(
+            skeleton=skeleton, interior=self.dofs[:, inside], edge=edge, P=P, K_II_inv=np.linalg.inv(K_II),
+            scatter=sp.csr_matrix((np.ones(free.sum()), (local[free], into[free])), shape=(skeleton.size, edge.size)),
+            bandwidth=bandwidth, band_position=bandwidth + row + bandwidth * col, band_pixel=np.nonzero(kept)[0],
+            band_value=np.broadcast_to(0.5 * (S_ref + S_ref.T)[a, b], kept.shape)[kept],
+        )
 
-def _scatter_to_csr(rows, cols, data, N) -> sp.csr_matrix:
-    m = sp.coo_matrix((data, (rows, cols)), shape=(N, N)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
 
+@dataclass(frozen=True, eq=False)
+class Condensation:
+    """``B_sigma`` condensed onto its skeleton, the free unknowns on pixel
+    edges (static condensation, Wilson 1974).
 
-def _element_contributions(mesh: TriMesh):
-    """Free-index row/col/value triplets of every element matrix."""
-    fidx = mesh.free_index
-    all_rows, all_cols, all_data, all_tri = [], [], [], []
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        K = element_stiffness(mesh.vertices[tri])
-        f = fidx[tri]
-        for a in range(3):
-            if f[a] < 0:
-                continue
-            for bb in range(3):
-                if f[bb] < 0:
-                    continue
-                all_rows.append(f[a])
-                all_cols.append(f[bb])
-                all_data.append(K[a, bb])
-                all_tri.append(t)
-    return (
-        np.array(all_rows, dtype=np.int64),
-        np.array(all_cols, dtype=np.int64),
-        np.array(all_data, dtype=float),
-        np.array(all_tri, dtype=np.int64),
-    )
+    A pixel's ``q = (k-1)^2`` interior unknowns couple only to its ``4k``
+    edge vertices, through blocks that scale with the same ``sigma_i``, so
+    ``P = -K_II^-1 K_IE`` and ``S_ref = K_EE + K_EI P`` of the shared block
+    do not depend on ``sigma``: ``S_sigma = sum_i sigma_i S_ref`` on the
+    skeleton, the condensed load is ``y_skel + sum_i P^T y_I,i``, and
+    ``lam_I,i = P lam_E,i + K_II^-1 y_I,i / sigma_i``. ``interior`` and
+    ``edge`` hold each pixel's unknowns (-1 on the boundary); ``scatter``
+    adds row ``a n + i``, edge vertex ``a`` of pixel ``i``, onto the
+    skeleton; each upper entry of every pixel's ``S_ref`` has a place in
+    the flattened transpose of LAPACK's upper band storage, a pixel and a
+    value. With ``k = 1`` there is no interior and ``S_ref`` is the block.
+    """
+
+    skeleton: np.ndarray
+    interior: np.ndarray
+    edge: np.ndarray
+    P: np.ndarray
+    K_II_inv: np.ndarray
+    scatter: sp.csr_matrix
+    bandwidth: int
+    band_position: np.ndarray
+    band_pixel: np.ndarray
+    band_value: np.ndarray
+
+    def band(self, sigma: np.ndarray) -> np.ndarray:
+        """``S_sigma``'s upper band, ``(b + 1, Ns)`` in Fortran order."""
+        weights = sigma[self.band_pixel] * self.band_value
+        size = (self.bandwidth + 1) * self.skeleton.size
+        return np.bincount(self.band_position, weights, size).reshape(-1, self.bandwidth + 1).T
 
 
 def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> StiffnessSet:
@@ -236,9 +275,14 @@ def assemble_global(mesh: TriMesh, grid: PixelGrid, sigma) -> sp.csr_matrix:
     s = np.asarray(sigma, dtype=float).reshape(-1)
     if s.shape != (grid.n,):
         raise ValueError(f"sigma must have {grid.n} entries, got {s.shape}")
-    rows, cols, data, tri = _element_contributions(mesh)
-    weighted = data * s[mesh.element_pixel[tri]]
-    return _scatter_to_csr(rows, cols, weighted, mesh.n_free)
+    K = np.array([element_stiffness(mesh.vertices[tri]) for tri in mesh.triangles]).reshape(-1, 3, 3)
+    f = mesh.free_index[mesh.triangles]
+    t, a, b = np.nonzero((f[:, :, None] >= 0) & (f[:, None, :] >= 0))
+    N = mesh.n_free
+    m = sp.coo_matrix((K[t, a, b] * s[mesh.element_pixel[t]], (f[t, a], f[t, b])), shape=(N, N)).tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,14 +51,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
         config.experiment = args.experiment
-        if args.nx is not None:
-            config.nx = args.nx
-        if args.k is not None:
-            config.k = args.k
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.out is not None:
-            config.out = args.out
+        for name in ("nx", "k", "seed", "out"):
+            if getattr(args, name) is not None:
+                setattr(config, name, getattr(args, name))
         config.validate()
         out = config.out or ("properties.json" if args.experiment == "properties" else f"{args.experiment}.csv")
         if not Path(out).parent.is_dir():

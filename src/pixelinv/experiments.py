@@ -449,27 +449,11 @@ def _quadrature_deviation() -> float:
     grid = PixelGrid(2)
     mesh = build_mesh(grid, 1)
     B = assemble_global(mesh, grid, np.ones(grid.n)).toarray()
-    N = mesh.n_free
-    dense = np.zeros((N, N))
-    for t in range(mesh.n_triangles):
-        tri = mesh.triangles[t]
-        coords = mesh.vertices[tri]
-        area = mesh.areas()[t]
-        # Fit each hat as an affine function a + b*x + c*y through its
-        # nodal values; the gradient (b, c) is constant on the element.
-        vander = np.column_stack([np.ones(3), coords])
-        grads = []
-        for a in range(3):
-            nodal = np.zeros(3)
-            nodal[a] = 1.0
-            coeff = np.linalg.solve(vander, nodal)
-            grads.append(coeff[1:])
+    dense = np.zeros((mesh.n_free + 1, mesh.n_free + 1))  # boundary vertices (-1) add into the last row
+    for tri, area in zip(mesh.triangles, mesh.areas()):
+        # Fit each hat as an affine function a + b*x + c*y through its nodal
+        # values; the gradient (b, c) is constant on the element.
+        grads = np.linalg.solve(np.column_stack([np.ones(3), mesh.vertices[tri]]), np.eye(3))[1:]
         f = mesh.free_index[tri]
-        for a in range(3):
-            if f[a] < 0:
-                continue
-            for b in range(3):
-                if f[b] < 0:
-                    continue
-                dense[f[a], f[b]] += area * float(grads[a] @ grads[b])
-    return float(np.max(np.abs(B - dense)))
+        dense[np.ix_(f, f)] += area * (grads.T @ grads)
+    return float(np.max(np.abs(B - dense[:-1, :-1])))

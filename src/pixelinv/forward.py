@@ -13,12 +13,14 @@ measurements) the full ``m x m`` matrix and all ``n`` Jacobian slices
 follow from just ``m`` linear solves.
 
 Every map below takes one path: ``global_matrix`` validates ``sigma`` and
-forms ``B_sigma`` once, ``linsolve.solve_multi`` factors its band once
-by Cholesky and back-substitutes all loads in one block, and all
-Jacobian entries come from one batched contraction of the pixel block
-all pixels share with the solutions gathered onto each pixel's vertices.
-The number of solves is returned with the result
-(``MeasurementMatrix.solves_used``). The resulting matrix map is
+forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
+all loads in one block with a factor of ``B_sigma`` condensed onto the
+skeleton (``StiffnessSet.condensation``): the band Cholesky factor of the
+Schur complement ``S_sigma``, back-substituted in place, then the pixel
+interiors lifted back. The Jacobian is contracted a chunk of pixels at a
+time, from the pixel block all pixels share and the solutions gathered
+onto their vertices, straight into the returned stack. The number of
+solves is returned (``MeasurementMatrix.solves_used``). The matrix map is
 symmetric positive semidefinite, monotonically non-increasing and convex
 in the Loewner order, and grows pointwise under nested mesh refinement;
 these properties are exercised by the test suite.
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpbtrs
 
 from . import linsolve
 from .assembly import (
@@ -113,29 +116,69 @@ class JacobianStack:
         return self.slices.reshape(n, -1).T
 
 
-def _pixel_quadratic_forms(stiffness: StiffnessSet, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """All values ``left[:, j] . (B_i @ right[:, k])`` as an (n, mj, mk) array.
+# Pixels per chunk of the Jacobian contraction: their gathered solutions take about 256 KiB.
+_CHUNK_BYTES = 1 << 18
 
-    The shared block sees each pixel's solution on its own vertices only,
-    which one gather of ``[x; 0]`` through ``dofs`` picks out (the appended
-    zero stands in for the eliminated boundary vertices).
-    """
-    def local(x):
-        return np.vstack([x, np.zeros((1, x.shape[1]))])[stiffness.dofs]
 
-    L = local(left)
-    R = L if right is left else local(right)
-    return L.transpose(0, 2, 1) @ (stiffness.block @ R)
+def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i, j, l] = -lam[:, j] . (B_i @ lam[:, l])`` for every pixel ``i``, a chunk of
+    pixels at a time, each gathered onto its vertices and checked for finiteness.
+    ``lam`` ends in a zero row, which the -1 of a boundary vertex in ``dofs`` picks out."""
+    s, m = stiffness.block.shape[0], lam.shape[1]
+    step = max(1, _CHUNK_BYTES // (8 * s * m))
+    for start in range(0, stiffness.n, step):
+        L = lam[stiffness.dofs[start:start + step].T]  # (s, pixels, m)
+        BL = (-stiffness.block @ L.reshape(s, -1)).reshape(L.shape)
+        np.matmul(L.transpose(1, 2, 0), BL.transpose(1, 0, 2), out=out[start:start + step])
+        _require_finite(sigma, out[start:start + step])
+    return out
+
+
+def _condensed_factor(stiffness: StiffnessSet, sigma: np.ndarray):
+    """``solve(R)``, close to ``B_sigma^-1 R``, through a band Cholesky factor
+    of the skeleton's Schur complement (:class:`assembly.Condensation`). It
+    leaves ``R`` as it is and returns a view of an array with a zero row below."""
+    c = stiffness.condensation
+    cholesky = linsolve._band_cholesky(c.band(sigma))
+
+    def condensed(R, R_I):
+        """``lam_E`` from the condensed loads, back-substituted in place."""
+        X_S = np.empty((c.skeleton.size, R.shape[1]), order="F")
+        np.add(R[c.skeleton], c.scatter @ (c.P.T @ R_I).reshape(c.edge.size, -1), out=X_S)
+        if X_S.size:  # LAPACK refuses an empty block
+            dpbtrs(cholesky, X_S, overwrite_b=1)
+        return X_S
+
+    def solve(R):
+        R_I = R[c.interior.T]  # (q, n, columns), a copy
+        shape, flat = R_I.shape, (R_I.shape[0], R_I.shape[1] * R_I.shape[2])
+        X_S = condensed(R, R_I.reshape(flat))
+        R_I /= sigma[:, None]
+        X_I = c.K_II_inv @ R_I.reshape(flat)
+        X = np.empty((stiffness.N + 1, R.shape[1]))
+        X[-1], X[c.skeleton] = 0.0, X_S
+        del R_I, X_S  # not held through the lift
+        X_I += c.P @ X[c.edge.T].reshape(c.P.shape[1], -1)
+        X[c.interior.T] = X_I.reshape(shape)
+        return X[:-1]
+
+    return solve
 
 
 def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
     """Solution columns ``lam_j`` of ``B_sigma @ lam_j = y_j``, one per load,
-    all against one factorization, and the number of solves that took."""
+    all against one factorization, above a zero row; the unknowns any load
+    touches and the loads there; and the number of solves that took."""
     if not loads:
         raise ValueError("need at least one load")
     B = global_matrix(stiffness, sigma)
-    reports = linsolve.solve_multi(B, [ld.y for ld in loads], tol=tol)
-    return np.column_stack([rep.solution for rep in reports]), len(reports)
+    factor = _condensed_factor(stiffness, check_sigma(sigma, stiffness.n))
+    rows = np.flatnonzero(np.any([ld.y for ld in loads], axis=0))
+    Y = np.zeros((stiffness.N, len(loads)))
+    Y[rows] = np.array([ld.y[rows] for ld in loads], dtype=float).T
+    reports = linsolve.solve_multi(B, Y.T, tol=tol, factor=factor)
+    # The solutions are columns of the array the factor returned, refined in place.
+    return reports[0].solution.base, (rows, Y[rows]), len(reports)
 
 
 def _distinct(loads: list):
@@ -148,17 +191,11 @@ def _distinct(loads: list):
 
 def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol):
     """Measurement matrix of a symmetric layout, plus the solutions behind it."""
-    lam, used = _solve(stiffness, sigma, loads, tol)
-    values = lam.T @ np.column_stack([ld.y for ld in loads])
-    return MeasurementMatrix(values=values, solves_used=used), lam
+    lam, (rows, values), used = _solve(stiffness, sigma, loads, tol)
+    return MeasurementMatrix(values=lam[rows].T @ values, solves_used=used), lam
 
 
-def forward_matrix(
-    stiffness: StiffnessSet,
-    sigma,
-    loads: list,
-    tol: float = linsolve.DEFAULT_TOL,
-):
+def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = linsolve.DEFAULT_TOL):
     """Measurement matrix and Jacobian stack for a symmetric layout.
 
     All ``m*m`` matrix entries and all ``n`` Jacobian slices are formed
@@ -170,17 +207,12 @@ def forward_matrix(
     (MeasurementMatrix, JacobianStack)
     """
     F, lam = _measurement_matrix(stiffness, sigma, loads, tol)
-    slices = -_pixel_quadratic_forms(stiffness, lam, lam)
-    _require_finite(sigma, F.values, slices)
+    _require_finite(sigma, F.values)
+    slices = _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n,) + F.values.shape))
     return F, JacobianStack(slices=slices)
 
 
-def forward_pairs(
-    stiffness: StiffnessSet,
-    sigma,
-    pairs: list,
-    tol: float = linsolve.DEFAULT_TOL,
-):
+def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL):
     """Values and Jacobian rows for arbitrary (excitation, measurement) pairs.
 
     ``pairs`` is a list of ``(y_l, y_r)`` LoadVector tuples. Returns a
@@ -189,21 +221,16 @@ def forward_pairs(
     layouts does not apply to such plain vectors of measurements.
     """
     distinct, column = _distinct([ld for pair in pairs for ld in pair])
-    lam, _ = _solve(stiffness, sigma, distinct, tol)
+    lam, _, d = _solve(stiffness, sigma, distinct, tol)
     left, right = column[0::2], column[1::2]
-    Y_r = np.column_stack([r.y for _, r in pairs])
-    values = np.einsum("ij,ij->j", lam[:, left], Y_r)
-    jac = -_pixel_quadratic_forms(stiffness, lam, lam)[:, left, right].T
-    _require_finite(sigma, values, jac)
+    # Summed as forward_pair_values sums, so that the two agree to the bit.
+    values = np.einsum("ij,ij->j", lam[:-1, left], np.column_stack([r.y for _, r in pairs]))
+    _require_finite(sigma, values)
+    jac = _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n, d, d)))[:, left, right].T
     return values, jac
 
 
-def forward_pair_values(
-    stiffness: StiffnessSet,
-    sigma,
-    pairs: list,
-    tol: float = linsolve.DEFAULT_TOL,
-) -> np.ndarray:
+def forward_pair_values(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL) -> np.ndarray:
     """Values only for (excitation, measurement) pairs; solves excitations only.
 
     This is :func:`forward_pair_sweep` with no swept pixel and one sample.
@@ -222,14 +249,8 @@ def _apply(matrix, x: np.ndarray) -> np.ndarray:
     return (matrix @ x.reshape(x.shape[0], math.prod(rest))).reshape(matrix.shape[0], *rest)
 
 
-def forward_pair_sweep(
-    stiffness: StiffnessSet,
-    sigma,
-    pixels,
-    samples,
-    pairs: list,
-    tol: float = linsolve.DEFAULT_TOL,
-) -> np.ndarray:
+def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: list,
+                       tol: float = linsolve.DEFAULT_TOL) -> np.ndarray:
     """Pair values along a sweep of a few pixel coefficients.
 
     Row ``j`` of the returned ``(P, p)`` array holds the ``p`` pair values
@@ -289,7 +310,9 @@ def forward_pair_sweep(
     excitations, left = _distinct([y_l for y_l, _ in pairs])
     Y, e = np.column_stack([ld.y for ld in excitations]), len(excitations)
     Y_r = np.column_stack([r.y for _, r in pairs])
-    reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol)
+    # With no pixel swept, B_RR is B_sigma: the forward maps' factor solves it.
+    factor = None if pixels.size else _condensed_factor(stiffness, base)
+    reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol, factor=factor)
     solved = np.column_stack([rep.solution for rep in reports])
     U, W = solved[:, :e], solved[:, e:]  # B_RR^{-1} y_R and B_RR^{-1} B_RS
     schur = B_SS.toarray() - B_SR @ W
@@ -353,7 +376,7 @@ def forward_pair_sweep(
                 break
             # Refine every sample of the piece: lam_R gains z - W dS, lam_S gains dS.
             columns = list(r_R.reshape(R.size, rows.size * e).T)
-            refine = linsolve.solve_multi(B_RR, columns, tol=tol)
+            refine = linsolve.solve_multi(B_RR, columns, tol=tol, factor=factor)
             z = np.array([rep.solution for rep in refine]).T.reshape(Z.shape)
             X += _apply(V, D.T[:, :, None] * _apply(V.T, r_S - _apply(B_SR, z)))
             Z += z
@@ -388,14 +411,8 @@ def directional_derivative(jac: JacobianStack, tau) -> np.ndarray:
     return np.tensordot(t, jac.slices, axes=([0], [0]))
 
 
-def true_reference(
-    grid: PixelGrid,
-    disks: list,
-    sigma,
-    k: int,
-    k_max: int,
-    tol: float = linsolve.DEFAULT_TOL,
-) -> MeasurementMatrix:
+def true_reference(grid: PixelGrid, disks: list, sigma, k: int, k_max: int,
+                   tol: float = linsolve.DEFAULT_TOL) -> MeasurementMatrix:
     """Measurement matrix on a nested refinement, as a reference surrogate.
 
     ``disks`` must be resolved on the mesh with parameter ``k``; their

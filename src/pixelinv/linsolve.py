@@ -1,19 +1,19 @@
 """Direct band solver for the SPD systems behind every forward map.
 
 Numbered lexicographically, ``B_sigma`` on ``nx x nx`` pixels with ``k``
-elements per pixel side has bandwidth ``b = nx*k``. Each matrix is
-factored once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper
-band, taken as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work
-(Golub & Van Loan, *Matrix Computations*, 4th ed., 4.3). All right-hand
-sides are back-substituted in one ``dpbtrs`` call, all residuals come
-from one product with the full matrix, and each relative residual
-``||B x - y|| / ||y||`` is checked against ``tol`` on its own. The columns
-that miss it are refined together, each while its residual falls, for up
-to :data:`REFINE_STEPS` steps; one that still misses it raises
-:class:`SolverError`, so an asymmetric matrix gives no wrong answer. Runs
-are deterministic for a fixed BLAS thread count. Each right-hand side
-yields one :class:`SolveReport`, so callers count solves from what is
-returned.
+elements per pixel side has bandwidth ``b = nx*k``. A matrix is factored
+once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper band, taken
+as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work (Golub & Van Loan,
+*Matrix Computations*, 4th ed., 4.3); the forward maps hand in a factor of
+``B_sigma`` condensed onto its skeleton instead. All right-hand sides are
+solved in one block, all residuals come from one product with the full
+matrix, and each relative residual ``||B x - y|| / ||y||`` is checked
+against ``tol`` on its own. The columns that miss it are refined together,
+each while its residual falls, for up to :data:`REFINE_STEPS` steps; one
+that still misses it raises :class:`SolverError`, so an asymmetric matrix
+or a poor factor gives no wrong answer. Runs are deterministic for a fixed
+BLAS thread count. Each right-hand side yields one :class:`SolveReport`,
+so callers count solves from what is returned.
 """
 
 from __future__ import annotations
@@ -65,37 +65,54 @@ def _upper_band(matrix) -> np.ndarray:
     return band.reshape(n, b + 1).T
 
 
-def _solve_block(matrix, rhs_list, tol) -> list[SolveReport]:
-    """Factor ``matrix`` once, solve every right-hand side in one block, check
-    each residual and refine the columns that miss ``tol``."""
+def _band_cholesky(band) -> np.ndarray:
+    """LAPACK's band Cholesky factor of an upper band ``(b + 1, N)``,
+    overwriting it when it is in Fortran order."""
+    factor, info = dpbtrf(band, overwrite_ab=1)
+    if info > 0:
+        n = band.shape[1]
+        raise SolverError(f"cannot factor the {n}x{n} matrix: leading minor of order {info} is not positive "
+                          "definite (singular or indefinite)", residual_norm=math.inf, iterations=0)
+    return factor
+
+
+def _norms(A) -> np.ndarray:
+    """Two-norm of each column, with no temporary the size of ``A``."""
+    return np.sqrt(np.einsum("ij,ij->j", A, A))
+
+
+def _solve_block(matrix, rhs_list, tol, factor) -> list[SolveReport]:
+    """Solve every right-hand side in one block, check each residual against
+    ``matrix`` and refine the columns that miss ``tol``."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     m = len(rhs_list)
-    Y = np.array(rhs_list, dtype=float).reshape(m, n).T
+    Y = np.asarray(rhs_list, dtype=float).reshape(m, n).T
     finite = np.isfinite(Y).all(axis=0)
     if not finite.all():
         raise ValueError(f"right-hand side {np.argmin(finite) + 1} of {m} is not finite")
-    factor, info = dpbtrf(_upper_band(matrix), overwrite_ab=1)
-    if info > 0:
-        raise SolverError(f"cannot factor the {n}x{n} matrix: leading minor of order {info} is not positive "
-                          "definite (singular or indefinite)", residual_norm=math.inf, iterations=0)
-    if not Y.size:  # LAPACK refuses an empty block; its only solution is empty
-        return [SolveReport(solution=np.zeros(n), iterations=0, residual_norm=0.0) for _ in range(m)]
-    X = dpbtrs(factor, Y)[0]
-    R = Y - matrix @ X
-    y_norm = np.linalg.norm(Y, axis=0) + (Y == 0.0).all(axis=0)  # a zero load: zero solution, residual 0
-    achieved = np.linalg.norm(R, axis=0) / y_norm
+    if factor is None:
+        cholesky = _band_cholesky(_upper_band(matrix))
+
+        def factor(R):  # LAPACK refuses an empty block; its only solution is empty
+            return dpbtrs(cholesky, R)[0] if R.size else np.zeros(R.shape)
+
+    X = factor(Y)
+    R = matrix @ X
+    np.subtract(Y, R, out=R)
+    y_norm = _norms(Y) + ~Y.any(axis=0)  # a zero load: zero solution, residual 0
+    achieved = _norms(R) / y_norm
     steps = np.zeros(m, dtype=np.int64)
     active = np.flatnonzero(achieved > tol)
     for _ in range(REFINE_STEPS):
         if not active.size:
             break
-        X_new = X[:, active] + dpbtrs(factor, R[:, active])[0]
+        X_new = X[:, active] + factor(R[:, active])
         R_new = Y[:, active] - matrix @ X_new
-        achieved_new = np.linalg.norm(R_new, axis=0) / y_norm[active]
+        achieved_new = _norms(R_new) / y_norm[active]
         steps[active] += 1
         better = achieved_new < achieved[active]
         kept = active[better]
@@ -120,10 +137,18 @@ def solve_spd(matrix, rhs, tol: float = DEFAULT_TOL) -> SolveReport:
     residual) or the solution misses ``tol``, with the achieved residual
     and refinement steps.
     """
-    return _solve_block(matrix, [rhs], tol)[0]
+    return _solve_block(matrix, [rhs], tol, None)[0]
 
 
-def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL) -> list[SolveReport]:
+def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL, *, factor=None) -> list[SolveReport]:
     """:func:`solve_spd` for several right-hand sides, against one factor;
-    errors name the right-hand side (``right-hand side j of k``)."""
-    return _solve_block(matrix, rhs_list, tol)
+    errors name the right-hand side (``right-hand side j of k``).
+
+    ``factor``, if given, replaces the band Cholesky factor of ``matrix``:
+    ``factor(R)`` returns an approximation of ``matrix^-1 R`` for an
+    ``(N, c)`` block ``R`` and leaves ``R`` as it is. The solutions are the
+    columns of the array it returns for the whole block, refined in place.
+    Residuals are still formed with ``matrix``, so a poor factor costs
+    refinement steps or raises :class:`SolverError`, never a wrong solution.
+    """
+    return _solve_block(matrix, rhs_list, tol, factor)

@@ -70,13 +70,8 @@ class PixelGrid:
 
     def boundary_pixels(self) -> list[int]:
         """Indices of pixels touching the outer boundary, ascending."""
-        nx = self.nx
-        out = []
-        for iy in range(nx):
-            for ix in range(nx):
-                if ix == 0 or iy == 0 or ix == nx - 1 or iy == nx - 1:
-                    out.append(iy * nx + ix)
-        return out
+        edge = (0, self.nx - 1)
+        return [p for p in range(self.n) if p // self.nx in edge or p % self.nx in edge]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,23 +165,13 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
     vertices = np.column_stack([ix.ravel() / S, iy.ravel() / S])
 
     # Square (sx, sy) has corners ll, lr, ul, ur on the lattice.
-    sx, sy = np.meshgrid(np.arange(S), np.arange(S), indexing="xy")
-    sx = sx.ravel()
-    sy = sy.ravel()
+    sy, sx = np.divmod(np.arange(S * S), S)
     ll = sy * (S + 1) + sx
-    lr = ll + 1
-    ul = ll + (S + 1)
-    ur = ul + 1
-
-    n_sq = S * S
-    triangles = np.empty((2 * n_sq, 3), dtype=np.int64)
+    lr, ul, ur = ll + 1, ll + (S + 1), ll + (S + 2)
+    triangles = np.empty((2 * S * S, 3), dtype=np.int64)
     triangles[0::2] = np.column_stack([ll, lr, ur])  # below the diagonal
     triangles[1::2] = np.column_stack([ll, ur, ul])  # above the diagonal
-
-    pixel = (sy // k) * nx + (sx // k)
-    element_pixel = np.empty(2 * n_sq, dtype=np.int64)
-    element_pixel[0::2] = pixel
-    element_pixel[1::2] = pixel
+    element_pixel = np.repeat((sy // k) * nx + (sx // k), 2)
 
     on_edge = (ix == 0) | (ix == S) | (iy == 0) | (iy == S)
     boundary_vertex = on_edge.ravel()
@@ -255,6 +240,18 @@ def refine_disk(disk: DiskSpec, mesh: TriMesh) -> DiskSpec:
     )
 
 
+def _inside(centroids: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """The centroid-membership rule: which centroids lie strictly inside."""
+    return ((centroids - center) ** 2).sum(axis=-1) < radius * radius
+
+
+def _disk(mesh: TriMesh, center: np.ndarray, radius: float, element_set: np.ndarray) -> DiskSpec:
+    if not element_set.size:
+        raise ValueError(f"no triangle centroid inside disk of radius {radius} at {center.tolist()}; "
+                         f"mesh (k={mesh.k}) too coarse for this disk")
+    return DiskSpec(center=center, radius=float(radius), element_set=element_set)
+
+
 def resolve_disk(mesh: TriMesh, center, radius: float) -> DiskSpec:
     """Resolve a disk to the triangles whose centroid lies strictly inside.
 
@@ -281,14 +278,7 @@ def resolve_disk(mesh: TriMesh, center, radius: float) -> DiskSpec:
             f"disk (center {c.tolist()}, radius {radius}) is not contained "
             "in the open unit square"
         )
-    d2 = ((mesh.centroids() - c) ** 2).sum(axis=1)
-    element_set = np.nonzero(d2 < radius * radius)[0]
-    if element_set.size == 0:
-        raise ValueError(
-            f"no triangle centroid inside disk of radius {radius} at "
-            f"{c.tolist()}; mesh (k={mesh.k}) too coarse for this disk"
-        )
-    return DiskSpec(center=c, radius=float(radius), element_set=element_set)
+    return _disk(mesh, c, radius, np.flatnonzero(_inside(mesh.centroids(), c, radius)))
 
 
 def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[DiskSpec]:
@@ -296,7 +286,10 @@ def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[D
 
     Disk radius is ``radius_fraction / nx``, so fractions below 0.5 keep
     every disk strictly inside its pixel. Disks are ordered by pixel
-    index; an ``nx x nx`` grid yields ``4*nx - 4`` disks.
+    index; an ``nx x nx`` grid yields ``4*nx - 4`` disks. Each disk is
+    resolved as :func:`resolve_disk` would, but tested against its own
+    pixel's ``2k^2`` triangles only: every other centroid is more than
+    half a pixel from the centre, outside the disk.
     """
     grid = mesh.grid
     if grid.nx < 2:
@@ -304,8 +297,12 @@ def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[D
     if not 0.0 < radius_fraction < 0.5:
         raise ValueError(f"radius_fraction must be in (0, 0.5), got {radius_fraction}")
     radius = radius_fraction / grid.nx
-    return [
-        resolve_disk(mesh, grid.pixel_center(p), radius)
-        for p in grid.boundary_pixels()
-    ]
-
+    py, px = np.divmod(np.array(grid.boundary_pixels()), grid.nx)
+    centers = np.column_stack([(px + 0.5) / grid.nx, (py + 0.5) / grid.nx])
+    # Triangle 2 (sy S + sx) + parity lies in lattice square (sx, sy); pixel
+    # (px, py) holds the squares from (px k, py k) on, k to a side.
+    k, S = mesh.k, grid.nx * mesh.k
+    dy, dx, parity = np.meshgrid(np.arange(k), np.arange(k), np.arange(2), indexing="ij")
+    triangles = (2 * (py * S + px) * k)[:, None] + (2 * (dy * S + dx) + parity).ravel()
+    inside = _inside(mesh.centroids()[triangles], centers[:, None], radius)
+    return [_disk(mesh, c, radius, t[i]) for c, t, i in zip(centers, triangles, inside)]

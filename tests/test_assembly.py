@@ -12,7 +12,7 @@ from pixelinv.assembly import (
     element_stiffness,
     global_matrix,
 )
-from pixelinv.forward import forward_matrix, true_reference
+from pixelinv.forward import forward_matrix, forward_pair_sweep, true_reference
 from pixelinv.mesh import PixelGrid, build_mesh, refine, refine_disk, resolve_disk, standard_disk_layout
 
 
@@ -308,3 +308,42 @@ class TestLoadVector:
             load = assemble_load(mesh, region)
         assert not load.y.any()
 
+
+
+class TestCondensation:
+    @pytest.mark.parametrize("nx, k", [(3, 1), (2, 2), (3, 4), (4, 3)])
+    def test_band_is_the_schur_complement_on_the_skeleton(self, nx, k, rng):
+        # S_sigma from the sigma-free reference blocks is B_sigma with every
+        # pixel interior eliminated, as a dense elimination computes it.
+        grid = PixelGrid(nx)
+        stiffness = assemble_pixel_matrices(build_mesh(grid, k), grid)
+        c = stiffness.condensation
+        sigma = 10.0 ** rng.uniform(-1.0, 1.0, grid.n)
+        B = global_matrix(stiffness, sigma).toarray()
+        E, I = c.skeleton, np.setdiff1d(np.arange(stiffness.N), c.skeleton)
+        assert np.array_equal(np.sort(c.interior.ravel()), I)  # each interior unknown in one pixel
+        schur = B[np.ix_(E, E)] - B[np.ix_(E, I)] @ np.linalg.solve(B[np.ix_(I, I)], B[np.ix_(I, E)])
+        band, b = c.band(sigma), c.bandwidth
+        i, j = np.triu_indices(E.size)
+        i, j = i[j - i <= b], j[j - i <= b]
+        assert not np.triu(schur, b + 1).any()  # no fill beyond the band
+        assert np.allclose(band[b + i - j, j], schur[i, j], rtol=0.0, atol=1e-13 * np.abs(schur).max())
+        if k == 1:  # no interior: the skeleton is every unknown and S_sigma is B_sigma
+            assert E.size == stiffness.N and c.P.shape == (0, 4)
+
+    def test_skeleton_size_and_bandwidth(self):
+        # nx=15, k=4: 14 full lattice rows of 59 unknowns and 45 rows with 14
+        # on the vertical pixel edges; coupled across a pixel, at most 105 apart.
+        grid = PixelGrid(15)
+        c = assemble_pixel_matrices(build_mesh(grid, 4), grid).condensation
+        assert c.skeleton.size == 14 * 59 + 45 * 14 == 1456
+        assert c.bandwidth == 105
+
+    def test_built_on_first_use_only(self, grid3):
+        mesh = build_mesh(grid3, 4)
+        stiffness = assemble_pixel_matrices(mesh, grid3)
+        loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
+        forward_pair_sweep(stiffness, np.ones(9), [3, 5], np.full((2, 2), 0.5), [(loads[0], loads[6])])
+        assert "condensation" not in vars(stiffness)  # the sweep never needs it
+        forward_matrix(stiffness, np.ones(9), loads)
+        assert vars(stiffness)["condensation"] is stiffness.condensation

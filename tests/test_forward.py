@@ -1,5 +1,6 @@
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh
+from scipy.sparse.linalg import splu
 
 from pixelinv import forward, linsolve
-from pixelinv.assembly import LoadVector, assemble_load, assemble_pixel_matrices, global_matrix
+from pixelinv.assembly import (
+    LoadVector,
+    assemble_global,
+    assemble_load,
+    assemble_pixel_matrices,
+    element_stiffness,
+    global_matrix,
+)
 from pixelinv.forward import (
     directional_derivative,
     forward_matrix,
@@ -585,3 +594,110 @@ class TestTrueReference:
         assert np.all(np.diag(step1) >= -1e-12)
         assert np.all(np.diag(step2) >= -1e-12)
         assert np.linalg.norm(step2) <= np.linalg.norm(step1)
+
+
+def oracle_forward(nx, k, sigma):
+    """F and J the independent way: ``B_sigma`` element by element
+    (``assemble_global``), a sparse LU solve refined twice against it in
+    long double, and slice ``i`` summed over pixel ``i``'s element matrices."""
+    grid = PixelGrid(nx)
+    mesh = build_mesh(grid, k)
+    loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
+    B = assemble_global(mesh, grid, sigma)
+    Y = np.column_stack([ld.y for ld in loads])
+    lu = splu(B.tocsc())
+    lam = lu.solve(Y)
+    for _ in range(2):
+        lam += lu.solve((Y - B.astype(np.longdouble) @ lam.astype(np.longdouble)).astype(float))
+    on_vertices = np.zeros((mesh.n_vertices, len(loads)))
+    on_vertices[mesh.free_index >= 0] = lam
+    L = on_vertices[mesh.triangles]
+    K = np.array([element_stiffness(mesh.vertices[t]) for t in mesh.triangles])
+    J = [-np.einsum("tam,tab,tbl->ml", L[e], K[e], L[e]) for e in (mesh.element_pixel == i for i in range(grid.n))]
+    return lam.T @ Y, np.array(J)
+
+
+class TestCondensedPath:
+    """The forward maps solve through the skeleton factor of B_sigma."""
+
+    @pytest.mark.parametrize("contrast", [None, 1e4])
+    @pytest.mark.parametrize("nx, k", [(3, 1), (3, 4), (9, 4), (15, 2), (4, 8)])
+    def test_matches_the_independent_oracle(self, nx, k, contrast, solve_counter):
+        # At a contrast of 1e4 the two routes differ by up to 8e-13 (nx=4,
+        # k=8): the rounding of B_sigma alone moves values by about 1e-12.
+        stiffness, loads = problem(nx, k)
+        sigma = np.random.default_rng(nx * 10 + k).uniform(0.5, 2.0, stiffness.n)
+        if contrast:
+            sigma[(nx // 2) * nx + nx // 2] = contrast
+        F, jac = forward_matrix(stiffness, sigma, loads)
+        assert solve_counter.solves == F.solves_used == len(loads)
+        F_oracle, J_oracle = oracle_forward(nx, k, sigma)
+        assert np.max(np.abs(F.values - F_oracle)) <= 1e-12 * np.max(np.abs(F_oracle))
+        assert np.max(np.abs(jac.slices - J_oracle)) <= 1e-12 * np.max(np.abs(J_oracle))
+        assert np.max(np.abs(directional_derivative(jac, sigma) + F.values)) <= 1e-12 * np.max(np.abs(F.values))
+
+    @pytest.mark.parametrize("spoil", ["scaled", "halved", "zero", "noise", "nan"])
+    def test_spoiled_factor_is_refined_or_refused(self, stiffness3x4, loads3x4, monkeypatch, spoil):
+        # The residual is always that of the full B_sigma: a wrong factor costs
+        # refinement steps or raises SolverError, and never returns a wrong value.
+        sigma = np.random.default_rng(5).uniform(0.5, 2.0, 9)
+        F_clean, jac_clean = forward_matrix(stiffness3x4, sigma, loads3x4, tol=1e-12)
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[2], loads3x4[2])]
+        values_clean, rows_clean = forward_pairs(stiffness3x4, sigma, pairs, tol=1e-12)
+        condensed_factor, steps = forward._condensed_factor, []
+
+        def spoiled_factor(*args):
+            solve = condensed_factor(*args)
+
+            def spoiled(R):
+                X = solve(R)
+                if spoil == "scaled":
+                    X *= 1.0 + 1e-6
+                elif spoil == "halved":
+                    X *= 0.5
+                elif spoil == "noise":
+                    X += np.random.default_rng(0).standard_normal(X.shape)
+                else:
+                    X[...] = 0.0 if spoil == "zero" else np.nan
+                return X
+
+            return spoiled
+
+        def counted_multi(*args, **kwargs):
+            reports = solve_multi(*args, **kwargs)
+            steps.extend(rep.iterations for rep in reports)
+            return reports
+
+        monkeypatch.setattr(forward, "_condensed_factor", spoiled_factor)
+        monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
+        if spoil != "scaled":
+            with pytest.raises(SolverError, match="missed tolerance"):
+                forward_matrix(stiffness3x4, sigma, loads3x4, tol=1e-12)
+            with pytest.raises(SolverError, match="missed tolerance"):
+                forward_pairs(stiffness3x4, sigma, pairs, tol=1e-12)
+            return
+        F, jac = forward_matrix(stiffness3x4, sigma, loads3x4, tol=1e-12)
+        values, rows = forward_pairs(stiffness3x4, sigma, pairs, tol=1e-12)
+        assert min(steps) >= 1
+        assert np.max(np.abs(F.values - F_clean.values)) <= 1e-11 * np.max(np.abs(F_clean.values))
+        assert np.max(np.abs(jac.slices - jac_clean.slices)) <= 1e-11 * np.max(np.abs(jac_clean.slices))
+        assert np.max(np.abs(values - values_clean)) <= 1e-11 * np.max(np.abs(values_clean))
+        assert np.max(np.abs(rows - rows_clean)) <= 1e-11 * np.max(np.abs(rows_clean))
+
+    def test_memory_peak_of_one_call(self):
+        # One forward_matrix call at nx=15, k=4 (N=3481, m=56, n=225) returns
+        # 5.67 MB, the Jacobian stack nearly all of it. It used to peak at
+        # 12.3 MB, with a gathered copy of every pixel's solutions, their
+        # product with the block and a negated copy of the stack; now the
+        # stack is filled a chunk of pixels at a time.
+        stiffness, loads = problem(15, 4)
+        sigma = np.random.default_rng(7).uniform(0.5, 2.0, stiffness.n)
+        forward_matrix(stiffness, sigma, loads)  # builds the cached condensation
+        tracemalloc.start()
+        try:
+            F, jac = forward_matrix(stiffness, sigma, loads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert jac.slices.nbytes + F.values.nbytes <= 5.7e6
+        assert peak <= 8.5e6

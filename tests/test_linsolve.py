@@ -200,3 +200,31 @@ def test_solve_counter_increments(rng, solve_counter):
     linsolve.solve_spd(A, b)
     linsolve.solve_multi(A, [b, b])
     assert solve_counter.solves == 3
+
+
+class TestFactorKeyword:
+    def test_solutions_are_refined_in_the_factors_array(self, rng):
+        # An inexact factor: the solutions still meet tol against the matrix,
+        # and they are the columns of the array the factor returned.
+        A = random_spd(rng, 25)
+        inverse = np.linalg.inv(A.toarray()) * (1.0 + 1e-4)
+        returned = []
+
+        def factor(R):
+            before = R.copy()
+            returned.append(inverse @ R)
+            assert np.array_equal(R, before)
+            return returned[-1]
+
+        rhs = [rng.standard_normal(25) for _ in range(3)]
+        reports = solve_multi(A, rhs, tol=1e-12, factor=factor)
+        assert len(returned) > 1 and all(rep.iterations > 0 for rep in reports)
+        for b, rep in zip(rhs, reports):
+            assert np.linalg.norm(A @ rep.solution - b) / np.linalg.norm(b) <= 1e-12
+            assert rep.solution.base is returned[0]
+
+    def test_useless_factor_raises(self, rng):
+        A = random_spd(rng, 10)
+        with pytest.raises(SolverError, match="right-hand side 1 of 2") as err:
+            solve_multi(A, [rng.standard_normal(10), np.zeros(10)], factor=np.zeros_like)
+        assert err.value.residual_norm == 1.0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,28 @@ class TestStandardLayout:
         for disk in standard_disk_layout(mesh, 0.25):
             d2 = ((centroids - disk.center) ** 2).sum(axis=1)
             assert np.array_equal(disk.element_set, np.nonzero(d2 < disk.radius * disk.radius)[0])
+
+    @pytest.mark.parametrize("radius_fraction", [0.1, 0.25, 0.49])
+    @pytest.mark.parametrize("nx,k", [(3, 4), (10, 2), (12, 2), (15, 4), (3, 1)])
+    def test_layout_is_the_full_scan(self, nx, k, radius_fraction):
+        # Each disk is tested against its own pixel's triangles only; the
+        # outcome is that of resolve_disk scanning every centroid: the same
+        # element sets, or the same "too coarse" error (a disk centred on a
+        # lattice vertex can hold no centroid at radius_fraction 0.1).
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, k)
+        radius = radius_fraction / nx
+        try:
+            scanned = [resolve_disk(mesh, grid.pixel_center(p), radius) for p in grid.boundary_pixels()]
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                standard_disk_layout(mesh, radius_fraction)
+            return
+        layout = standard_disk_layout(mesh, radius_fraction)
+        assert len(layout) == len(scanned) == 4 * nx - 4
+        for disk, full in zip(layout, scanned):
+            assert np.array_equal(disk.center, full.center) and disk.radius == full.radius
+            assert np.array_equal(disk.element_set, full.element_set)
 
     def test_rejects_bad_fraction(self):
         mesh = build_mesh(PixelGrid(3), 4)
