@@ -25,15 +25,15 @@ symmetric positive semidefinite, monotonically non-increasing and convex
 in the Loewner order, and grows pointwise under nested mesh refinement;
 these properties are exercised by the test suite.
 
-Pair values along a sweep, where only a few pixel coefficients change
-from sample to sample, take a second path (:func:`forward_pair_sweep`):
-``B_RR`` on the unknowns ``R`` off the swept pixels is factored once and
-each sample is condensed onto the rest ``S`` (static condensation).
-Samples that differ only in the last swept pixel form a line, along
-which the condensed matrix is a symmetric-definite pencil: one ``eigh``
-per line serves all its samples (Golub & Van Loan, *Matrix Computations*,
-4th ed., 8.7). Every sample's full residual is still checked against
-``tol``. :func:`forward_pair_values` is the sweep with no swept pixel.
+Pair values along a sweep of a few pixel coefficients take a second path
+(:func:`forward_pair_sweep`): ``B_RR`` on the unknowns ``R`` off the swept
+pixels is factored once, and each distinct sample condensed onto the rest
+``S`` with the pixel blocks cut from the shared one (static condensation).
+On a line of samples differing only in the last swept pixel the condensed
+matrix is a symmetric-definite pencil: one ``eigh`` per line serves all its
+samples (Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7); every other
+step runs on a batch of lines, and every sample's full residual is checked.
+:func:`forward_pair_values` is the sweep with no swept pixel.
 """
 
 from __future__ import annotations
@@ -238,15 +238,18 @@ def forward_pair_values(stiffness: StiffnessSet, sigma, pairs: list, tol: float 
     return forward_pair_sweep(stiffness, sigma, [], np.empty((1, 0)), pairs, tol)[0]
 
 
-# Most samples of a line handled at once, so memory does not grow with the
+# Most samples of a line decomposed at once, so memory does not grow with the
 # line; above any landscape line (1,000 points and the truth).
 _LINE_PIECE = 1024
+# Bytes of eigenvectors and padded columns per batch; larger was no faster.
+_BATCH_BYTES = 1 << 18
 
 
 def _apply(matrix, x: np.ndarray) -> np.ndarray:
-    """``matrix`` applied along the first axis of ``x``, as one product."""
-    rest = x.shape[1:]
-    return (matrix @ x.reshape(x.shape[0], math.prod(rest))).reshape(matrix.shape[0], *rest)
+    """``matrix`` applied along the first axis of ``x`` in one product; a stack, ``matrix[i]`` along ``x[i]``'s."""
+    lead, rest = x.shape[:matrix.ndim - 2], x.shape[matrix.ndim - 1:]
+    flat = x.reshape(*lead, x.shape[len(lead)], math.prod(rest))
+    return (matrix @ flat).reshape(*lead, matrix.shape[-2], *rest)
 
 
 def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: list,
@@ -257,24 +260,24 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     at ``sigma`` with ``sigma[pixels] = samples[j]``, for each of the ``P``
     rows of ``samples``.
 
-    ``S`` are the unknowns on the swept pixels' vertices and ``R`` the
-    rest. ``B_RR`` is solved for the distinct excitations (``U``) and the
-    ``|S|`` columns of ``B_RS`` (``W``): a sweep costs that many solves,
-    whatever ``P`` is. The Schur complement is formed without the swept
-    pixels' blocks, so ``sigma[pixels]`` never enters the samples' matrices.
-    On a line, ``M`` is that complement plus the other pixels' blocks (``K_j``
-    is ``B_j`` on ``S``) at their samples, and ``t`` the last pixel ``q``'s
-    sample. The pencil is decomposed, once per line or per 1,024 samples of
-    a longer one, at ``rho``, the geometric mean of the extreme ``t`` there:
-    ``K_q V = (M + rho K_q) V diag(mu)`` gives ``0 <= mu <= 1 / rho``, so
-    every ``1 + (t - rho) mu`` is within ``sqrt(max / min)`` of 1. Each
-    sample's ``lam_S`` from the decomposition gets one correction against
-    ``M + t K_q``, which makes it as accurate as a direct solve. Every
-    sample's relative residual ``||B_sample lam - y|| / ||y||`` is formed
-    from set-up quantities and ``M + t K_q`` and checked against ``tol``.
-    A line with a sample that misses it gets up to ``linsolve.REFINE_STEPS``
-    refinement steps through the same elimination (each solves ``B_RR``
-    again), and a sample that still misses it raises
+    ``S`` are the unknowns on the swept pixels' vertices and ``R`` the rest. ``B_RR``
+    is solved for the distinct excitations (``U``) and the ``|S|`` columns of ``B_RS``
+    (``W``): a sweep costs that many solves, whatever ``P`` is. The Schur complement is
+    formed without the swept pixels' blocks, so ``sigma[pixels]`` never enters the
+    samples' matrices. Each distinct sample is computed once, so repeated ones agree
+    to the bit. On a line, ``M`` is that complement plus the other pixels' blocks
+    (``K_j``, the shared pixel block placed on ``S``) at their samples, and ``t`` the
+    last pixel ``q``'s sample. The pencil is decomposed once per piece (a line, or
+    1,024 samples of a longer one) at ``rho``, the geometric mean of its extreme ``t``:
+    ``K_q V = (M + rho K_q) V diag(mu)`` gives ``0 <= mu <= 1 / rho``, so every
+    ``1 + (t - rho) mu`` is within ``sqrt(max / min)`` of 1. All else runs on batches
+    of pieces, each padded to the batch's longest with its last sample. Each sample's
+    ``lam_S`` from the decomposition gets one correction against ``M + t K_q``, which
+    makes it as accurate as a direct solve. Every sample's relative residual
+    ``||B_sample lam - y|| / ||y||`` is formed from set-up quantities and ``M + t K_q``
+    and checked against ``tol``. A batch with a sample that misses it gets up to
+    ``linsolve.REFINE_STEPS`` refinement steps through the same elimination (each
+    solves ``B_RR`` again), and a sample that still misses it raises
     :class:`linsolve.SolverError` naming it.
 
     Raises
@@ -320,13 +323,15 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     # With lam_R = U - W lam_S, rows R of y - B lam are E_W lam_S - e_U; values lam_S . G + offset.
     E_W, e_U = B_RR @ W - B_RS, B_RR @ U - Y[R]
     G, offset = Y_r[S] - W.T @ Y_r[R], np.einsum("ij,ij->j", U[:, left], Y_r[R])
-    K = np.array([stiffness.pixel_matrix(i)[S][:, S].toarray() for i in pixels])
-    K = K.reshape(pixels.size, S.size, S.size)  # also when no pixel is swept
+    free, at = dofs >= 0, np.searchsorted(S, dofs)
+    j, a, b = np.nonzero(free[:, :, None] & free[:, None, :])
+    K = np.zeros((pixels.size, S.size, S.size))
+    K[j, at[j, a], at[j, b]] = stiffness.block[a, b]  # K_j: the shared block on pixel j's free vertices
     # Row j of `on` averages over pixel j's unknowns in S (zero with none);
     # K1 holds the row sums K_j 1, exact as the entries are half-integers.
     on = (dofs[:, :, None] == S).any(axis=1).astype(float).reshape(pixels.size, S.size)
     on /= np.maximum(on.sum(axis=1, keepdims=True), 1.0)
-    K1 = K.sum(axis=2)
+    K1, K_q = K.sum(axis=2), K[-1:].sum(axis=0)  # K_q: 0 x 0 with no pixel swept
 
     def residual_S(X, s):
         """``load_S - (schur + sum_j s_j K_j) X`` for the samples ``s``, (p, n).
@@ -342,58 +347,73 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
         return r
 
     y_norm = np.linalg.norm(Y, axis=0) + np.all(Y == 0.0, axis=0)  # a zero load: zero solution, residual 0
+    # Lines of equal heads, sorted; step: 2 per head coefficient unlike the previous sample's, 1 for the last.
+    order = np.lexsort(samples.T[::-1]) if pixels.size else np.arange(len(samples))
+    step = (np.diff(np.take(samples, order, axis=0), axis=0) != 0) @ (2.0 - (np.arange(pixels.size) == pixels.size - 1))
+    new, line = np.ones((2, len(samples)), dtype=bool)
+    new[1:], line[1:] = step > 0, step > 1
+    first, where = order[new], np.empty(len(samples), dtype=np.intp)  # where each distinct sample first appears
+    where[order] = np.cumsum(new) - 1  # each sample's distinct row
+    distinct, place = np.take(samples, first, axis=0), np.arange(first.size)
+    place -= np.maximum.accumulate(np.where(line[new], place, 0))  # each distinct sample's place in its line
+    bounds = np.append(np.flatnonzero(place % _LINE_PIECE == 0), len(distinct))
+    count = max(1, _BATCH_BYTES // max(1, 8 * (S.size ** 2 + np.diff(bounds).max(initial=0) * stiffness.N * e)))
+    values = np.empty((len(distinct), len(pairs)))
+    for batch in range(0, len(bounds) - 1, count):  # batches of `count` pieces
+        starts, stops = bounds[:-1][batch:batch + count], bounds[1:][batch:batch + count]
+        rows = np.minimum(starts[:, None] + np.arange((stops - starts).max()), stops[:, None] - 1)  # (pieces, L)
+        s = distinct[rows.ravel()].T
+        t = s[-1:].sum(axis=0).reshape(rows.shape)  # the last pixel's samples (0 with none), ascending in a piece
+        rho = np.sqrt(t[:, 0]) * np.sqrt(t[:, -1])  # t.min() * t.max() can leave the double range
+        M = schur + np.einsum("ph,hij->pij", distinct[starts, :-1], K[:-1])  # each piece's, (pieces, |S|, |S|)
+        mu, V = np.empty((len(starts), S.size)), np.empty((len(starts), S.size, S.size))
+        for i, (start, stop) in enumerate(zip(starts, stops)):
+            try:  # (M + t K_q)^{-1} = V diag(D) V^T for each sample of the piece
+                mu[i], V[i] = eigh(K_q, M[i] + rho[i] * K_q)
+            except (np.linalg.LinAlgError, ValueError) as err:  # not definite in double precision, or overflowed
+                raise linsolve.SolverError(
+                    f"sweep samples {first[start] + 1} to {first[stop - 1] + 1} of {samples.shape[0]} (a line, "
+                    f"coefficients {distinct[start].tolist()} to {distinct[stop - 1].tolist()} on pixels "
+                    f"{pixels.tolist()}): cannot decompose its pencil: {err}", residual_norm=math.inf, iterations=0,
+                ) from err
+        D, Vt = (1.0 / (1.0 + (t - rho[:, None])[:, None] * mu[:, :, None]))[..., None], V.transpose(0, 2, 1)
 
-    # Heads, and the last pixel q's samples (0, K_q empty, with no pixel swept).
-    heads, K_q, last = samples[:, :-1], K[-1:].sum(axis=0), samples[:, -1:].sum(axis=1)
-    order = np.lexsort((np.arange(len(samples)), *heads.T[::-1]))  # lines, each in sweep order
-    lines = np.split(order, np.flatnonzero((np.diff(heads[order], axis=0) != 0).any(axis=1)) + 1)
-    pieces = [p for line in lines for p in np.array_split(line, range(_LINE_PIECE, line.size, _LINE_PIECE))]
-    values = np.empty((samples.shape[0], len(pairs)))
-    for rows in filter(len, pieces):  # an empty sweep has one empty line
-        M, t, s = schur + np.tensordot(heads[rows[0]], K[:-1], 1), last[rows], samples[rows].T
-        rho = np.sqrt(t.min()) * np.sqrt(t.max())  # t.min() * t.max() can leave the double range
-        try:
-            mu, V = eigh(K_q, M + rho * K_q)  # (M + t K_q)^{-1} = V diag(D[j]) V^T
-        except (np.linalg.LinAlgError, ValueError) as err:  # not definite in double precision, or overflowed
-            raise linsolve.SolverError(
-                f"sweep samples {rows[0] + 1} to {rows[-1] + 1} of {samples.shape[0]} (a line, coefficients "
-                f"{samples[rows[0]].tolist()} to {samples[rows[-1]].tolist()} on pixels {pixels.tolist()}): "
-                f"cannot decompose its pencil: {err}", residual_norm=math.inf, iterations=0,
-            ) from err
-        D = 1.0 / (1.0 + (t - rho)[:, None] * mu)
-        X = _apply(V, D.T[:, :, None] * (V.T @ load_S)[:, None])  # lam_S of every sample, (|S|, n, e)
-        # One correction against M + t K_q: at a high contrast inside S the
-        # decomposition alone is less accurate than a direct solve.
-        X += _apply(V, D.T[:, :, None] * _apply(V.T, residual_S(X, s)))
-        Z, BZ_R, BZ_S = np.zeros((R.size,) + X.shape[1:]), 0.0, 0.0  # corrections to lam_R, B_RR Z, B_SR Z
+        def solve_S(r):
+            """``(M + t K_q)^{-1} r`` for each sample, ``r`` and the result (|S|, samples, e)."""
+            VtR = _apply(Vt, r.reshape(S.size, *t.shape, e).transpose(1, 0, 2, 3))
+            return _apply(V, D * VtR).transpose(1, 0, 2, 3).reshape(r.shape)
+
+        X = _apply(V, D * (Vt @ load_S)[:, :, None]).transpose(1, 0, 2, 3).reshape(S.size, t.size, e)  # lam_S
+        # One correction against M + t K_q: at high contrast in S the decomposition alone is less accurate.
+        X += solve_S(residual_S(X, s))
+        Z = BZ_R = BZ_S = 0.0  # corrections to lam_R, B_RR Z and B_SR Z, arrays once refined
         for steps in range(linsolve.REFINE_STEPS + 1):
-            r_R = _apply(E_W, X) - e_U[:, None] - BZ_R
+            r_R = _apply(E_W, X) - (e_U[:, None] + BZ_R)
             r_S = residual_S(X, s) - BZ_S
-            achieved = np.sqrt((r_R * r_R).sum(axis=0) + (r_S * r_S).sum(axis=0)) / y_norm
+            achieved = np.sqrt(np.einsum("ime,ime->me", r_R, r_R) + np.einsum("ime,ime->me", r_S, r_S)) / y_norm
             missed = ~np.all(achieved <= tol, axis=1)
             broken = ~np.isfinite(achieved).all(axis=1)  # a residual no refinement can mend
             if not missed.any() or broken.any() or steps >= linsolve.REFINE_STEPS:
                 break
-            # Refine every sample of the piece: lam_R gains z - W dS, lam_S gains dS.
-            columns = list(r_R.reshape(R.size, rows.size * e).T)
-            refine = linsolve.solve_multi(B_RR, columns, tol=tol, factor=factor)
-            z = np.array([rep.solution for rep in refine]).T.reshape(Z.shape)
-            X += _apply(V, D.T[:, :, None] * _apply(V.T, r_S - _apply(B_SR, z)))
-            Z += z
+            # Refine every sample of the batch: lam_R gains z - W dS, lam_S gains dS.
+            refine = linsolve.solve_multi(B_RR, list(r_R.reshape(R.size, t.size * e).T), tol=tol, factor=factor)
+            z = np.array([rep.solution for rep in refine]).T.reshape(R.size, *X.shape[1:])
+            X += solve_S(r_S - _apply(B_SR, z))
+            Z = Z + z
             BZ_R, BZ_S = _apply(B_RR, Z), _apply(B_SR, Z)
         if missed.any():
             i = np.flatnonzero(broken if broken.any() else missed)[0]
-            j, worst = rows[i], float(achieved[i].max())
+            j, worst = first[rows.flat[i]], float(achieved[i].max())
             raise linsolve.SolverError(
                 f"sweep sample {j + 1} of {samples.shape[0]} (coefficients {samples[j].tolist()} on pixels "
                 f"{pixels.tolist()}) missed tolerance {tol} after {steps} refinement steps (achieved "
                 f"relative residual {worst:.3e})", residual_norm=worst, iterations=steps,
             )
-        # Values from lam_S and lam_R = U + Z - W lam_S, elementwise and not
-        # BLAS, so that no value depends on its place in its line.
-        values[rows] = offset + np.einsum("smp,sp->mp", X[:, :, left], G)
+        found = offset + np.einsum("smp,sp->mp", X[:, :, left], G)  # from lam_S and lam_R = U + Z - W lam_S
         if steps:
-            values[rows] += np.einsum("rmp,rp->mp", Z[:, :, left], Y_r[R])
+            found += np.einsum("rmp,rp->mp", Z[:, :, left], Y_r[R])
+        values[starts[0]:stops[-1]] = found[(np.arange(rows.shape[1]) < (stops - starts)[:, None]).ravel()]  # unpadded
+    values = np.take(values, where, axis=0)
     _require_finite(np.concatenate([base, samples.ravel()]), values)
     return values
 

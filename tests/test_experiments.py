@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,19 @@ class TestResidualLandscape:
         at_truth = [r for r in result.rows if r[0] == 0.5 and r[1] == 0.5]
         assert len(at_truth) == 1
         assert at_truth[0][2] == 0.0
+
+    def test_memory_peak_at_the_defaults(self):
+        # 300 x 300 points: the result's rows are most of the peak, which read
+        # 21.02 MB with one line of the sweep at a time; batches must not raise it.
+        run_residual_landscape(ExperimentConfig(k=2, landscape_step=0.1, landscape_max=0.6))  # warm, untraced
+        tracemalloc.start()
+        try:
+            result = run_residual_landscape(ExperimentConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 90_000
+        assert peak <= 21.05e6
 
     def test_solves_do_not_grow_with_points(self, solve_counter):
         counts = []

@@ -552,6 +552,74 @@ class TestForwardPairSweep:
             forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, [(loads3x4[0], loads3x4[6])])
         assert len(calls) == 1  # the set-up solve only
 
+    @pytest.mark.parametrize("pixels", [[], [4], [3, 5]])
+    def test_empty_sweep(self, stiffness3x4, loads3x4, monkeypatch, pixels):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "eigh", counted)
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7]), (loads3x4[0], loads3x4[7])]
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.empty((0, len(pixels))), pairs)
+        assert swept.shape == (0, 3)
+        assert calls == []
+
+    def test_values_do_not_depend_on_batches(self, stiffness3x4, loads3x4, monkeypatch):
+        # Lines of 1 to 9 samples, a repeated sample and a line in two pieces:
+        # every piece in a batch of its own must give the values of the default
+        # batches, and both those of one solve per sample.
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7])]
+        heads = np.repeat(np.linspace(0.1, 3.0, 9), np.arange(1, 10))
+        samples = np.column_stack([heads, np.random.default_rng(4).uniform(0.05, 4.0, heads.size)])
+        samples = np.vstack([samples, samples[7]])
+        monkeypatch.setattr(forward, "_LINE_PIECE", 6)
+        batched = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        monkeypatch.setattr(forward, "_BATCH_BYTES", 0)  # one piece a batch
+        alone = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        assert np.max(np.abs(batched - alone)) <= 1e-14 * np.max(np.abs(alone))
+        assert np.array_equal(batched[7], batched[-1])
+        expected = per_point(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        assert np.max(np.abs(batched - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_repeated_samples_are_computed_once(self, stiffness3x4, loads3x4, monkeypatch):
+        # Forty copies of two samples on one line: a refinement step solves
+        # B_RR for the two distinct samples only, and the copies agree to the bit.
+        sizes = []
+
+        def counted_multi(matrix, rhs_list, **kwargs):
+            sizes.append(len(rhs_list))
+            return solve_multi(matrix, rhs_list, **kwargs)
+
+        def spoiled_eigh(*args, **kwargs):
+            mu, V = eigh(*args, **kwargs)
+            return mu, V * (1.0 + 1e-6)
+
+        monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
+        monkeypatch.setattr(forward, "eigh", spoiled_eigh)
+        samples = np.tile([[0.3, 0.7], [0.3, 1.9]], (40, 1))
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, [(loads3x4[0], loads3x4[6])], tol=1e-13)
+        assert sizes[0] == 1 + 40 and len(sizes) > 1
+        assert sizes[1:] == [2] * (len(sizes) - 1)
+        assert np.array_equal(swept, np.tile(swept[:2], (40, 1)))
+
+    def test_memory_peak_of_a_landscape_sweep(self, stiffness3x4, loads3x4):
+        # The benchmark's landscape sweep: a 30 x 30 grid and the truth. Its
+        # batches of lines are bounded in bytes, so the peak stays near the
+        # 0.4 MB of one line at a time (1.05 MB with batches of six lines).
+        values = 0.02 * np.arange(1, 31)
+        a, b = np.meshgrid(values, values, indexing="ij")
+        samples = np.vstack([np.column_stack([a.ravel(), b.ravel()]), [0.5, 0.5]])
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
+        tracemalloc.start()
+        try:
+            forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
     @pytest.mark.parametrize("count", [1, 7, 100])
     def test_solves_do_not_grow_with_samples(self, stiffness3x4, loads3x4, solve_counter, count):
         pixels = [3, 5]
