@@ -100,10 +100,12 @@ class StiffnessSet:
     pattern : (N, N) CSR matrix
         The sparsity pattern of every ``B_sigma`` (entries are ones),
         structural zeros included; it is the pattern of
-        :func:`assemble_global`.
+        :func:`assemble_global`. Canonical: sorted indices, no duplicates.
     C : (nnz, n) CSR matrix
         Column ``i`` holds the entries of ``B_i`` on ``pattern``, so that
-        ``global_matrix(stiffness, sigma).data == C @ sigma``.
+        ``global_matrix(stiffness, sigma).data == C @ sigma``; row ``r``
+        lists, by ascending pixel, the block entries landing on entry
+        ``r`` of ``pattern``.
     condensation : Condensation
         Cached on first use; the sweep never needs it.
     """
@@ -203,7 +205,10 @@ def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> Sti
     The shared block sums pixel 0's element matrices, one per distinct
     triangle shape on integer lattice coordinates, so it is exact.
     Boundary rows and columns are dropped when ``C`` is formed, so every
-    ``B_i`` acts on the ``N`` interior unknowns.
+    ``B_i`` acts on the ``N`` interior unknowns. ``pattern`` and ``C`` are
+    written straight into CSR from one stable sort of the entries'
+    ``row * N + col`` keys (the block's structural pairs on every pixel,
+    both vertices free), with no hash table and no format conversion.
     """
     if grid is None:
         grid = mesh.grid
@@ -229,18 +234,24 @@ def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> Sti
     flat = (slot[:, :, None] * s + slot[:, None, :]).ravel()
     block = np.bincount(flat, weights=K.ravel(), minlength=s * s).reshape(s, s)
 
-    # Entries of B_i: vertex pairs sharing an element of pixel i, both free.
+    # Entries of B_i: the block's vertex pairs (a, b) sharing a triangle, both
+    # free, keyed row * N + col. They come pixel by pixel, so a stable sort
+    # leaves each key's pixels ascending; a key differing from the one before
+    # starts a row of C and an entry of the pattern.
+    a, b = np.divmod(np.flatnonzero(np.bincount(flat, minlength=s * s)), s)
     free = dofs >= 0
-    touched = (np.bincount(flat, minlength=s * s).reshape(s, s) > 0) & free[:, :, None] & free[:, None, :]
-    i, a, b = np.nonzero(touched)
+    keep = free[:, a] & free[:, b]
     N = mesh.n_free
-    keys = dofs[i, a] * N + dofs[i, b]
-    unique_keys = np.unique(keys)
-    rows, cols = np.divmod(unique_keys, max(N, 1))
-    pattern = sp.csr_matrix((np.ones(unique_keys.size), (rows, cols)), shape=(N, N))
-    C = sp.csr_matrix(
-        (block[a, b], (np.searchsorted(unique_keys, keys), i)), shape=(unique_keys.size, grid.n)
-    )
+    keys = (dofs[:, a] * N + dofs[:, b])[keep]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    row = keys[start] // N  # keys is empty when N is 0
+    indptr = np.concatenate(([0], np.bincount(row, minlength=N).cumsum()))
+    pattern = sp.csr_matrix((np.ones(start.size), keys[start] - row * N, indptr), shape=(N, N))
+    pixel = np.broadcast_to(np.arange(grid.n, dtype=np.int32)[:, None], keep.shape)[keep][order]
+    value = np.broadcast_to(block[a, b], keep.shape)[keep][order]
+    C = sp.csr_matrix((value, pixel, np.append(start, keys.size)), shape=(start.size, grid.n))
     return StiffnessSet(dofs=dofs, block=block, pattern=pattern, C=C)
 
 
@@ -306,12 +317,10 @@ def assemble_load(mesh: TriMesh, disk: DiskSpec) -> LoadVector:
     each element contributes ``area/3`` to its three vertices. Boundary
     vertices carry no unknown and their contributions are dropped.
     """
-    y = np.zeros(mesh.n_free)
-    tri = mesh.triangles[disk.element_set]
     contrib = np.repeat(mesh.areas()[disk.element_set] / 3.0, 3)
-    f = mesh.free_index[tri].ravel()
+    f = mesh.free_index[mesh.triangles[disk.element_set]].ravel()
     keep = f >= 0
-    np.add.at(y, f[keep], contrib[keep])
+    y = np.bincount(f[keep], contrib[keep], minlength=mesh.n_free)  # adds in order, as np.add.at
     if disk.element_set.size and not y.any():
         warnings.warn(
             "load vector is identically zero: disk region touches no "

@@ -300,8 +300,9 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     check_sigma(samples, samples.size)
 
     dofs = stiffness.dofs[pixels]
-    S = np.unique(dofs[dofs >= 0])
-    R = np.setdiff1d(np.arange(stiffness.N), S)
+    swept = np.zeros(stiffness.N + 1, dtype=bool)
+    swept[dofs] = True  # a boundary -1 lands on the spare last entry
+    S, R = np.flatnonzero(swept[:-1]), np.flatnonzero(~swept[:-1])
     B_RR, B_RS, B_SR = B[R][:, R], B[R][:, S].toarray(), B[S][:, R]
     # B_SS without the swept pixels' blocks: they enter through the samples
     # only, so no sample's matrix cancels sigma[pixels] back out of B_sigma

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,9 +115,9 @@ class TriMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
+    @functools.cached_property
     def n_free(self) -> int:
-        """Number of interior (unknown) vertices."""
+        """Number of interior (unknown) vertices, counted once per mesh."""
         return int((~self.boundary_vertex).sum())
 
     def areas(self) -> np.ndarray:

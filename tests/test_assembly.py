@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +167,51 @@ class TestPixelMatrices:
             assemble_pixel_matrices(mesh3x4, PixelGrid(4))
 
 
+def unique_and_coo_family(mesh, stiffness):
+    """``pattern`` and ``C`` built with ``np.unique`` and COO-to-CSR
+    conversion from the per-pixel structural mask, independently of the
+    sort in :func:`assemble_pixel_matrices`."""
+    k, side, n = mesh.k, mesh.grid.nx * mesh.k + 1, mesh.grid.n
+    s = (k + 1) ** 2
+    iy, ix = np.divmod(mesh.triangles[mesh.element_pixel == 0], side)
+    slot = iy * (k + 1) + ix
+    structural = np.zeros((s, s), dtype=bool)
+    structural[slot[:, :, None], slot[:, None, :]] = True
+    dofs = stiffness.dofs
+    free = dofs >= 0
+    i, a, b = np.nonzero(structural & free[:, :, None] & free[:, None, :])
+    N = mesh.n_free
+    keys = dofs[i, a] * N + dofs[i, b]
+    unique = np.unique(keys)
+    rows, cols = np.divmod(unique, max(N, 1))
+    pattern = sp.csr_matrix((np.ones(unique.size), (rows, cols)), shape=(N, N))
+    C = sp.csr_matrix((stiffness.block[a, b], (np.searchsorted(unique, keys), i)), shape=(unique.size, n))
+    return pattern, C
+
+
+class TestFamilyConstruction:
+    @pytest.mark.parametrize(
+        "nx, k, refined",
+        [(1, 1, False), (2, 1, False), (3, 4, False), (9, 4, False), (15, 2, False), (15, 4, False),
+         (3, 16, False), (3, 2, True)],
+    )
+    def test_pattern_and_C_equal_the_unique_and_coo_build(self, nx, k, refined):
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, k)
+        if refined:
+            mesh = refine(mesh)
+        stiffness = assemble_pixel_matrices(mesh)
+        for built, reference in zip((stiffness.pattern, stiffness.C), unique_and_coo_family(mesh, stiffness)):
+            assert built.format == "csr" and built.shape == reference.shape
+            assert built.indptr.dtype == built.indices.dtype == np.int32
+            assert built.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(built, name), getattr(reference, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        if nx == 1 and k == 1:
+            assert stiffness.N == 0 and stiffness.C.shape == (0, 1)
+
+
 class TestGlobalMatrix:
     def test_spd_at_ones(self, stiffness3x4):
         B = global_matrix(stiffness3x4, np.ones(9)).toarray()
@@ -291,6 +337,22 @@ class TestLoadVector:
         touched.discard(-1)
         untouched = sorted(set(range(mesh3x4.n_free)) - touched)
         assert np.all(load.y[untouched] == 0.0)
+
+    @pytest.mark.parametrize("nx, k, refined", [(3, 4, False), (15, 4, False), (3, 2, True)])
+    def test_equals_add_at(self, nx, k, refined):
+        # np.bincount adds each vertex's contributions in the order np.add.at
+        # does, so every load is the same to the bit.
+        mesh = build_mesh(PixelGrid(nx), k)
+        disks = standard_disk_layout(mesh, 0.25)
+        if refined:
+            mesh, disks = refine(mesh), [refine_disk(d, mesh) for d in disks]
+        for disk in disks:
+            expected = np.zeros(mesh.n_free)
+            f = mesh.free_index[mesh.triangles[disk.element_set]].ravel()
+            contrib = np.repeat(mesh.areas()[disk.element_set] / 3.0, 3)
+            np.add.at(expected, f[f >= 0], contrib[f >= 0])
+            y = assemble_load(mesh, disk).y
+            assert y.dtype == expected.dtype and np.array_equal(y, expected)
 
     def test_no_interior_overlap_warns(self):
         # The lower triangle of the bottom-right corner square has all

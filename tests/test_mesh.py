@@ -110,6 +110,12 @@ class TestBuildMesh:
         mesh = build_mesh(PixelGrid(nx), k)
         assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
 
+    @pytest.mark.parametrize("nx, k", [(1, 1), (2, 1), (3, 4), (15, 4)])
+    def test_n_free_counts_interior_vertices(self, nx, k):
+        mesh = build_mesh(PixelGrid(nx), k)
+        assert mesh.n_free == (~mesh.boundary_vertex).sum() == (nx * k - 1) ** 2
+        assert type(mesh.n_free) is int
+
     def test_free_index_contiguous(self):
         mesh = build_mesh(PixelGrid(3), 2)
         interior = mesh.free_index[mesh.free_index >= 0]
