@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from . import linsolve
 from .forward import JacobianStack, forward_matrix, forward_pairs
 
 __all__ = [
@@ -41,6 +40,14 @@ __all__ = [
 ]
 
 RANK_DEFICIENCY_RATIO = 1e-14
+# The working floor on sigma of a reconstruction, and reconstruct_lm's
+# iteration cap, first damping and stopping tolerances.
+SIGMA_FLOOR = 1e-6
+LM_MAX_ITER = 100
+LM_LAMBDA0 = 1e-3
+LM_GTOL = 1e-14
+LM_RTOL = 1e-28
+LM_STEP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +60,8 @@ class SymmetricLayout:
 
     loads: list
 
-    def evaluate(self, stiffness, sigma, tol):
-        F, jac = forward_matrix(stiffness, sigma, self.loads, tol=tol)
+    def evaluate(self, stiffness, sigma):
+        F, jac = forward_matrix(stiffness, sigma, self.loads)
         return F.values.ravel(), jac.flattened()
 
     def data_shape(self):
@@ -68,8 +75,8 @@ class PairLayout:
 
     pairs: list
 
-    def evaluate(self, stiffness, sigma, tol):
-        return forward_pairs(stiffness, sigma, self.pairs, tol=tol)
+    def evaluate(self, stiffness, sigma):
+        return forward_pairs(stiffness, sigma, self.pairs)
 
     def data_shape(self):
         return (len(self.pairs),)
@@ -79,15 +86,13 @@ class PairLayout:
 class ResidualProblem:
     """Data-misfit problem ``min ||F(sigma) - data||^2`` over positive sigma.
 
-    ``sigma_floor`` bounds the working domain away from zero; the
+    :data:`SIGMA_FLOOR` bounds the working domain away from zero; the
     reconstruction loop rejects any step crossing it.
     """
 
     stiffness: object
     layout: object
     data: np.ndarray
-    sigma_floor: float = 1e-6
-    tol: float = linsolve.DEFAULT_TOL
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -100,7 +105,7 @@ class ResidualProblem:
 
     def misfit(self, sigma):
         """Residual vector and its Jacobian at ``sigma``."""
-        values, jac = self.layout.evaluate(self.stiffness, sigma, self.tol)
+        values, jac = self.layout.evaluate(self.stiffness, sigma)
         return values - self.data.ravel(), jac
 
 
@@ -118,21 +123,13 @@ class ReconstructionError(RuntimeError):
     """Raised when no acceptable reconstruction step can be found."""
 
 
-def reconstruct_lm(
-    problem: ResidualProblem,
-    sigma0,
-    max_iter: int = 100,
-    lambda0: float = 1e-3,
-    gtol: float = 1e-14,
-    rtol: float = 1e-28,
-    step_tol: float = 1e-12,
-):
+def reconstruct_lm(problem: ResidualProblem, sigma0):
     """Levenberg-Marquardt minimization of the misfit over positive sigma.
 
     Damped normal equations with multiplicative ``diag(J^T J)`` scaling;
     the damping shrinks by 3 on accepted steps and doubles on rejected
     ones. Steps that fail to decrease the residual, or that push any
-    coefficient to ``sigma_floor`` or below, are rejected. Ten consecutive
+    coefficient to :data:`SIGMA_FLOOR` or below, are rejected. Ten consecutive
     rejections abort.
 
     Returns
@@ -142,16 +139,16 @@ def reconstruct_lm(
         of accepted steps are non-increasing.
     """
     sigma = np.asarray(sigma0, dtype=float).copy()
-    if np.any(sigma <= problem.sigma_floor):
+    if np.any(sigma <= SIGMA_FLOOR):
         raise ValueError("starting point must be above the positivity floor")
     r, jac = problem.misfit(sigma)
     value = float(r @ r)
-    damping = lambda0
+    damping = LM_LAMBDA0
     trace = [{"iteration": 0, "accepted": True, "residual": value, "damping": damping, "step_norm": 0.0}]
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, LM_MAX_ITER + 1):
         gradient = 2.0 * (jac.T @ r)
-        if value <= rtol or np.linalg.norm(gradient, np.inf) <= gtol:
+        if value <= LM_RTOL or np.linalg.norm(gradient, np.inf) <= LM_GTOL:
             break
         JtJ = jac.T @ jac
         diag = np.diag(JtJ).copy()
@@ -161,7 +158,7 @@ def reconstruct_lm(
         while True:
             step = np.linalg.solve(JtJ + damping * np.diag(diag), -(jac.T @ r))
             candidate = sigma + step
-            ok = bool(np.all(candidate > problem.sigma_floor))
+            ok = bool(np.all(candidate > SIGMA_FLOOR))
             if ok:
                 r_new, jac_new = problem.misfit(candidate)
                 value_new = float(r_new @ r_new)
@@ -181,7 +178,7 @@ def reconstruct_lm(
                     f"no acceptable step after {rejections} damping increases "
                     f"at iteration {iteration} (residual {value:.3e})"
                 )
-        if trace[-1]["step_norm"] <= step_tol * (1.0 + float(np.linalg.norm(sigma))):
+        if trace[-1]["step_norm"] <= LM_STEP_TOL * (1.0 + float(np.linalg.norm(sigma))):
             break
 
     return sigma, trace

@@ -142,7 +142,10 @@ def load_config(path) -> ExperimentConfig:
             key = key.strip()
             if key not in _CONFIG_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            setattr(cfg, key, _CONFIG_PARSERS[key](value.strip()))
+            try:
+                setattr(cfg, key, _CONFIG_PARSERS[key](value.strip()))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: bad value for config key {key!r}: {err}") from err
     return cfg
 
 

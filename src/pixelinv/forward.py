@@ -12,8 +12,8 @@ symmetric layout (the same functionals used as excitations and as
 measurements) the full ``m x m`` matrix and all ``n`` Jacobian slices
 follow from just ``m`` linear solves.
 
-Every map below takes one path: ``global_matrix`` validates ``sigma`` and
-forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
+All maps but the sweep take one path: ``global_matrix`` validates ``sigma``
+and forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
 all loads in one block with a factor of ``B_sigma`` condensed onto the
 skeleton (``StiffnessSet.condensation``): the band Cholesky factor of the
 Schur complement ``S_sigma``, back-substituted in place, then the pixel
@@ -27,13 +27,13 @@ these properties are exercised by the test suite.
 
 Pair values along a sweep of a few pixel coefficients take a second path
 (:func:`forward_pair_sweep`): ``B_RR`` on the unknowns ``R`` off the swept
-pixels is factored once, and each distinct sample condensed onto the rest
-``S`` with the pixel blocks cut from the shared one (static condensation).
-On a line of samples differing only in the last swept pixel the condensed
-matrix is a symmetric-definite pencil: one ``eigh`` per line serves all its
-samples (Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7); every other
-step runs on a batch of lines, and every sample's full residual is checked.
-:func:`forward_pair_values` is the sweep with no swept pixel.
+pixels is factored once, by ``linsolve``'s band Cholesky factor of ``B_RR``
+itself, and each distinct sample condensed onto the rest ``S`` with the
+pixel blocks cut from the shared one (static condensation). On a line of
+samples differing only in the last swept pixel the condensed matrix is a
+symmetric-definite pencil: one ``eigh`` per line serves all its samples
+(Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7); every other step
+runs on a batch of lines, and every sample's full residual is checked.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpbtrs
 
@@ -223,19 +222,21 @@ def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = lins
     distinct, column = _distinct([ld for pair in pairs for ld in pair])
     lam, _, d = _solve(stiffness, sigma, distinct, tol)
     left, right = column[0::2], column[1::2]
-    # Summed as forward_pair_values sums, so that the two agree to the bit.
-    values = np.einsum("ij,ij->j", lam[:-1, left], np.column_stack([r.y for _, r in pairs]))
-    _require_finite(sigma, values)
-    jac = _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n, d, d)))[:, left, right].T
-    return values, jac
+    values = _pair_values(sigma, lam, left, pairs)
+    return values, _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n, d, d)))[:, left, right].T
 
 
 def forward_pair_values(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL) -> np.ndarray:
-    """Values only for (excitation, measurement) pairs; solves excitations only.
+    """Values only for (excitation, measurement) pairs; solves excitations only, as :func:`forward_pairs` does."""
+    excitations, left = _distinct([y_l for y_l, _ in pairs])
+    return _pair_values(sigma, _solve(stiffness, sigma, excitations, tol)[0], left, pairs)
 
-    This is :func:`forward_pair_sweep` with no swept pixel and one sample.
-    """
-    return forward_pair_sweep(stiffness, sigma, [], np.empty((1, 0)), pairs, tol)[0]
+
+def _pair_values(sigma, lam: np.ndarray, left: np.ndarray, pairs: list) -> np.ndarray:
+    """``lam_l . y_r`` for each pair, ``lam_l`` the column ``left`` of the pair in ``lam``."""
+    values = np.einsum("ij,ij->j", lam[:-1, left], np.column_stack([r.y for _, r in pairs]))
+    _require_finite(sigma, values)
+    return values
 
 
 # Most samples of a line decomposed at once, so memory does not grow with the
@@ -283,17 +284,18 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     Raises
     ------
     ValueError
-        If ``pixels`` has repeated or out-of-range entries, ``samples`` is
-        not ``(P, len(pixels))``, ``pairs`` is empty, or ``sigma`` or a
-        sample has an entry that is not finite and strictly positive.
+        If ``pixels`` has repeated, out-of-range or non-integer entries,
+        ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty, or ``sigma``
+        or a sample has an entry that is not finite and strictly positive.
     """
     if not pairs:
         raise ValueError("need at least one load")
     B = global_matrix(stiffness, sigma)
     base = np.asarray(sigma, dtype=float).reshape(-1)
-    pixels = np.asarray(pixels, dtype=np.int64).reshape(-1)
-    if np.unique(pixels).size != pixels.size or not np.all((pixels >= 0) & (pixels < stiffness.n)):
-        raise ValueError(f"pixels must be distinct indices below {stiffness.n}, got {pixels.tolist()}")
+    pixels = np.asarray(pixels).reshape(-1)  # a float or bool index is refused, not truncated
+    if pixels.size and pixels.dtype.kind not in "iu" or len({*pixels.tolist()} & {*range(stiffness.n)}) < pixels.size:
+        raise ValueError(f"pixels must be distinct integer indices below {stiffness.n}, got {pixels.tolist()}")
+    pixels = pixels.astype(np.int64)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != pixels.size:
         raise ValueError(f"samples must have shape (P, {pixels.size}), got {samples.shape}")
@@ -303,23 +305,20 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     swept = np.zeros(stiffness.N + 1, dtype=bool)
     swept[dofs] = True  # a boundary -1 lands on the spare last entry
     S, R = np.flatnonzero(swept[:-1]), np.flatnonzero(~swept[:-1])
-    B_RR, B_RS, B_SR = B[R][:, R], B[R][:, S].toarray(), B[S][:, R]
-    # B_SS without the swept pixels' blocks: they enter through the samples
-    # only, so no sample's matrix cancels sigma[pixels] back out of B_sigma
-    # (at a contrast of 1e4 that cancellation costs four digits).
+    # B_sigma without the swept pixels' blocks, which touch S only: they enter
+    # through the samples only, so no sample's matrix cancels sigma[pixels]
+    # back out of B_SS (at a contrast of 1e4 that cancellation costs four digits).
     outside = base.copy()
     outside[pixels] = 0.0
-    pattern = stiffness.pattern
-    B_SS = sp.csr_matrix((stiffness.C @ outside, pattern.indices, pattern.indptr), shape=pattern.shape)[S][:, S]
+    B.data = stiffness.C @ outside
+    B_RR, B_RS, B_SR, B_SS = B[R][:, R], B[R][:, S].toarray(), B[S][:, R], B[S][:, S].toarray()
     excitations, left = _distinct([y_l for y_l, _ in pairs])
     Y, e = np.column_stack([ld.y for ld in excitations]), len(excitations)
     Y_r = np.column_stack([r.y for _, r in pairs])
-    # With no pixel swept, B_RR is B_sigma: the forward maps' factor solves it.
-    factor = None if pixels.size else _condensed_factor(stiffness, base)
-    reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol, factor=factor)
+    reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol)
     solved = np.column_stack([rep.solution for rep in reports])
     U, W = solved[:, :e], solved[:, e:]  # B_RR^{-1} y_R and B_RR^{-1} B_RS
-    schur = B_SS.toarray() - B_SR @ W
+    schur = B_SS - B_SR @ W
     load_S = Y[S] - B_SR @ U
     # With lam_R = U - W lam_S, rows R of y - B lam are E_W lam_S - e_U; values lam_S . G + offset.
     E_W, e_U = B_RR @ W - B_RS, B_RR @ U - Y[R]
@@ -397,7 +396,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
             if not missed.any() or broken.any() or steps >= linsolve.REFINE_STEPS:
                 break
             # Refine every sample of the batch: lam_R gains z - W dS, lam_S gains dS.
-            refine = linsolve.solve_multi(B_RR, list(r_R.reshape(R.size, t.size * e).T), tol=tol, factor=factor)
+            refine = linsolve.solve_multi(B_RR, list(r_R.reshape(R.size, t.size * e).T), tol=tol)
             z = np.array([rep.solution for rep in refine]).T.reshape(R.size, *X.shape[1:])
             X += solve_S(r_S - _apply(B_SR, z))
             Z = Z + z

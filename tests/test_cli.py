@@ -87,6 +87,16 @@ def test_zero_k_flag_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unparsable_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=2\nnx=3.5\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["nonuniqueness", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"bad config: {cfg}:2: bad value for config key 'nx'" in err and "'3.5'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", ["nonuniqueness", "properties"])
 def test_out_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, experiment):
     # Refused before the study runs, not when its output is written.

@@ -157,6 +157,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="key=value"):
             load_config(cfg_file)
 
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("# grid\nnx=3.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.cfg:2: bad value for config key 'nx': invalid literal"):
+            load_config(cfg_file)
+
 
 @pytest.fixture(scope="module")
 def coarse_result():

@@ -244,7 +244,16 @@ class TestForwardPairs:
         values = forward_pair_values(stiffness3x4, TRUTH, pairs)
         assert solve_counter.solves == 1  # one distinct excitation
         full, _ = forward_pairs(stiffness3x4, TRUTH, pairs)
-        assert np.allclose(values, full, rtol=1e-12)
+        assert np.array_equal(values, full)
+        for nx, k in [(2, 1), (4, 3), (9, 4)]:
+            stiffness, loads = problem(nx, k)
+            sigma = np.ones(stiffness.n)
+            sigma[0], sigma[-1] = 1e-2, 1e2
+            pairs = [(loads[0], loads[-1]), (loads[1], loads[-2]), (loads[1], loads[0])]
+            solve_counter.solves = 0
+            values = forward_pair_values(stiffness, sigma, pairs)
+            assert solve_counter.solves == 2
+            assert np.array_equal(values, forward_pairs(stiffness, sigma, pairs)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -491,6 +500,9 @@ class TestForwardPairSweep:
             ([9], (2, 1), "distinct"),
             ([-1], (2, 1), "distinct"),
             ([4], (2, 2), "shape"),
+            ([4.7], (2, 1), "distinct"),  # not truncated to pixel 4
+            ([True], (2, 1), "distinct"),  # not pixel 1
+            (np.array([4.0]), (2, 1), "distinct"),
         ],
     )
     def test_bad_pixels_or_sample_shape_rejected(self, stiffness3x4, loads3x4, pixels, shape, message):
