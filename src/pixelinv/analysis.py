@@ -247,8 +247,8 @@ def condition_number(jac) -> SpectralReport:
     Accepts a JacobianStack, whose spectrum is that of its ``(m*m, n)``
     flattening but is taken from the packed distinct rows (see the module
     notes; slices more asymmetric than ``1e-9`` of their largest entry are
-    rejected), or any finite 2D array with at least as many rows as
-    columns. A smallest singular value at or below ``1e-14`` times the
+    rejected), or any finite 2D array with one or more columns and at least
+    as many rows. A smallest singular value at or below ``1e-14`` times the
     largest, zero included, marks the report as rank deficient with
     condition number infinity.
     """
@@ -272,8 +272,8 @@ def condition_number(jac) -> SpectralReport:
         if J.ndim != 2:
             raise ValueError(f"expected a 2D Jacobian, got shape {J.shape}")
         rows = J.shape[0]
-    if rows < J.shape[1]:
-        raise ValueError(f"Jacobian must have at least {J.shape[1]} rows, got {rows}")
+    if not 0 < J.shape[1] <= rows:
+        raise ValueError(f"Jacobian needs one or more columns and at least as many rows, got {rows} x {J.shape[1]}")
     s = singular_values(J)
     s_max, s_min = float(s[0]), float(s[-1])
     deficient = s_min <= RANK_DEFICIENCY_RATIO * s_max

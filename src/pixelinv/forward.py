@@ -33,7 +33,9 @@ pixel blocks cut from the shared one (static condensation). On a line of
 samples differing only in the last swept pixel the condensed matrix is a
 symmetric-definite pencil: one ``eigh`` per line serves all its samples
 (Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7); every other step
-runs on a batch of lines, and every sample's full residual is checked.
+runs on a batch of lines, and every sample's full residual is checked. A
+sample that misses ``tol`` is solved again on its own by
+:func:`forward_pair_values`, so ``linsolve`` holds the only refinement loop.
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ class JacobianStack:
         return self.slices.reshape(n, -1).T
 
 
-# Pixels per chunk of the Jacobian contraction: their gathered solutions take about 256 KiB.
-_CHUNK_BYTES = 1 << 18
+# Bytes per step of the Jacobian contraction's gathered solutions (they set its memory
+# peak) and of a sweep batch's eigenvectors and padded columns (larger was no faster).
+_WORKING_BYTES = 1 << 18
 
 
 def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -124,7 +127,7 @@ def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out:
     pixels at a time, each gathered onto its vertices and checked for finiteness.
     ``lam`` ends in a zero row, which the -1 of a boundary vertex in ``dofs`` picks out."""
     s, m = stiffness.block.shape[0], lam.shape[1]
-    step = max(1, _CHUNK_BYTES // (8 * s * m))
+    step = max(1, _WORKING_BYTES // (8 * s * m))
     for start in range(0, stiffness.n, step):
         L = lam[stiffness.dofs[start:start + step].T]  # (s, pixels, m)
         BL = (-stiffness.block @ L.reshape(s, -1)).reshape(L.shape)
@@ -227,7 +230,9 @@ def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = lins
 
 
 def forward_pair_values(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL) -> np.ndarray:
-    """Values only for (excitation, measurement) pairs; solves excitations only, as :func:`forward_pairs` does."""
+    """Values only for (excitation, measurement) pairs; solves excitations only, as :func:`forward_pairs` does.
+
+    :func:`forward_pair_sweep` solves a sample that misses its tolerance with this."""
     excitations, left = _distinct([y_l for y_l, _ in pairs])
     return _pair_values(sigma, _solve(stiffness, sigma, excitations, tol)[0], left, pairs)
 
@@ -242,8 +247,6 @@ def _pair_values(sigma, lam: np.ndarray, left: np.ndarray, pairs: list) -> np.nd
 # Most samples of a line decomposed at once, so memory does not grow with the
 # line; above any landscape line (1,000 points and the truth).
 _LINE_PIECE = 1024
-# Bytes of eigenvectors and padded columns per batch; larger was no faster.
-_BATCH_BYTES = 1 << 18
 
 
 def _apply(matrix, x: np.ndarray) -> np.ndarray:
@@ -276,15 +279,15 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     ``lam_S`` from the decomposition gets one correction against ``M + t K_q``, which
     makes it as accurate as a direct solve. Every sample's relative residual
     ``||B_sample lam - y|| / ||y||`` is formed from set-up quantities and ``M + t K_q``
-    and checked against ``tol``. A batch with a sample that misses it gets up to
-    ``linsolve.REFINE_STEPS`` refinement steps through the same elimination (each
-    solves ``B_RR`` again), and a sample that still misses it raises
-    :class:`linsolve.SolverError` naming it.
+    and checked against ``tol``. A distinct sample that misses it (a NaN residual
+    included) is solved again on its own by :func:`forward_pair_values`, one more
+    solve; if that raises :class:`linsolve.SolverError`, the sweep raises one naming
+    the sample, with its own achieved residual as ``residual_norm``.
 
     Raises
     ------
     ValueError
-        If ``pixels`` has repeated, out-of-range or non-integer entries,
+        If ``pixels`` is empty or has repeated, out-of-range or non-integer entries,
         ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty, or ``sigma``
         or a sample has an entry that is not finite and strictly positive.
     """
@@ -293,8 +296,9 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     B = global_matrix(stiffness, sigma)
     base = np.asarray(sigma, dtype=float).reshape(-1)
     pixels = np.asarray(pixels).reshape(-1)  # a float or bool index is refused, not truncated
-    if pixels.size and pixels.dtype.kind not in "iu" or len({*pixels.tolist()} & {*range(stiffness.n)}) < pixels.size:
-        raise ValueError(f"pixels must be distinct integer indices below {stiffness.n}, got {pixels.tolist()}")
+    if not pixels.size or pixels.dtype.kind not in "iu" or len({*pixels.tolist()} & {*range(stiffness.n)}) < pixels.size:
+        raise ValueError(f"pixels must be one or more distinct integer indices below {stiffness.n}, "
+                         f"got {pixels.tolist()}")
     pixels = pixels.astype(np.int64)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != pixels.size:
@@ -331,7 +335,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     # K1 holds the row sums K_j 1, exact as the entries are half-integers.
     on = (dofs[:, :, None] == S).any(axis=1).astype(float).reshape(pixels.size, S.size)
     on /= np.maximum(on.sum(axis=1, keepdims=True), 1.0)
-    K1, K_q = K.sum(axis=2), K[-1:].sum(axis=0)  # K_q: 0 x 0 with no pixel swept
+    K1, K_q = K.sum(axis=2), K[-1]
 
     def residual_S(X, s):
         """``load_S - (schur + sum_j s_j K_j) X`` for the samples ``s``, (p, n).
@@ -348,7 +352,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
 
     y_norm = np.linalg.norm(Y, axis=0) + np.all(Y == 0.0, axis=0)  # a zero load: zero solution, residual 0
     # Lines of equal heads, sorted; step: 2 per head coefficient unlike the previous sample's, 1 for the last.
-    order = np.lexsort(samples.T[::-1]) if pixels.size else np.arange(len(samples))
+    order = np.lexsort(samples.T[::-1])
     step = (np.diff(np.take(samples, order, axis=0), axis=0) != 0) @ (2.0 - (np.arange(pixels.size) == pixels.size - 1))
     new, line = np.ones((2, len(samples)), dtype=bool)
     new[1:], line[1:] = step > 0, step > 1
@@ -357,13 +361,13 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     distinct, place = np.take(samples, first, axis=0), np.arange(first.size)
     place -= np.maximum.accumulate(np.where(line[new], place, 0))  # each distinct sample's place in its line
     bounds = np.append(np.flatnonzero(place % _LINE_PIECE == 0), len(distinct))
-    count = max(1, _BATCH_BYTES // max(1, 8 * (S.size ** 2 + np.diff(bounds).max(initial=0) * stiffness.N * e)))
+    count = max(1, _WORKING_BYTES // max(1, 8 * (S.size ** 2 + np.diff(bounds).max(initial=0) * stiffness.N * e)))
     values = np.empty((len(distinct), len(pairs)))
     for batch in range(0, len(bounds) - 1, count):  # batches of `count` pieces
         starts, stops = bounds[:-1][batch:batch + count], bounds[1:][batch:batch + count]
         rows = np.minimum(starts[:, None] + np.arange((stops - starts).max()), stops[:, None] - 1)  # (pieces, L)
         s = distinct[rows.ravel()].T
-        t = s[-1:].sum(axis=0).reshape(rows.shape)  # the last pixel's samples (0 with none), ascending in a piece
+        t = s[-1].reshape(rows.shape)  # the last pixel's samples, ascending in a piece
         rho = np.sqrt(t[:, 0]) * np.sqrt(t[:, -1])  # t.min() * t.max() can leave the double range
         M = schur + np.einsum("ph,hij->pij", distinct[starts, :-1], K[:-1])  # each piece's, (pieces, |S|, |S|)
         mu, V = np.empty((len(starts), S.size)), np.empty((len(starts), S.size, S.size))
@@ -377,42 +381,27 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
                     f"{pixels.tolist()}): cannot decompose its pencil: {err}", residual_norm=math.inf, iterations=0,
                 ) from err
         D, Vt = (1.0 / (1.0 + (t - rho[:, None])[:, None] * mu[:, :, None]))[..., None], V.transpose(0, 2, 1)
-
-        def solve_S(r):
-            """``(M + t K_q)^{-1} r`` for each sample, ``r`` and the result (|S|, samples, e)."""
-            VtR = _apply(Vt, r.reshape(S.size, *t.shape, e).transpose(1, 0, 2, 3))
-            return _apply(V, D * VtR).transpose(1, 0, 2, 3).reshape(r.shape)
-
         X = _apply(V, D * (Vt @ load_S)[:, :, None]).transpose(1, 0, 2, 3).reshape(S.size, t.size, e)  # lam_S
         # One correction against M + t K_q: at high contrast in S the decomposition alone is less accurate.
-        X += solve_S(residual_S(X, s))
-        Z = BZ_R = BZ_S = 0.0  # corrections to lam_R, B_RR Z and B_SR Z, arrays once refined
-        for steps in range(linsolve.REFINE_STEPS + 1):
-            r_R = _apply(E_W, X) - (e_U[:, None] + BZ_R)
-            r_S = residual_S(X, s) - BZ_S
-            achieved = np.sqrt(np.einsum("ime,ime->me", r_R, r_R) + np.einsum("ime,ime->me", r_S, r_S)) / y_norm
-            missed = ~np.all(achieved <= tol, axis=1)
-            broken = ~np.isfinite(achieved).all(axis=1)  # a residual no refinement can mend
-            if not missed.any() or broken.any() or steps >= linsolve.REFINE_STEPS:
-                break
-            # Refine every sample of the batch: lam_R gains z - W dS, lam_S gains dS.
-            refine = linsolve.solve_multi(B_RR, list(r_R.reshape(R.size, t.size * e).T), tol=tol)
-            z = np.array([rep.solution for rep in refine]).T.reshape(R.size, *X.shape[1:])
-            X += solve_S(r_S - _apply(B_SR, z))
-            Z = Z + z
-            BZ_R, BZ_S = _apply(B_RR, Z), _apply(B_SR, Z)
-        if missed.any():
-            i = np.flatnonzero(broken if broken.any() else missed)[0]
-            j, worst = first[rows.flat[i]], float(achieved[i].max())
-            raise linsolve.SolverError(
-                f"sweep sample {j + 1} of {samples.shape[0]} (coefficients {samples[j].tolist()} on pixels "
-                f"{pixels.tolist()}) missed tolerance {tol} after {steps} refinement steps (achieved "
-                f"relative residual {worst:.3e})", residual_norm=worst, iterations=steps,
-            )
-        found = offset + np.einsum("smp,sp->mp", X[:, :, left], G)  # from lam_S and lam_R = U + Z - W lam_S
-        if steps:
-            found += np.einsum("rmp,rp->mp", Z[:, :, left], Y_r[R])
-        values[starts[0]:stops[-1]] = found[(np.arange(rows.shape[1]) < (stops - starts)[:, None]).ravel()]  # unpadded
+        r = residual_S(X, s).reshape(S.size, *t.shape, e).transpose(1, 0, 2, 3)
+        X += _apply(V, D * _apply(Vt, r)).transpose(1, 0, 2, 3).reshape(X.shape)
+        r_R, r_S = _apply(E_W, X) - e_U[:, None], residual_S(X, s)
+        worst = (np.sqrt(np.einsum("ime,ime->me", r_R, r_R) + np.einsum("ime,ime->me", r_S, r_S)) / y_norm).max(axis=1)
+        found = offset + np.einsum("smp,sp->mp", X[:, :, left], G)  # from lam_S and lam_R = U - W lam_S
+        kept = (np.arange(rows.shape[1]) < (stops - starts)[:, None]).ravel()  # unpadded
+        values[starts[0]:stops[-1]] = found[kept]
+        for i in np.flatnonzero(kept & ~(worst <= tol)):  # a NaN residual included: solve the sample on its own
+            d = rows.flat[i]
+            point = base.copy()
+            point[pixels] = distinct[d]
+            try:
+                values[d] = forward_pair_values(stiffness, point, pairs, tol)
+            except linsolve.SolverError as err:
+                raise linsolve.SolverError(
+                    f"sweep sample {first[d] + 1} of {samples.shape[0]} (coefficients {distinct[d].tolist()} on "
+                    f"pixels {pixels.tolist()}) missed tolerance {tol} (achieved relative residual {worst[i]:.3e}), "
+                    f"and its own solve failed: {err}", residual_norm=float(worst[i]), iterations=0,
+                ) from err
     values = np.take(values, where, axis=0)
     _require_finite(np.concatenate([base, samples.ravel()]), values)
     return values

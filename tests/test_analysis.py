@@ -191,6 +191,11 @@ class TestConditionNumber:
         with pytest.raises(ValueError):
             condition_number(rng.standard_normal((3, 5)))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0)])
+    def test_matrix_without_columns_rejected(self, shape):
+        with pytest.raises(ValueError, match="one or more columns"):
+            condition_number(np.zeros(shape))
+
 
 class TestResidual:
     def make_problem(self, stiffness, loads, layout_kind):

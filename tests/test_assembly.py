@@ -407,7 +407,5 @@ class TestCondensation:
         loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
         forward_pair_sweep(stiffness, np.ones(9), [3, 5], np.full((2, 2), 0.5), [(loads[0], loads[6])])
         assert "condensation" not in vars(stiffness)  # the sweep never needs it
-        forward_pair_sweep(stiffness, np.ones(9), [], np.empty((2, 0)), [(loads[0], loads[6])])
-        assert "condensation" not in vars(stiffness)  # nor with no pixel swept
         forward_matrix(stiffness, np.ones(9), loads)
         assert vars(stiffness)["condensation"] is stiffness.condensation

@@ -31,6 +31,7 @@ from pixelinv.linsolve import SolveReport, SolverError, solve_multi
 from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
+EXTREMES = [1e-300, 1e-200, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e200, 1e300]
 
 
 def single(stiffness, sigma, y_l, y_r):
@@ -306,7 +307,7 @@ def sweeps(draw):
     stiffness, loads = problem(nx, k)
     log_coefficient = st.floats(-2.0, 2.0)
     sigma = 10.0 ** draw(arrays(float, stiffness.n, elements=log_coefficient))
-    pixels = draw(st.lists(st.integers(0, stiffness.n - 1), unique=True, max_size=stiffness.n))
+    pixels = draw(st.lists(st.integers(0, stiffness.n - 1), unique=True, min_size=1, max_size=stiffness.n))
     count = draw(st.integers(1, 6))
     samples = 10.0 ** draw(arrays(float, (count, len(pixels)), elements=log_coefficient))
     load = st.integers(0, len(loads) - 1)
@@ -332,14 +333,6 @@ class TestForwardPairSweep:
         pairs = [(loads3x4[0], loads3x4[7]), (loads3x4[2], loads3x4[2])]
         samples = rng.uniform(0.1, 3.0, (4, 9))
         assert_sweep_matches(stiffness3x4, np.ones(9), list(range(9)), samples, pairs)
-
-    def test_no_pixel_swept(self, stiffness3x4, loads3x4, rng):
-        sigma = rng.uniform(0.5, 2.0, 9)
-        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
-        swept = forward_pair_sweep(stiffness3x4, sigma, [], np.empty((3, 0)), pairs)
-        direct = forward_pairs(stiffness3x4, sigma, pairs)[0]
-        assert swept.shape == (3, 2)
-        assert np.max(np.abs(swept - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("lines", ["one_line", "separate_lines"])
     def test_values_do_not_depend_on_place(self, stiffness3x4, loads3x4, rng, lines):
@@ -405,9 +398,10 @@ class TestForwardPairSweep:
     @given(sweep=sweeps())
     def test_setup_residual_is_the_direct_one(self, sweep):
         # Spoil the B_RR solutions and the decomposition, so that the samples'
-        # solutions have residuals in the rows of both R and S; the residual
-        # the sweep reports must be ||B_sample lam - y|| / ||y|| of the solution
-        # it formed for the sample it names.
+        # solutions have residuals in the rows of both R and S, and let the
+        # samples' own solves fail; the residual the sweep reports must be
+        # ||B_sample lam - y|| / ||y|| of the solution it formed for the sample
+        # it names.
         stiffness, sigma, pixels, samples, pairs = sweep
         samples = samples.copy()
         samples[:, :-1] = samples[0, :-1]  # one line
@@ -426,12 +420,16 @@ class TestForwardPairSweep:
             spoiled["eigh"] = mu, V * (1.0 + 1e-3)
             return spoiled["eigh"]
 
+        def failed_own_solve(*args, **kwargs):
+            raise SolverError("own solve failed", residual_norm=1.0, iterations=0)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linsolve, "solve_multi", spoiled_multi)
             mp.setattr(forward, "eigh", spoiled_eigh)
-            mp.setattr(linsolve, "REFINE_STEPS", 0)
+            mp.setattr(forward, "forward_pair_values", failed_own_solve)
             with pytest.raises(SolverError, match=r"sweep sample \d+ of") as err:
                 forward_pair_sweep(stiffness, sigma, pixels, samples, pairs, tol=1e-6)
+        assert str(err.value.__cause__) == "own solve failed"  # the own solve's error is chained
         j = int(re.search(r"sweep sample (\d+) of", str(err.value)).group(1)) - 1
 
         dofs = stiffness.dofs[pixels]
@@ -443,9 +441,8 @@ class TestForwardPairSweep:
         point[pixels] = samples[j]
         B = global_matrix(stiffness, point)
         Y = np.column_stack([y_l.y for y_l in excitations])
-        t = 0.0
-        if pixels:  # the line's pencil is decomposed at rho; t is the shift from rho
-            t = samples[j, -1] - np.sqrt(samples[:, -1].min() * samples[:, -1].max())
+        # The line's pencil is decomposed at rho; t is the shift from rho.
+        t = samples[j, -1] - np.sqrt(samples[:, -1].min() * samples[:, -1].max())
         mu, V = spoiled["eigh"]
         reduced, load_S = B[S][:, S].toarray() - B[S][:, R] @ W, Y[S] - B[S][:, R] @ U
 
@@ -460,9 +457,10 @@ class TestForwardPairSweep:
         assert err.value.residual_norm == pytest.approx(direct.max(), rel=1e-9)
 
     @pytest.mark.parametrize("spoil", ["solves", "decomposition"])
-    def test_refinement_recovers_spoiled_set_up(self, stiffness3x4, loads3x4, monkeypatch, spoil):
-        # Set-up quantities off by 1e-6 show in the residual; refinement steps
-        # then bring every sample to tol and its values to the direct ones.
+    def test_spoiled_set_up_samples_are_solved_again(self, stiffness3x4, loads3x4, monkeypatch, spoil):
+        # Set-up quantities off by 1e-6 show in the residual; every sample then
+        # misses tol and is solved again on its own, which brings its values
+        # to the direct ones.
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7])]
         samples = np.linspace(0.1, 3.0, 40).reshape(20, 2)
         expected = per_point(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
@@ -470,10 +468,11 @@ class TestForwardPairSweep:
         factor = 1.0 + 1e-6
 
         def counted_multi(*args, **kwargs):
+            reports = solve_multi(*args, **kwargs)
+            if spoil == "solves" and not calls:  # the set-up solve only
+                reports = [SolveReport(rep.solution * factor, rep.iterations, rep.residual_norm) for rep in reports]
             calls.append(1)
-            scale = factor if spoil == "solves" else 1.0
-            return [SolveReport(rep.solution * scale, rep.iterations, rep.residual_norm)
-                    for rep in solve_multi(*args, **kwargs)]
+            return reports
 
         def spoiled_eigh(*args, **kwargs):
             mu, V = eigh(*args, **kwargs)
@@ -483,8 +482,8 @@ class TestForwardPairSweep:
         if spoil == "decomposition":
             monkeypatch.setattr(forward, "eigh", spoiled_eigh)
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs, tol=1e-13)
-        assert len(calls) > 1  # the set-up solve and at least one refinement step
-        assert np.max(np.abs(swept - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert len(calls) == 1 + 20  # the set-up solve and one own solve per sample
+        assert np.max(np.abs(swept - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
     def test_bad_sample_rejected(self, stiffness3x4, loads3x4, bad):
@@ -503,35 +502,50 @@ class TestForwardPairSweep:
             ([4.7], (2, 1), "distinct"),  # not truncated to pixel 4
             ([True], (2, 1), "distinct"),  # not pixel 1
             (np.array([4.0]), (2, 1), "distinct"),
+            ([], (2, 0), "one or more"),
         ],
     )
     def test_bad_pixels_or_sample_shape_rejected(self, stiffness3x4, loads3x4, pixels, shape, message):
         with pytest.raises(ValueError, match=message):
             forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.ones(shape), [(loads3x4[0], loads3x4[7])])
 
-    @pytest.mark.parametrize("refine_steps", [None, 0])
-    @pytest.mark.parametrize("nx, k", [(2, 1), (3, 4)])
+    @pytest.mark.parametrize("nx, k, refine_steps", [(2, 1, 0), (3, 4, None), (3, 4, 0)])
     def test_missed_tolerance_raises(self, nx, k, refine_steps, monkeypatch):
-        # With nx=2, k=1 the B_RR solves are empty, so the sweep's own
-        # residual check is what refuses the samples; None keeps the cap.
+        # With nx=2, k=1 the B_RR solves are empty, so the sweep's own residual
+        # check is what sends the first sample to its own 1 x 1 solve; without
+        # refinement that misses 1e-300 too, and the sweep names the sample. At
+        # nx=3, k=4 the set-up solve of B_RR misses it first, refined or not.
         if refine_steps is not None:
             monkeypatch.setattr(linsolve, "REFINE_STEPS", refine_steps)
+        own = []
+
+        def counted_own(*args, **kwargs):
+            own.append(1)
+            return forward_pair_values(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "forward_pair_values", counted_own)
         stiffness, loads = problem(nx, k)
         samples = np.linspace(0.1, 3.0, 40).reshape(20, 2)
         pairs = [(loads[0], loads[1])]
-        with pytest.raises(SolverError, match="missed tolerance"):
+        named = re.escape(f"sweep sample 1 of 20 (coefficients {samples[0].tolist()} on pixels [0, 2]) missed")
+        with pytest.raises(SolverError, match=named if nx == 2 else "direct solve missed tolerance"):
             forward_pair_sweep(stiffness, np.ones(stiffness.n), [0, 2], samples, pairs, tol=1e-300)
+        assert len(own) == (1 if nx == 2 else 0)
 
-    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    @pytest.mark.parametrize("value", EXTREMES)
     def test_extreme_samples_match_forward_pairs(self, stiffness3x4, loads3x4, value):
-        # The line's shift rho is the geometric mean of its extreme samples;
-        # formed as sqrt(min * max) it under- or overflowed here.
+        # Pixel 3 at `value` and pixel 5 at each extreme, one single-sample
+        # sweep each. The line's shift rho is the geometric mean of its extreme
+        # samples; formed as sqrt(min * max) it under- or overflowed at equal
+        # values. Where they differ by a factor of 1e100 or more the sweep's own
+        # residual misses tol, and the sample is solved again on its own.
         pairs = [(loads3x4[0], loads3x4[6])]
-        sigma = np.ones(9)
-        sigma[[3, 5]] = value
-        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], np.array([[value, value]]), pairs)
-        expected, _ = forward_pairs(stiffness3x4, sigma, pairs)
-        assert np.max(np.abs(swept[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for other in EXTREMES:
+            sigma = np.ones(9)
+            sigma[[3, 5]] = value, other
+            swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], np.array([[value, other]]), pairs)
+            expected, _ = forward_pairs(stiffness3x4, sigma, pairs)
+            assert np.max(np.abs(swept[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("value", [1e20, 1e308])
     def test_pencil_failure_is_solver_error(self, stiffness3x4, loads3x4, value):
@@ -544,13 +558,13 @@ class TestForwardPairSweep:
         assert err.value.residual_norm == np.inf
 
     def test_non_finite_residual_is_not_refined(self, stiffness3x4, loads3x4, monkeypatch):
-        # A NaN residual cannot be refined away: the sweep names the sample
-        # instead of handing NaN right-hand sides to the solver.
+        # A NaN residual cannot be refined away: each such sample is solved
+        # again on its own, and no solve is handed NaN right-hand sides.
         calls = []
 
-        def counted_multi(*args, **kwargs):
-            calls.append(1)
-            return solve_multi(*args, **kwargs)
+        def counted_multi(matrix, rhs_list, **kwargs):
+            calls.append(bool(np.isfinite(rhs_list).all()))
+            return solve_multi(matrix, rhs_list, **kwargs)
 
         def nan_eigh(*args, **kwargs):
             mu, V = eigh(*args, **kwargs)
@@ -559,12 +573,13 @@ class TestForwardPairSweep:
 
         monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
         monkeypatch.setattr(forward, "eigh", nan_eigh)
-        samples = np.linspace(0.5, 2.0, 6).reshape(3, 2)
-        with pytest.raises(SolverError, match=r"sweep sample 1 of 3 .* after 0 refinement steps .* nan"):
-            forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, [(loads3x4[0], loads3x4[6])])
-        assert len(calls) == 1  # the set-up solve only
+        samples, pairs = np.linspace(0.5, 2.0, 6).reshape(3, 2), [(loads3x4[0], loads3x4[6])]
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        assert calls == [True] * (1 + 3)  # the set-up solve and one own solve per sample
+        expected = per_point(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        assert np.max(np.abs(swept - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("pixels", [[], [4], [3, 5]])
+    @pytest.mark.parametrize("pixels", [[4], [3, 5]])
     def test_empty_sweep(self, stiffness3x4, loads3x4, monkeypatch, pixels):
         calls = []
 
@@ -588,7 +603,7 @@ class TestForwardPairSweep:
         samples = np.vstack([samples, samples[7]])
         monkeypatch.setattr(forward, "_LINE_PIECE", 6)
         batched = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
-        monkeypatch.setattr(forward, "_BATCH_BYTES", 0)  # one piece a batch
+        monkeypatch.setattr(forward, "_WORKING_BYTES", 0)  # one piece a batch
         alone = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
         assert np.max(np.abs(batched - alone)) <= 1e-14 * np.max(np.abs(alone))
         assert np.array_equal(batched[7], batched[-1])
@@ -596,8 +611,9 @@ class TestForwardPairSweep:
         assert np.max(np.abs(batched - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_repeated_samples_are_computed_once(self, stiffness3x4, loads3x4, monkeypatch):
-        # Forty copies of two samples on one line: a refinement step solves
-        # B_RR for the two distinct samples only, and the copies agree to the bit.
+        # Forty copies of two samples on one line, both missing tol: each of the
+        # two distinct samples is solved on its own once, and the copies agree
+        # to the bit.
         sizes = []
 
         def counted_multi(matrix, rhs_list, **kwargs):
@@ -612,14 +628,14 @@ class TestForwardPairSweep:
         monkeypatch.setattr(forward, "eigh", spoiled_eigh)
         samples = np.tile([[0.3, 0.7], [0.3, 1.9]], (40, 1))
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, [(loads3x4[0], loads3x4[6])], tol=1e-13)
-        assert sizes[0] == 1 + 40 and len(sizes) > 1
-        assert sizes[1:] == [2] * (len(sizes) - 1)
+        assert sizes == [1 + 40, 1, 1]
         assert np.array_equal(swept, np.tile(swept[:2], (40, 1)))
 
-    def test_memory_peak_of_a_landscape_sweep(self, stiffness3x4, loads3x4):
+    def test_memory_peak_of_a_landscape_sweep(self, stiffness3x4, loads3x4, solve_counter):
         # The benchmark's landscape sweep: a 30 x 30 grid and the truth. Its
         # batches of lines are bounded in bytes, so the peak stays near the
         # 0.4 MB of one line at a time (1.05 MB with batches of six lines).
+        # No sample is solved on its own: the set-up's solves are all.
         values = 0.02 * np.arange(1, 31)
         a, b = np.meshgrid(values, values, indexing="ij")
         samples = np.vstack([np.column_stack([a.ravel(), b.ravel()]), [0.5, 0.5]])
@@ -631,6 +647,7 @@ class TestForwardPairSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6
+        assert solve_counter.solves == 1 + 40
 
     @pytest.mark.parametrize("count", [1, 7, 100])
     def test_solves_do_not_grow_with_samples(self, stiffness3x4, loads3x4, solve_counter, count):
