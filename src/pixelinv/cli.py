@@ -1,7 +1,7 @@
 """Command-line driver: ``pixelinv <experiment> [options]``.
 
 Exit status is 0 on success, 1 when a property check fails, 2 on usage
-errors.
+errors and on a failed solve (``SolverError``), which write no output.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .experiments import (
     run_stability_study,
     write_csv,
 )
+from .linsolve import SolverError
 
 _RUNNERS = {
     "nonuniqueness": run_nonuniqueness_sweep,
@@ -62,19 +63,24 @@ def main(argv=None) -> int:
         print(f"pixelinv: bad config: {err}", file=sys.stderr)
         return 2
 
+    run = run_property_suite if args.experiment == "properties" else _RUNNERS[args.experiment]
+    try:
+        result = run(config)
+    except SolverError as err:
+        print(f"pixelinv: {args.experiment} failed: {err}", file=sys.stderr)
+        return 2
+
     if args.experiment == "properties":
-        report = run_property_suite(config)
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(result, fh, indent=2)
             fh.write("\n")
-        for check in report["checks"]:
+        for check in result["checks"]:
             state = "pass" if check["passed"] else "FAIL"
             print(f"{state}  {check['name']}: measured {check['measured']:.3e} "
                   f"(tolerance {check['tolerance']:.3e})")
         print(f"report written to {out}")
-        return 0 if report["all_passed"] else 1
+        return 0 if result["all_passed"] else 1
 
-    result = _RUNNERS[args.experiment](config)
     write_csv(result, out)
     print(f"{len(result.rows)} rows written to {out}")
     return 0

@@ -20,22 +20,22 @@ Schur complement ``S_sigma``, back-substituted in place, then the pixel
 interiors lifted back. The Jacobian is contracted a chunk of pixels at a
 time, from the pixel block all pixels share and the solutions gathered
 onto their vertices, straight into the returned stack. The number of
-solves is returned (``MeasurementMatrix.solves_used``). The matrix map is
-symmetric positive semidefinite, monotonically non-increasing and convex
-in the Loewner order, and grows pointwise under nested mesh refinement;
-these properties are exercised by the test suite.
+back-substitutions is returned (``MeasurementMatrix.solves_used``). The
+matrix map is symmetric positive semidefinite, monotonically non-increasing
+and convex in the Loewner order, and grows pointwise under nested mesh
+refinement; these properties are exercised by the test suite.
 
 Pair values along a sweep of a few pixel coefficients take a second path
 (:func:`forward_pair_sweep`): ``B_RR`` on the unknowns ``R`` off the swept
-pixels is factored once, by ``linsolve``'s band Cholesky factor of ``B_RR``
-itself, and each distinct sample condensed onto the rest ``S`` with the
-pixel blocks cut from the shared one (static condensation). On a line of
+pixels is factored once by ``linsolve``'s band Cholesky, and each distinct
+sample condensed onto the rest ``S`` (static condensation). On a line of
 samples differing only in the last swept pixel the condensed matrix is a
 symmetric-definite pencil: one ``eigh`` per line serves all its samples
-(Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7); every other step
-runs on a batch of lines, and every sample's full residual is checked. A
-sample that misses ``tol`` is solved again on its own by
-:func:`forward_pair_values`, so ``linsolve`` holds the only refinement loop.
+(Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7), and every other
+step runs on a batch of lines. A sample whose pencil fails, or whose full
+residual or value fails its check, is solved again on its own by
+:func:`forward_pair_values`: the sweep's one failure path. No numpy warning
+pre-empts a check; a value that leaves the double range ends at one.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class MeasurementMatrix:
     """Matrix of measurements for a symmetric functional layout.
 
     ``values[j, k]`` is the k-th measurement of the solution excited by
-    the j-th functional. ``solves_used`` records how many linear solves
-    produced the matrix (one per functional).
+    the j-th functional. ``solves_used`` counts the back-substitutions that
+    produced it: one per functional, plus one per refinement step.
     """
 
     values: np.ndarray
@@ -131,7 +131,8 @@ def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out:
     for start in range(0, stiffness.n, step):
         L = lam[stiffness.dofs[start:start + step].T]  # (s, pixels, m)
         BL = (-stiffness.block @ L.reshape(s, -1)).reshape(L.shape)
-        np.matmul(L.transpose(1, 2, 0), BL.transpose(1, 0, 2), out=out[start:start + step])
+        with np.errstate(all="ignore"):  # an overflow is refused by the check below
+            np.matmul(L.transpose(1, 2, 0), BL.transpose(1, 0, 2), out=out[start:start + step])
         _require_finite(sigma, out[start:start + step])
     return out
 
@@ -170,7 +171,7 @@ def _condensed_factor(stiffness: StiffnessSet, sigma: np.ndarray):
 def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
     """Solution columns ``lam_j`` of ``B_sigma @ lam_j = y_j``, one per load,
     all against one factorization, above a zero row; the unknowns any load
-    touches and the loads there; and the number of solves that took."""
+    touches and the loads there; and the back-substitutions that took."""
     if not loads:
         raise ValueError("need at least one load")
     B = global_matrix(stiffness, sigma)
@@ -180,7 +181,7 @@ def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
     Y[rows] = np.array([ld.y[rows] for ld in loads], dtype=float).T
     reports = linsolve.solve_multi(B, Y.T, tol=tol, factor=factor)
     # The solutions are columns of the array the factor returned, refined in place.
-    return reports[0].solution.base, (rows, Y[rows]), len(reports)
+    return reports[0].solution.base, (rows, Y[rows]), sum(1 + rep.iterations for rep in reports)
 
 
 def _distinct(loads: list):
@@ -202,7 +203,7 @@ def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = lin
 
     All ``m*m`` matrix entries and all ``n`` Jacobian slices are formed
     from the ``m`` solutions of ``B_sigma @ lam_j = y_j``; ``solves_used``
-    of the returned matrix counts them.
+    of the returned matrix counts their back-substitutions.
 
     Returns
     -------
@@ -223,7 +224,7 @@ def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = lins
     layouts does not apply to such plain vectors of measurements.
     """
     distinct, column = _distinct([ld for pair in pairs for ld in pair])
-    lam, _, d = _solve(stiffness, sigma, distinct, tol)
+    lam, d = _solve(stiffness, sigma, distinct, tol)[0], len(distinct)
     left, right = column[0::2], column[1::2]
     values = _pair_values(sigma, lam, left, pairs)
     return values, _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n, d, d)))[:, left, right].T
@@ -279,17 +280,19 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     ``lam_S`` from the decomposition gets one correction against ``M + t K_q``, which
     makes it as accurate as a direct solve. Every sample's relative residual
     ``||B_sample lam - y|| / ||y||`` is formed from set-up quantities and ``M + t K_q``
-    and checked against ``tol``. A distinct sample that misses it (a NaN residual
-    included) is solved again on its own by :func:`forward_pair_values`, one more
-    solve; if that raises :class:`linsolve.SolverError`, the sweep raises one naming
-    the sample, with its own achieved residual as ``residual_norm``.
+    and checked against ``tol``. A sample whose residual misses ``tol`` (or is NaN), whose
+    value is not finite or whose piece ``eigh`` cannot decompose is solved again on its
+    own by :func:`forward_pair_values`: one more solve, and the sweep's one failure path.
 
     Raises
     ------
     ValueError
         If ``pixels`` is empty or has repeated, out-of-range or non-integer entries,
-        ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty, or ``sigma``
-        or a sample has an entry that is not finite and strictly positive.
+        ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty, ``sigma`` or a sample
+        is not finite and strictly positive, or a sample's own solve overflows ``B_sigma``.
+    linsolve.SolverError
+        If the set-up solve misses ``tol``, or a sample's own solve fails: it names the
+        sample and carries the sweep's residual for it (NaN if undecomposed).
     """
     if not pairs:
         raise ValueError("need at least one load")
@@ -368,29 +371,27 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
         rows = np.minimum(starts[:, None] + np.arange((stops - starts).max()), stops[:, None] - 1)  # (pieces, L)
         s = distinct[rows.ravel()].T
         t = s[-1].reshape(rows.shape)  # the last pixel's samples, ascending in a piece
-        rho = np.sqrt(t[:, 0]) * np.sqrt(t[:, -1])  # t.min() * t.max() can leave the double range
-        M = schur + np.einsum("ph,hij->pij", distinct[starts, :-1], K[:-1])  # each piece's, (pieces, |S|, |S|)
-        mu, V = np.empty((len(starts), S.size)), np.empty((len(starts), S.size, S.size))
-        for i, (start, stop) in enumerate(zip(starts, stops)):
-            try:  # (M + t K_q)^{-1} = V diag(D) V^T for each sample of the piece
-                mu[i], V[i] = eigh(K_q, M[i] + rho[i] * K_q)
-            except (np.linalg.LinAlgError, ValueError) as err:  # not definite in double precision, or overflowed
-                raise linsolve.SolverError(
-                    f"sweep samples {first[start] + 1} to {first[stop - 1] + 1} of {samples.shape[0]} (a line, "
-                    f"coefficients {distinct[start].tolist()} to {distinct[stop - 1].tolist()} on pixels "
-                    f"{pixels.tolist()}): cannot decompose its pencil: {err}", residual_norm=math.inf, iterations=0,
-                ) from err
-        D, Vt = (1.0 / (1.0 + (t - rho[:, None])[:, None] * mu[:, :, None]))[..., None], V.transpose(0, 2, 1)
-        X = _apply(V, D * (Vt @ load_S)[:, :, None]).transpose(1, 0, 2, 3).reshape(S.size, t.size, e)  # lam_S
-        # One correction against M + t K_q: at high contrast in S the decomposition alone is less accurate.
-        r = residual_S(X, s).reshape(S.size, *t.shape, e).transpose(1, 0, 2, 3)
-        X += _apply(V, D * _apply(Vt, r)).transpose(1, 0, 2, 3).reshape(X.shape)
-        r_R, r_S = _apply(E_W, X) - e_U[:, None], residual_S(X, s)
-        worst = (np.sqrt(np.einsum("ime,ime->me", r_R, r_R) + np.einsum("ime,ime->me", r_S, r_S)) / y_norm).max(axis=1)
-        found = offset + np.einsum("smp,sp->mp", X[:, :, left], G)  # from lam_S and lam_R = U - W lam_S
+        with np.errstate(all="ignore"):  # a non-finite intermediate ends at the residual check below
+            rho = np.sqrt(t[:, 0]) * np.sqrt(t[:, -1])  # t.min() * t.max() can leave the double range
+            M = schur + np.einsum("ph,hij->pij", distinct[starts, :-1], K[:-1])  # each piece's, (pieces, |S|, |S|)
+            mu, V = np.empty((len(starts), S.size)), np.empty((len(starts), S.size, S.size))
+            for i in range(len(starts)):
+                try:  # (M + t K_q)^{-1} = V diag(D) V^T for each sample of the piece
+                    mu[i], V[i] = eigh(K_q, M[i] + rho[i] * K_q)
+                except (np.linalg.LinAlgError, ValueError):  # not definite in double precision, or overflowed:
+                    mu[i] = np.nan  # so each sample of the piece is solved on its own
+            D, Vt = (1.0 / (1.0 + (t - rho[:, None])[:, None] * mu[:, :, None]))[..., None], V.transpose(0, 2, 1)
+            X = _apply(V, D * (Vt @ load_S)[:, :, None]).transpose(1, 0, 2, 3).reshape(S.size, t.size, e)  # lam_S
+            # One correction against M + t K_q: at high contrast in S the decomposition alone is less accurate.
+            r = residual_S(X, s).reshape(S.size, *t.shape, e).transpose(1, 0, 2, 3)
+            X += _apply(V, D * _apply(Vt, r)).transpose(1, 0, 2, 3).reshape(X.shape)
+            r_R, r_S = _apply(E_W, X) - e_U[:, None], residual_S(X, s)
+            worst = (np.sqrt(np.einsum("ime,ime->me", r_R, r_R) + np.einsum("ime,ime->me", r_S, r_S)) / y_norm).max(1)
+            found = offset + np.einsum("smp,sp->mp", X[:, :, left], G)  # from lam_S and lam_R = U - W lam_S
         kept = (np.arange(rows.shape[1]) < (stops - starts)[:, None]).ravel()  # unpadded
         values[starts[0]:stops[-1]] = found[kept]
-        for i in np.flatnonzero(kept & ~(worst <= tol)):  # a NaN residual included: solve the sample on its own
+        served = (worst <= tol) & np.isfinite(found).all(axis=1)  # a NaN residual is not served
+        for i in np.flatnonzero(kept & ~served):  # a sample its pencil cannot serve is solved on its own
             d = rows.flat[i]
             point = base.copy()
             point[pixels] = distinct[d]
@@ -402,9 +403,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
                     f"pixels {pixels.tolist()}) missed tolerance {tol} (achieved relative residual {worst[i]:.3e}), "
                     f"and its own solve failed: {err}", residual_norm=float(worst[i]), iterations=0,
                 ) from err
-    values = np.take(values, where, axis=0)
-    _require_finite(np.concatenate([base, samples.ravel()]), values)
-    return values
+    return np.take(values, where, axis=0)
 
 
 def directional_derivative(jac: JacobianStack, tau) -> np.ndarray:

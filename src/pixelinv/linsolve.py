@@ -10,10 +10,10 @@ solved in one block, all residuals come from one product with the full
 matrix, and each relative residual ``||B x - y|| / ||y||`` is checked
 against ``tol`` on its own. The columns that miss it are refined together,
 each while its residual falls, for up to :data:`REFINE_STEPS` steps; one
-that still misses it raises :class:`SolverError`, so an asymmetric matrix
-or a poor factor gives no wrong answer. Runs are deterministic for a fixed
-BLAS thread count. Each right-hand side yields one :class:`SolveReport`,
-so callers count solves from what is returned.
+that still misses it raises :class:`SolverError`, so an asymmetric matrix,
+a poor factor or a solution out of the double range (no numpy warning is
+raised) gives no wrong answer. Runs are deterministic for a fixed BLAS
+thread count. Callers count the :class:`SolveReport` of each right-hand side.
 """
 
 from __future__ import annotations
@@ -100,24 +100,25 @@ def _solve_block(matrix, rhs_list, tol, factor) -> list[SolveReport]:
         def factor(R):  # LAPACK refuses an empty block; its only solution is empty
             return dpbtrs(cholesky, R)[0] if R.size else np.zeros(R.shape)
 
-    X = factor(Y)
-    R = matrix @ X
-    np.subtract(Y, R, out=R)
-    y_norm = _norms(Y) + ~Y.any(axis=0)  # a zero load: zero solution, residual 0
-    achieved = _norms(R) / y_norm
-    steps = np.zeros(m, dtype=np.int64)
-    active = np.flatnonzero(achieved > tol)
-    for _ in range(REFINE_STEPS):
-        if not active.size:
-            break
-        X_new = X[:, active] + factor(R[:, active])
-        R_new = Y[:, active] - matrix @ X_new
-        achieved_new = _norms(R_new) / y_norm[active]
-        steps[active] += 1
-        better = achieved_new < achieved[active]
-        kept = active[better]
-        X[:, kept], R[:, kept], achieved[kept] = X_new[:, better], R_new[:, better], achieved_new[better]
-        active = kept[achieved[kept] > tol]
+    with np.errstate(all="ignore"):  # a solution that leaves the double range misses tol below
+        X = factor(Y)
+        R = matrix @ X
+        np.subtract(Y, R, out=R)
+        y_norm = _norms(Y) + ~Y.any(axis=0)  # a zero load: zero solution, residual 0
+        achieved = _norms(R) / y_norm
+        steps = np.zeros(m, dtype=np.int64)
+        active = np.flatnonzero(achieved > tol)
+        for _ in range(REFINE_STEPS):
+            if not active.size:
+                break
+            X_new = X[:, active] + factor(R[:, active])
+            R_new = Y[:, active] - matrix @ X_new
+            achieved_new = _norms(R_new) / y_norm[active]
+            steps[active] += 1
+            better = achieved_new < achieved[active]
+            kept = active[better]
+            X[:, kept], R[:, kept], achieved[kept] = X_new[:, better], R_new[:, better], achieved_new[better]
+            active = kept[achieved[kept] > tol]
     missed = np.flatnonzero(~(achieved <= tol))
     if missed.size:
         j = missed[0]

@@ -58,6 +58,26 @@ def test_bad_step_or_tolerance_is_usage_error(tmp_path, capsys, experiment, sett
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, setting, named",
+    [
+        ("stability", "tol=1e-300", "missed tolerance 1e-300"),
+        ("properties", "tol=1e-300", "missed tolerance 1e-300"),
+        ("nonuniqueness", "sigma_step=1e6\nsigma_max=1e8", "sweep sample 2 of 100"),
+    ],
+)
+def test_failed_solve_is_one_line_and_exit_2(tmp_path, capsys, experiment, setting, named):
+    # A config that passes validate() can still ask for more than the solver
+    # gives: the run ends in SolverError, reported as one line, not a traceback.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"pixelinv: {experiment} failed: ") and named in err
+    assert not out.exists()
+
+
 def test_nonuniqueness_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     cfg = tmp_path / "run.cfg"

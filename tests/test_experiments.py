@@ -202,6 +202,13 @@ class TestNonuniquenessSweep:
             counts.append(solve_counter.solves - before)
         assert counts[0] == counts[1] > 0
 
+    def test_default_study_solves_no_sample_on_its_own(self, stiffness3x4, solve_counter):
+        # Each pixel's sweep solves B_RR for the one excitation and the |S| columns
+        # of B_RS, and nothing more: every default sample is served by its pencil.
+        result = run_nonuniqueness_sweep(ExperimentConfig())
+        assert len(result.rows) == 9 * 300
+        assert solve_counter.solves == sum(1 + np.count_nonzero(dofs >= 0) for dofs in stiffness3x4.dofs)
+
     def test_deterministic_output(self, tmp_path):
         # Byte-identical across reruns, including when the destination
         # path differs (the config comment omits the output path).

@@ -79,13 +79,28 @@ class TestExtremeScale:
     def test_tiny_sigma_overflow_raises(self, stiffness3x4, loads3x4, c):
         sigma = c * np.ones(9)
         pair = (loads3x4[0], loads3x4[7])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                forward_matrix(stiffness3x4, sigma, loads3x4)
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                forward_pairs(stiffness3x4, sigma, [pair])
-            with pytest.raises(FloatingPointError, match="non-finite"):
-                forward_pairs(stiffness3x4, sigma, [(loads3x4[0], loads3x4[0])])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            forward_matrix(stiffness3x4, sigma, loads3x4)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            forward_pairs(stiffness3x4, sigma, [pair])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            forward_pairs(stiffness3x4, sigma, [(loads3x4[0], loads3x4[0])])
+
+    def test_subnormal_sigma_is_solver_error(self, stiffness3x4, loads3x4):
+        # At 1e-320 the lift divides by a subnormal coefficient and overflows;
+        # the residual check refuses the solution, with no numpy warning first.
+        sigma = 1e-320 * np.ones(9)
+        with pytest.raises(SolverError, match="missed tolerance"):
+            forward_matrix(stiffness3x4, sigma, loads3x4)
+        with pytest.raises(SolverError, match="missed tolerance"):
+            forward_pairs(stiffness3x4, sigma, [(loads3x4[0], loads3x4[7])])
+
+    def test_tiny_background_sweep_is_solver_error(self, stiffness3x4, loads3x4):
+        # At a background of 1e-300 the solutions of B_RR leave the double
+        # range; the set-up solve's residual check refuses them.
+        with pytest.raises(SolverError, match="missed tolerance"):
+            forward_pair_sweep(stiffness3x4, np.full(9, 1e-300), [4], np.array([[1e-300], [1.0]]),
+                               [(loads3x4[0], loads3x4[6])])
 
 
 class TestForwardSingle:
@@ -547,15 +562,55 @@ class TestForwardPairSweep:
             expected, _ = forward_pairs(stiffness3x4, sigma, pairs)
             assert np.max(np.abs(swept[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("value", [1e20, 1e308])
-    def test_pencil_failure_is_solver_error(self, stiffness3x4, loads3x4, value):
-        # At contrast 1e20 the pencil is not definite in double precision
-        # (LAPACK's LinAlgError); at 1e308 it overflows (eigh's ValueError).
-        # Both name the line, as every other sweep failure names its sample.
-        line = re.escape(f"coefficients {[value]} to {[value]} on pixels [4]")
-        with np.errstate(over="ignore"), pytest.raises(SolverError, match=line) as err:
-            forward_pair_sweep(stiffness3x4, np.ones(9), [4], np.array([[value]]), [(loads3x4[0], loads3x4[6])])
-        assert err.value.residual_norm == np.inf
+    def test_extreme_grid_in_one_sweep(self, stiffness3x4, loads3x4):
+        # All 81 samples in one sweep: lines whose last pixel spans 600 decades
+        # send most samples to their own solves, with no numpy warning on the way.
+        pairs = [(loads3x4[0], loads3x4[6])]
+        heads, lasts = np.meshgrid(EXTREMES, EXTREMES, indexing="ij")
+        samples = np.column_stack([heads.ravel(), lasts.ravel()])
+        swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        for row, sample in zip(swept, samples):
+            sigma = np.ones(9)
+            sigma[[3, 5]] = sample
+            expected, _ = forward_pairs(stiffness3x4, sigma, pairs)
+            assert np.max(np.abs(row - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "samples, own_solves, error, message",
+        [
+            ([1e20], 1, SolverError, r"sweep sample 1 of 1 \(coefficients \[1e\+20\] on pixels \[4\]\) missed"),
+            ([1.0, 1e100], 2, SolverError, r"sweep sample 2 of 2 \(coefficients \[1e\+100\] on pixels \[4\]\) missed"),
+            ([1e308], 1, ValueError, r"B_sigma overflows at the largest coefficient 1e\+308"),
+        ],
+        ids=["1e+20", "1-1e+100", "1e+308"],
+    )
+    def test_undecomposable_pencil_is_solved_on_its_own(self, stiffness3x4, loads3x4, monkeypatch, samples,
+                                                        own_solves, error, message):
+        # At contrast 1e20 (and on the line from 1 to 1e100) the pencil is not
+        # definite in double precision (LAPACK's LinAlgError); at 1e308 it
+        # overflows (eigh's ValueError). Either way each sample of the line is
+        # solved on its own: the sweep names the first whose own solve fails,
+        # and passes global_matrix's overflow error on unchanged.
+        failed, own = [], []
+
+        def recorded_eigh(*args, **kwargs):
+            try:
+                return eigh(*args, **kwargs)
+            except (np.linalg.LinAlgError, ValueError):
+                failed.append(1)
+                raise
+
+        def counted_own(*args, **kwargs):
+            own.append(1)
+            return forward_pair_values(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "eigh", recorded_eigh)
+        monkeypatch.setattr(forward, "forward_pair_values", counted_own)
+        with pytest.raises(error, match=message) as err:
+            forward_pair_sweep(stiffness3x4, np.ones(9), [4], np.array(samples)[:, None], [(loads3x4[0], loads3x4[6])])
+        assert failed == [1] and len(own) == own_solves
+        if error is SolverError:
+            assert np.isnan(err.value.residual_norm)  # the pencil gave the sample no residual
 
     def test_non_finite_residual_is_not_refined(self, stiffness3x4, loads3x4, monkeypatch):
         # A NaN residual cannot be refined away: each such sample is solved
@@ -774,6 +829,7 @@ class TestCondensedPath:
                 forward_pairs(stiffness3x4, sigma, pairs, tol=1e-12)
             return
         F, jac = forward_matrix(stiffness3x4, sigma, loads3x4, tol=1e-12)
+        assert F.solves_used == len(loads3x4) + sum(steps)  # each refinement step is one more back-substitution
         values, rows = forward_pairs(stiffness3x4, sigma, pairs, tol=1e-12)
         assert min(steps) >= 1
         assert np.max(np.abs(F.values - F_clean.values)) <= 1e-11 * np.max(np.abs(F_clean.values))
