@@ -39,11 +39,9 @@ from .forward import (
     true_reference,
 )
 from .analysis import (
-    PairLayout,
     ReconstructionError,
     ResidualProblem,
     SpectralReport,
-    SymmetricLayout,
     condition_number,
     loewner_min_eig,
     reconstruct_lm,

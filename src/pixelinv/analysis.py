@@ -1,12 +1,13 @@
 """Inverse-problem diagnostics: residuals, reconstruction, spectra.
 
 The routines here quantify how hard the coefficient problem is: the
-data-misfit residual and its gradient, a damped Gauss-Newton
-(Levenberg-Marquardt) reconstruction loop, the condition number of the
-flattened measurement Jacobian, and the smallest eigenvalue used for
-Loewner-order checks. Eigenvalues come from LAPACK's symmetric
-eigensolver and singular values from its preconditioned one-sided
-Jacobi SVD; the tests check both against matrices of known spectrum.
+data-misfit residual over (excitation, measurement) pairs and its
+gradient, a damped Gauss-Newton (Levenberg-Marquardt) reconstruction
+loop, the condition number of the flattened measurement Jacobian, and
+the smallest eigenvalue used for Loewner-order checks. Eigenvalues come
+from LAPACK's symmetric eigensolver and singular values from its
+preconditioned one-sided Jacobi SVD; the tests check both against
+matrices of known spectrum.
 
 The slices of a Jacobian stack are symmetric, so row ``(k, j)`` of the
 flattening ``A`` repeats row ``(j, k)``. The SVD runs on the packed
@@ -24,12 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .forward import JacobianStack, forward_matrix, forward_pairs
+from .forward import JacobianStack, forward_pairs
 
 __all__ = [
     "ResidualProblem",
-    "SymmetricLayout",
-    "PairLayout",
     "SpectralReport",
     "ReconstructionError",
     "residual",
@@ -51,62 +50,35 @@ LM_STEP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# measurement layouts and the residual functional
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricLayout:
-    """Same functionals as excitations and measurements; matrix-valued data."""
-
-    loads: list
-
-    def evaluate(self, stiffness, sigma):
-        F, jac = forward_matrix(stiffness, sigma, self.loads)
-        return F.values.ravel(), jac.flattened()
-
-    def data_shape(self):
-        m = len(self.loads)
-        return (m, m)
-
-
-@dataclass(frozen=True, eq=False)
-class PairLayout:
-    """Explicit (excitation, measurement) pairs; plain vector of data."""
-
-    pairs: list
-
-    def evaluate(self, stiffness, sigma):
-        return forward_pairs(stiffness, sigma, self.pairs)
-
-    def data_shape(self):
-        return (len(self.pairs),)
+# the residual functional
 
 
 @dataclass(frozen=True, eq=False)
 class ResidualProblem:
     """Data-misfit problem ``min ||F(sigma) - data||^2`` over positive sigma.
 
+    ``F`` is the vector of the values of the (excitation, measurement)
+    ``pairs`` (:func:`forward.forward_pairs`) and ``data`` holds one value per
+    pair; a symmetric layout of ``m`` functionals lists all ``m*m`` pairs.
     :data:`SIGMA_FLOOR` bounds the working domain away from zero; the
     reconstruction loop rejects any step crossing it.
     """
 
     stiffness: object
-    layout: object
+    pairs: list
     data: np.ndarray
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        if data.shape != self.layout.data_shape():
-            raise ValueError(
-                f"data shape {data.shape} does not match layout "
-                f"{self.layout.data_shape()}"
-            )
+        if data.shape != (len(self.pairs),):
+            raise ValueError(f"data must hold one value for each of the {len(self.pairs)} pairs, "
+                             f"got shape {data.shape}")
         object.__setattr__(self, "data", data)
 
     def misfit(self, sigma):
         """Residual vector and its Jacobian at ``sigma``."""
-        values, jac = self.layout.evaluate(self.stiffness, sigma)
-        return values - self.data.ravel(), jac
+        values, jac = forward_pairs(self.stiffness, sigma, self.pairs)
+        return values - self.data, jac
 
 
 def residual(problem: ResidualProblem, sigma):

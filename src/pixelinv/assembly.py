@@ -33,6 +33,7 @@ from .mesh import DiskSpec, PixelGrid, TriMesh
 __all__ = [
     "StiffnessSet",
     "check_sigma",
+    "check_loads",
     "LoadVector",
     "element_stiffness",
     "assemble_pixel_matrices",
@@ -82,6 +83,15 @@ def check_sigma(sigma, n: int) -> np.ndarray:
     if np.any(s <= 0) or not np.all(np.isfinite(s)):
         raise ValueError("all coefficient entries must be finite and > 0")
     return s
+
+
+def check_loads(stiffness: StiffnessSet, loads: list) -> None:
+    """Refuse a load of another mesh: a ``y`` without ``N`` entries, or a disk of another ``(nx, k)``."""
+    mesh = (math.isqrt(stiffness.n), math.isqrt(stiffness.block.shape[0]) - 1)
+    for ld in loads:
+        if ld.y.shape != (stiffness.N,) or ld.disk is not None and ld.disk.mesh != mesh:
+            raise ValueError(f"load of {ld.y.size} entries from the mesh (nx, k) = {getattr(ld.disk, 'mesh', None)} "
+                             f"used with the stiffness set of the mesh {mesh}, {stiffness.N} unknowns")
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +316,7 @@ class LoadVector:
     """
 
     y: np.ndarray
-    disk: DiskSpec
+    disk: DiskSpec | None
 
 
 def assemble_load(mesh: TriMesh, disk: DiskSpec) -> LoadVector:
@@ -317,6 +327,7 @@ def assemble_load(mesh: TriMesh, disk: DiskSpec) -> LoadVector:
     each element contributes ``area/3`` to its three vertices. Boundary
     vertices carry no unknown and their contributions are dropped.
     """
+    disk.check_mesh(mesh)
     contrib = np.repeat(mesh.areas()[disk.element_set] / 3.0, 3)
     f = mesh.free_index[mesh.triangles[disk.element_set]].ravel()
     keep = f >= 0

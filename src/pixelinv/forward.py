@@ -19,7 +19,9 @@ skeleton (``StiffnessSet.condensation``): the band Cholesky factor of the
 Schur complement ``S_sigma``, back-substituted in place, then the pixel
 interiors lifted back. The Jacobian is contracted a chunk of pixels at a
 time, from the pixel block all pixels share and the solutions gathered
-onto their vertices, straight into the returned stack. The number of
+onto their vertices, straight into the returned stack. Pair values are one
+product of the distinct excitations' solutions with the distinct
+measurement loads; a symmetric layout is all ``m*m`` pairs. The number of
 back-substitutions is returned (``MeasurementMatrix.solves_used``). The
 matrix map is symmetric positive semidefinite, monotonically non-increasing
 and convex in the Loewner order, and grows pointwise under nested mesh
@@ -52,6 +54,7 @@ from .assembly import (
     StiffnessSet,
     assemble_load,
     assemble_pixel_matrices,
+    check_loads,
     check_sigma,
     global_matrix,
 )
@@ -174,6 +177,7 @@ def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
     touches and the loads there; and the back-substitutions that took."""
     if not loads:
         raise ValueError("need at least one load")
+    check_loads(stiffness, loads)
     B = global_matrix(stiffness, sigma)
     factor = _condensed_factor(stiffness, check_sigma(sigma, stiffness.n))
     rows = np.flatnonzero(np.any([ld.y for ld in loads], axis=0))
@@ -220,27 +224,30 @@ def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = lins
 
     ``pairs`` is a list of ``(y_l, y_r)`` LoadVector tuples. Returns a
     vector of the ``p`` values and a ``(p, n)`` Jacobian. Each distinct
-    load object is solved once. The Loewner-order structure of symmetric
-    layouts does not apply to such plain vectors of measurements.
+    load object is solved once, the excitations first. The Loewner-order
+    structure of symmetric layouts does not apply to such plain vectors.
     """
-    distinct, column = _distinct([ld for pair in pairs for ld in pair])
+    distinct, column = _distinct([y_l for y_l, _ in pairs] + [y_r for _, y_r in pairs])
     lam, d = _solve(stiffness, sigma, distinct, tol)[0], len(distinct)
-    left, right = column[0::2], column[1::2]
-    values = _pair_values(sigma, lam, left, pairs)
-    return values, _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n, d, d)))[:, left, right].T
+    forms = _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n, d, d)))
+    return _pair_values(sigma, lam, pairs), forms[:, column[:len(pairs)], column[len(pairs):]].T
 
 
 def forward_pair_values(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL) -> np.ndarray:
     """Values only for (excitation, measurement) pairs; solves excitations only, as :func:`forward_pairs` does.
 
     :func:`forward_pair_sweep` solves a sample that misses its tolerance with this."""
+    check_loads(stiffness, [y_r for _, y_r in pairs])  # _solve checks the excitations
+    return _pair_values(sigma, _solve(stiffness, sigma, _distinct([y_l for y_l, _ in pairs])[0], tol)[0], pairs)
+
+
+def _pair_values(sigma, lam: np.ndarray, pairs: list) -> np.ndarray:
+    """``lam_l . y_r`` per pair: ``lam``'s first columns, the excitations', times the distinct measurement loads."""
     excitations, left = _distinct([y_l for y_l, _ in pairs])
-    return _pair_values(sigma, _solve(stiffness, sigma, excitations, tol)[0], left, pairs)
-
-
-def _pair_values(sigma, lam: np.ndarray, left: np.ndarray, pairs: list) -> np.ndarray:
-    """``lam_l . y_r`` for each pair, ``lam_l`` the column ``left`` of the pair in ``lam``."""
-    values = np.einsum("ij,ij->j", lam[:-1, left], np.column_stack([r.y for _, r in pairs]))
+    measurements, right = _distinct([y_r for _, y_r in pairs])
+    with np.errstate(all="ignore"):  # an overflow is refused by the check below
+        lam_e = np.ascontiguousarray(lam[:-1, :len(excitations)])  # one layout, so the two maps' products agree
+        values = (lam_e.T @ np.column_stack([r.y for r in measurements]))[left, right]
     _require_finite(sigma, values)
     return values
 
@@ -288,14 +295,16 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     ------
     ValueError
         If ``pixels`` is empty or has repeated, out-of-range or non-integer entries,
-        ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty, ``sigma`` or a sample
-        is not finite and strictly positive, or a sample's own solve overflows ``B_sigma``.
+        ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty or from another mesh,
+        ``sigma`` or a sample is not finite and strictly positive, or a sample's own solve
+        overflows ``B_sigma``.
     linsolve.SolverError
         If the set-up solve misses ``tol``, or a sample's own solve fails: it names the
-        sample and carries the sweep's residual for it (NaN if undecomposed).
+        sample and why it went there, and carries the sweep's residual (NaN if undecomposed).
     """
     if not pairs:
         raise ValueError("need at least one load")
+    check_loads(stiffness, [ld for pair in pairs for ld in pair])
     B = global_matrix(stiffness, sigma)
     base = np.asarray(sigma, dtype=float).reshape(-1)
     pixels = np.asarray(pixels).reshape(-1)  # a float or bool index is refused, not truncated
@@ -398,10 +407,13 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
             try:
                 values[d] = forward_pair_values(stiffness, point, pairs, tol)
             except linsolve.SolverError as err:
+                why = ("lies on a pencil that could not be decomposed" if np.isnan(mu[i // rows.shape[1]]).any()
+                       else f"missed tolerance {tol} (achieved relative residual {worst[i]:.3e})"
+                       if not worst[i] <= tol else "has a value that is not finite")
                 raise linsolve.SolverError(
                     f"sweep sample {first[d] + 1} of {samples.shape[0]} (coefficients {distinct[d].tolist()} on "
-                    f"pixels {pixels.tolist()}) missed tolerance {tol} (achieved relative residual {worst[i]:.3e}), "
-                    f"and its own solve failed: {err}", residual_norm=float(worst[i]), iterations=0,
+                    f"pixels {pixels.tolist()}) {why}, and its own solve failed: {err}",
+                    residual_norm=float(worst[i]), iterations=0,
                 ) from err
     return np.take(values, where, axis=0)
 

@@ -132,11 +132,17 @@ class TriMesh:
 
 @dataclass(frozen=True, eq=False)
 class DiskSpec:
-    """A disk-supported region resolved to a set of mesh triangles."""
+    """A disk-supported region resolved to a set of triangles of the mesh ``(nx, k)``."""
 
     center: np.ndarray
     radius: float
     element_set: np.ndarray
+    mesh: tuple[int, int]
+
+    def check_mesh(self, mesh: TriMesh) -> None:
+        """Refuse ``mesh`` unless it is the one this disk's triangles belong to."""
+        if self.mesh != (mesh.grid.nx, mesh.k):
+            raise ValueError(f"disk of the mesh (nx, k) = {self.mesh} used on the mesh {(mesh.grid.nx, mesh.k)}")
 
     def resolved_area(self, mesh: TriMesh) -> float:
         """Total area of the triangles approximating the disk."""
@@ -234,11 +240,9 @@ def refine_disk(disk: DiskSpec, mesh: TriMesh) -> DiskSpec:
     region (and hence the linear functional it induces) is geometrically
     identical on the two meshes.
     """
-    return DiskSpec(
-        center=disk.center,
-        radius=disk.radius,
-        element_set=refine_element_set(mesh, disk.element_set),
-    )
+    disk.check_mesh(mesh)
+    return DiskSpec(center=disk.center, radius=disk.radius, element_set=refine_element_set(mesh, disk.element_set),
+                    mesh=(mesh.grid.nx, 2 * mesh.k))
 
 
 def _inside(centroids: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -250,7 +254,7 @@ def _disk(mesh: TriMesh, center: np.ndarray, radius: float, element_set: np.ndar
     if not element_set.size:
         raise ValueError(f"no triangle centroid inside disk of radius {radius} at {center.tolist()}; "
                          f"mesh (k={mesh.k}) too coarse for this disk")
-    return DiskSpec(center=center, radius=float(radius), element_set=element_set)
+    return DiskSpec(center=center, radius=float(radius), element_set=element_set, mesh=(mesh.grid.nx, mesh.k))
 
 
 def resolve_disk(mesh: TriMesh, center, radius: float) -> DiskSpec:

@@ -225,12 +225,12 @@ def test_criterion_08_sweep_shapes():
 
 
 def test_criterion_09_landscape_minimum(setup3x4):
-    from pixelinv.analysis import PairLayout, ResidualProblem
+    from pixelinv.analysis import ResidualProblem
 
     _, _, _, stiffness, loads = setup3x4
     pairs = [(loads[0], loads[6]), (loads[0], loads[7])]
     data = forward_pair_values(stiffness, TRUTH, pairs)
-    problem = ResidualProblem(stiffness=stiffness, layout=PairLayout(pairs), data=data)
+    problem = ResidualProblem(stiffness=stiffness, pairs=pairs, data=data)
     at_truth, _ = residual(problem, TRUTH)
 
     values = (np.arange(300) + 1) * 0.002

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from pixelinv.analysis import (
-    PairLayout,
     ResidualProblem,
-    SymmetricLayout,
     condition_number,
     loewner_min_eig,
     reconstruct_lm,
@@ -16,6 +14,12 @@ from pixelinv.forward import JacobianStack, forward_matrix, forward_pair_values
 from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
+
+
+def symmetric_problem(stiffness, loads):
+    """The residual problem of a symmetric layout, all ``m*m`` pairs, with data at the truth."""
+    pairs = [(y_l, y_r) for y_l in loads for y_r in loads]
+    return ResidualProblem(stiffness=stiffness, pairs=pairs, data=forward_pair_values(stiffness, TRUTH, pairs))
 
 
 class TestSymmetricEigenvalues:
@@ -200,13 +204,10 @@ class TestConditionNumber:
 class TestResidual:
     def make_problem(self, stiffness, loads, layout_kind):
         if layout_kind == "symmetric":
-            data, _ = forward_matrix(stiffness, TRUTH, loads)
-            return ResidualProblem(
-                stiffness=stiffness, layout=SymmetricLayout(loads), data=data.values
-            )
+            return symmetric_problem(stiffness, loads)
         pairs = [(loads[0], loads[6]), (loads[0], loads[7])]
         data = forward_pair_values(stiffness, TRUTH, pairs)
-        return ResidualProblem(stiffness=stiffness, layout=PairLayout(pairs), data=data)
+        return ResidualProblem(stiffness=stiffness, pairs=pairs, data=data)
 
     @pytest.mark.parametrize("layout_kind", ["symmetric", "pairs"])
     def test_zero_at_truth(self, stiffness3x4, loads3x4, layout_kind):
@@ -231,30 +232,23 @@ class TestResidual:
                 assert abs(fd - grad[i]) / max(1.0, abs(grad[i])) <= 1e-4
 
     def test_data_shape_validation(self, stiffness3x4, loads3x4):
-        with pytest.raises(ValueError):
-            ResidualProblem(
-                stiffness=stiffness3x4,
-                layout=SymmetricLayout(loads3x4),
-                data=np.zeros(3),
-            )
+        # One value per pair: a symmetric layout's m x m matrix is flattened first.
+        pairs = [(y_l, y_r) for y_l in loads3x4 for y_r in loads3x4]
+        for shape in [(3,), (65,), (8, 8)]:
+            with pytest.raises(ValueError, match="each of the 64 pairs"):
+                ResidualProblem(stiffness=stiffness3x4, pairs=pairs, data=np.zeros(shape))
 
 
 class TestReconstruction:
     def test_start_at_truth_accepts_nothing(self, stiffness3x4, loads3x4):
-        data, _ = forward_matrix(stiffness3x4, TRUTH, loads3x4)
-        problem = ResidualProblem(
-            stiffness=stiffness3x4, layout=SymmetricLayout(loads3x4), data=data.values
-        )
+        problem = symmetric_problem(stiffness3x4, loads3x4)
         sigma, trace = reconstruct_lm(problem, TRUTH)
         accepted = [t for t in trace if t["accepted"]]
         assert len(accepted) == 1  # only the starting record
         assert np.array_equal(sigma, TRUTH)
 
     def test_recovers_truth_from_ones(self, stiffness3x4, loads3x4):
-        data, _ = forward_matrix(stiffness3x4, TRUTH, loads3x4)
-        problem = ResidualProblem(
-            stiffness=stiffness3x4, layout=SymmetricLayout(loads3x4), data=data.values
-        )
+        problem = symmetric_problem(stiffness3x4, loads3x4)
         sigma, trace = reconstruct_lm(problem, np.ones(9))
         assert np.max(np.abs(sigma - TRUTH)) <= 1e-3
         values = [t["residual"] for t in trace if t["accepted"]]
@@ -266,9 +260,7 @@ class TestReconstruction:
         # low-residual point far from the truth.
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
         data = forward_pair_values(stiffness3x4, TRUTH, pairs)
-        problem = ResidualProblem(
-            stiffness=stiffness3x4, layout=PairLayout(pairs), data=data
-        )
+        problem = ResidualProblem(stiffness=stiffness3x4, pairs=pairs, data=data)
         start = np.ones(9)
         start[3] = 0.05
         start[5] = 0.05
@@ -278,9 +270,6 @@ class TestReconstruction:
         assert np.max(np.abs(sigma - TRUTH)) >= 0.3
 
     def test_rejects_start_below_floor(self, stiffness3x4, loads3x4):
-        data, _ = forward_matrix(stiffness3x4, TRUTH, loads3x4)
-        problem = ResidualProblem(
-            stiffness=stiffness3x4, layout=SymmetricLayout(loads3x4), data=data.values
-        )
+        problem = symmetric_problem(stiffness3x4, loads3x4)
         with pytest.raises(ValueError):
             reconstruct_lm(problem, np.full(9, 1e-7))

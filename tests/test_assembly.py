@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -322,7 +324,7 @@ class TestLoadVector:
     def test_single_element_region(self, mesh3x4):
         disk = resolve_disk(mesh3x4, (0.5, 0.5), 0.1)
         single = type(disk)(
-            center=disk.center, radius=disk.radius, element_set=disk.element_set[:1]
+            center=disk.center, radius=disk.radius, element_set=disk.element_set[:1], mesh=disk.mesh
         )
         load = assemble_load(mesh3x4, single)
         area = mesh3x4.areas()[single.element_set[0]]
@@ -364,11 +366,16 @@ class TestLoadVector:
         assert np.all(mesh.free_index[mesh.triangles[corner]] == -1)
         disk = resolve_disk(mesh, (0.75, 0.25), 0.2)
         region = type(disk)(
-            center=disk.center, radius=disk.radius, element_set=np.array([corner])
+            center=disk.center, radius=disk.radius, element_set=np.array([corner]), mesh=disk.mesh
         )
         with pytest.warns(UserWarning, match="zero"):
             load = assemble_load(mesh, region)
         assert not load.y.any()
+
+    def test_disk_of_another_mesh_refused(self, grid3, mesh3x4):
+        disk = standard_disk_layout(build_mesh(grid3, 2), 0.25)[0]
+        with pytest.raises(ValueError, match=re.escape("disk of the mesh (nx, k) = (3, 2) used on the mesh (3, 4)")):
+            assemble_load(mesh3x4, disk)
 
 
 

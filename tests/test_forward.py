@@ -271,6 +271,35 @@ class TestForwardPairs:
             assert solve_counter.solves == 2
             assert np.array_equal(values, forward_pairs(stiffness, sigma, pairs)[0])
 
+    @pytest.mark.parametrize("nx, k", [(3, 4), (8, 4)])
+    def test_all_pairs_are_the_symmetric_layout(self, nx, k):
+        # A symmetric layout written as pairs: the values are forward_matrix's to
+        # rounding, the Jacobian rows its flattened slices to the bit.
+        stiffness, loads = problem(nx, k)
+        sigma = np.random.default_rng(nx).uniform(0.5, 2.0, stiffness.n)
+        F, jac = forward_matrix(stiffness, sigma, loads)
+        values, rows = forward_pairs(stiffness, sigma, [(y_l, y_r) for y_l in loads for y_r in loads])
+        assert np.all(np.abs(values - F.values.ravel()) <= 1e-14 * np.abs(F.values.ravel()))
+        assert np.array_equal(rows, jac.flattened())
+
+    def test_memory_peak_of_all_pairs(self):
+        # All 784 pairs of the 28 loads at nx=8, k=4. Gathering an N x p copy of
+        # the solutions and another of the measurement loads peaked at 9.9 times
+        # forward_matrix's peak; one product with the distinct loads stays near it.
+        stiffness, loads = problem(8, 4)
+        sigma = np.random.default_rng(8).uniform(0.5, 2.0, stiffness.n)
+        pairs = [(y_l, y_r) for y_l in loads for y_r in loads]
+        forward_matrix(stiffness, sigma, loads)  # builds the cached condensation
+        peaks = []
+        for call in (lambda: forward_matrix(stiffness, sigma, loads), lambda: forward_pairs(stiffness, sigma, pairs)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
 
 @functools.lru_cache(maxsize=None)
 def problem(nx, k):
@@ -578,8 +607,10 @@ class TestForwardPairSweep:
     @pytest.mark.parametrize(
         "samples, own_solves, error, message",
         [
-            ([1e20], 1, SolverError, r"sweep sample 1 of 1 \(coefficients \[1e\+20\] on pixels \[4\]\) missed"),
-            ([1.0, 1e100], 2, SolverError, r"sweep sample 2 of 2 \(coefficients \[1e\+100\] on pixels \[4\]\) missed"),
+            ([1e20], 1, SolverError,
+             r"sweep sample 1 of 1 \(coefficients \[1e\+20\] on pixels \[4\]\) lies on a pencil that could not be"),
+            ([1.0, 1e100], 2, SolverError,
+             r"sweep sample 2 of 2 \(coefficients \[1e\+100\] on pixels \[4\]\) lies on a pencil that could not be"),
             ([1e308], 1, ValueError, r"B_sigma overflows at the largest coefficient 1e\+308"),
         ],
         ids=["1e+20", "1-1e+100", "1e+308"],
@@ -633,6 +664,25 @@ class TestForwardPairSweep:
         assert calls == [True] * (1 + 3)  # the set-up solve and one own solve per sample
         expected = per_point(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
         assert np.max(np.abs(swept - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_non_finite_value_is_named(self, stiffness3x4, loads3x4, monkeypatch):
+        # Loads scaled by 1e150 and 1e170: every residual meets tol, but the
+        # values overflow, so each sample goes to its own solve. There the
+        # overflow is refused as it is by the forward maps; an own solve that
+        # fails as a SolverError is reported with the reason the sample went.
+        y_l, y_r = (LoadVector(y=ld.y * c, disk=ld.disk) for ld, c in ((loads3x4[0], 1e150), (loads3x4[6], 1e170)))
+        samples = np.array([[0.5], [2.0]])
+        with pytest.raises(FloatingPointError, match="non-finite entries"):
+            forward_pair_sweep(stiffness3x4, np.ones(9), [4], samples, [(y_l, y_r)])
+
+        def failed_own(*args, **kwargs):
+            raise SolverError("own solve failed", residual_norm=np.nan, iterations=0)
+
+        monkeypatch.setattr(forward, "forward_pair_values", failed_own)
+        named = re.escape("sweep sample 1 of 2 (coefficients [0.5] on pixels [4]) has a value that is not finite")
+        with pytest.raises(SolverError, match=named) as err:
+            forward_pair_sweep(stiffness3x4, np.ones(9), [4], samples, [(y_l, y_r)])
+        assert err.value.residual_norm <= linsolve.DEFAULT_TOL
 
     @pytest.mark.parametrize("pixels", [[4], [3, 5]])
     def test_empty_sweep(self, stiffness3x4, loads3x4, monkeypatch, pixels):
@@ -713,6 +763,36 @@ class TestForwardPairSweep:
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7]), (loads3x4[0], loads3x4[7])]
         forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.full((count, 2), 0.7), pairs)
         assert solve_counter.solves == 2 + swept_unknowns  # two distinct excitations
+
+
+class TestLoadsOfAnotherMesh:
+    # Loads of the nx=3, k=2 mesh were scattered into the first of the k=4
+    # mesh's 121 unknowns (F[0, 0] read 5.10e-5 for 1.23e-4), or failed with
+    # numpy's broadcast or index errors; the nx=4, k=3 mesh has 121 unknowns too.
+    @pytest.mark.parametrize("nx, k", [(3, 2), (4, 3)])
+    def test_every_map_refuses_them(self, stiffness3x4, loads3x4, nx, k):
+        other = problem(nx, k)[1]
+        both = re.escape(f"(nx, k) = {(nx, k)} used with the stiffness set of the mesh (3, 4)")
+        calls = [
+            lambda: forward_matrix(stiffness3x4, np.ones(9), other[:2]),
+            lambda: forward_pairs(stiffness3x4, np.ones(9), [(other[0], other[1])]),
+            lambda: forward_pair_values(stiffness3x4, np.ones(9), [(other[0], other[1])]),
+            lambda: forward_pair_values(stiffness3x4, np.ones(9), [(loads3x4[0], other[1])]),  # a measurement
+            lambda: forward_pair_sweep(stiffness3x4, np.ones(9), [4], np.ones((2, 1)), [(loads3x4[0], other[1])]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=both):
+                call()
+
+    def test_load_without_disk_is_checked_for_length(self, stiffness3x4):
+        with pytest.raises(ValueError, match="load of 25 entries .* 121 unknowns"):
+            forward_matrix(stiffness3x4, np.ones(9), [LoadVector(y=np.ones(25), disk=None)])
+
+    @pytest.mark.parametrize("k_max", [4, 8])
+    def test_true_reference_refuses_them(self, grid3, k_max):
+        disks = standard_disk_layout(build_mesh(grid3, 2), 0.25)
+        with pytest.raises(ValueError, match=re.escape("disk of the mesh (nx, k) = (3, 2) used on the mesh (3, 4)")):
+            true_reference(grid3, disks, np.ones(9), 4, k_max)
 
 
 class TestTrueReference:

@@ -163,6 +163,15 @@ class TestRefine:
         fine = refine(mesh)
         assert abs(disk.resolved_area(mesh) - fine_disk.resolved_area(fine)) <= 1e-15
 
+    def test_refine_disk_records_the_finer_mesh(self):
+        mesh = build_mesh(PixelGrid(3), 2)
+        disk = resolve_disk(mesh, (0.5, 0.5), 0.15)
+        assert disk.mesh == (3, 2)
+        assert refine_disk(disk, mesh).mesh == (3, 4)
+        assert all(d.mesh == (3, 2) for d in standard_disk_layout(mesh, 0.25))
+        with pytest.raises(ValueError, match=re.escape("disk of the mesh (nx, k) = (3, 2) used on the mesh (3, 4)")):
+            refine_disk(disk, refine(mesh))
+
 
 class TestResolveDisk:
     def test_pixel_center_disk_selects_both_triangles(self):

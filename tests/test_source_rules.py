@@ -1,4 +1,5 @@
-"""Rules the library's source keeps: no ``except`` broader than the errors it expects."""
+"""Rules the library's source keeps: no ``except`` broader than the errors it expects,
+and no import that is neither used nor exported."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,50 @@ with contextlib.suppress(KeyError):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_broad_except(path):
     assert broad_catches(path.read_text(encoding="utf-8")) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in its ``__all__``. An
+    import on a line with a ``# noqa`` comment and ``from __future__`` are exempt."""
+    tree, lines = ast.parse(source), source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(name)
+    return unused
+
+
+def test_rule_finds_every_unused_import():
+    source = """
+from __future__ import annotations
+import math
+import os.path
+import numpy as np
+from . import linsolve
+from .mesh import (
+    DiskSpec,
+    build_mesh,  # noqa: F401  (kept for a tracer)
+    refine,
+)
+from .assembly import check_sigma as checked
+from .forward import forward_matrix, forward_pairs
+
+__all__ = ["forward_pairs"]
+
+
+def f(x: DiskSpec):
+    return np.sqrt(math.pi) + linsolve.DEFAULT_TOL
+"""
+    assert unused_imports(source) == ["os", "refine", "checked", "forward_matrix"]
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
