@@ -32,12 +32,12 @@ Pair values along a sweep of a few pixel coefficients take a second path
 pixels is factored once by ``linsolve``'s band Cholesky, and each distinct
 sample condensed onto the rest ``S`` (static condensation). On a line of
 samples differing only in the last swept pixel the condensed matrix is a
-symmetric-definite pencil: one ``eigh`` per line serves all its samples
-(Golub & Van Loan, *Matrix Computations*, 4th ed., 8.7), and every other
-step runs on a batch of lines. A sample whose pencil fails, or whose full
-residual or value fails its check, is solved again on its own by
-:func:`forward_pair_values`: the sweep's one failure path. No numpy warning
-pre-empts a check; a value that leaves the double range ends at one.
+symmetric-definite pencil, reduced once per line by a Cholesky factor to an
+eigenproblem on that pixel's unknowns (Golub & Van Loan, *Matrix Computations*,
+4th ed., 8.7.2); the rest runs on batches of lines. A sample whose pencil
+fails, or whose full residual or value fails its check, is solved again on its
+own by :func:`forward_pair_values`: the sweep's one failure path. No numpy
+warning pre-empts a check; a value that leaves the double range ends at one.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrs, dpotrf, dsyevd, dtrtri
 
 from . import linsolve
 from .assembly import (
@@ -264,6 +263,23 @@ def _apply(matrix, x: np.ndarray) -> np.ndarray:
     return (matrix @ flat).reshape(*lead, matrix.shape[-2], *rest)
 
 
+def _pencil_eigh(K_q, A):
+    """``scipy.linalg.eigh(K_q, A)``, errors included, for a positive semidefinite ``K_q`` zero off
+    the rows and columns ``Q`` of its nonzero diagonal. With ``Q`` ordered last (``P``), ``A = L L^T``
+    (``dpotrf``) leaves ``C = L_Q^-1 K_QQ L_Q^-T`` the only nonzero block of ``L^-1 K_q L^-T``, and
+    ``C = Z diag(mu_Q) Z^T`` (``dsyevd``) gives ``V = P^T L^-T diag(I, Z)`` and ``mu = (0, mu_Q)``."""
+    n, on_q = len(A), K_q.diagonal() != 0.0
+    order, q = np.argsort(on_q, kind="stable"), n - np.count_nonzero(on_q)  # Q is order[q:]
+    U, info = dpotrf(np.asarray_chkfinite(A).take(order[:, None] * n + order).T)  # U^T U = P A P^T
+    if info:
+        raise np.linalg.LinAlgError(f"the leading minor of order {info} is not positive definite")
+    T = dtrtri(U, overwrite_c=1)[0]  # U^-1 = L^-T, so T[q:, q:] is L_Q^-T
+    mu, Z, info = dsyevd((T[q:, q:].T @ K_q.take(order[q:, None] * n + order[q:]) @ T[q:, q:]).T, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"{info} eigenvalues of the pencil did not converge")
+    return np.concatenate([np.zeros(q), mu]), np.hstack([T[:, :q], T[:, q:] @ Z])[np.argsort(order)]
+
+
 def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: list,
                        tol: float = linsolve.DEFAULT_TOL) -> np.ndarray:
     """Pair values along a sweep of a few pixel coefficients.
@@ -272,24 +288,25 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     at ``sigma`` with ``sigma[pixels] = samples[j]``, for each of the ``P``
     rows of ``samples``.
 
-    ``S`` are the unknowns on the swept pixels' vertices and ``R`` the rest. ``B_RR``
-    is solved for the distinct excitations (``U``) and the ``|S|`` columns of ``B_RS``
+    ``S`` are the unknowns on the swept pixels' vertices and ``R`` the rest. ``B_RR`` is
+    solved for the distinct excitations (``U``) and the ``|S|`` columns of ``B_RS``
     (``W``): a sweep costs that many solves, whatever ``P`` is. The Schur complement is
     formed without the swept pixels' blocks, so ``sigma[pixels]`` never enters the
-    samples' matrices. Each distinct sample is computed once, so repeated ones agree
-    to the bit. On a line, ``M`` is that complement plus the other pixels' blocks
-    (``K_j``, the shared pixel block placed on ``S``) at their samples, and ``t`` the
-    last pixel ``q``'s sample. The pencil is decomposed once per piece (a line, or
-    1,024 samples of a longer one) at ``rho``, the geometric mean of its extreme ``t``:
+    samples' matrices. Each distinct sample is computed once, so repeated ones agree to
+    the bit. On a line, ``M`` is that complement plus the other pixels' blocks (``K_j``,
+    the shared pixel block placed on ``S``) at their samples, and ``t`` the last pixel
+    ``q``'s sample. The pencil is decomposed once per piece (a line, or 1,024 samples of a
+    longer one) at ``rho``, the geometric mean of its extreme ``t``:
     ``K_q V = (M + rho K_q) V diag(mu)`` gives ``0 <= mu <= 1 / rho``, so every
-    ``1 + (t - rho) mu`` is within ``sqrt(max / min)`` of 1. All else runs on batches
-    of pieces, each padded to the batch's longest with its last sample. Each sample's
-    ``lam_S`` from the decomposition gets one correction against ``M + t K_q``, which
-    makes it as accurate as a direct solve. Every sample's relative residual
+    ``1 + (t - rho) mu`` is within ``sqrt(max / min)`` of 1. As ``K_q`` is zero off
+    ``q``'s unknowns, :func:`_pencil_eigh` solves an eigenproblem of their order only. All
+    else runs on batches of pieces, each padded to the batch's longest with its last
+    sample. Each sample's ``lam_S`` gets one correction against ``M + t K_q``, which makes
+    it as accurate as a direct solve. Every sample's relative residual
     ``||B_sample lam - y|| / ||y||`` is formed from set-up quantities and ``M + t K_q``
     and checked against ``tol``. A sample whose residual misses ``tol`` (or is NaN), whose
-    value is not finite or whose piece ``eigh`` cannot decompose is solved again on its
-    own by :func:`forward_pair_values`: one more solve, and the sweep's one failure path.
+    value is not finite or whose piece cannot be decomposed is solved again on its own by
+    :func:`forward_pair_values`: one more solve, and the sweep's one failure path.
 
     Raises
     ------
@@ -343,26 +360,22 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     j, a, b = np.nonzero(free[:, :, None] & free[:, None, :])
     K = np.zeros((pixels.size, S.size, S.size))
     K[j, at[j, a], at[j, b]] = stiffness.block[a, b]  # K_j: the shared block on pixel j's free vertices
-    # Row j of `on` averages over pixel j's unknowns in S (zero with none);
-    # K1 holds the row sums K_j 1, exact as the entries are half-integers.
-    on = (dofs[:, :, None] == S).any(axis=1).astype(float).reshape(pixels.size, S.size)
-    on /= np.maximum(on.sum(axis=1, keepdims=True), 1.0)
-    K1, K_q = K.sum(axis=2), K[-1]
+    own, K_q = [(at[j, f], stiffness.block[np.ix_(f, f)]) for j, f in enumerate(free)], K[-1]  # P_j, K_j: K_j 1 exact
 
     def residual_S(X, s):
         """``load_S - (schur + sum_j s_j K_j) X`` for the samples ``s``, (p, n).
 
-        Each ``K_j X`` is formed as ``K_j (X - c) + c K_j 1``, with ``c`` the
-        mean of ``X`` on pixel ``j``: on a pixel of high coefficient
-        ``lam_S`` is nearly constant, and ``K_j X`` as it stands would cancel
-        away as many digits as the contrast has.
+        Each ``K_j X`` is ``K_j (X_P - c) + c K_j 1`` on pixel ``j``'s unknowns ``P``, ``c`` the mean of ``X_P``: on a
+        pixel of high coefficient ``lam_S`` is nearly constant, so ``K_j X`` as it stands loses the contrast's digits.
         """
         r = load_S[:, None] - _apply(schur, X)
-        for K_j, K1_j, s_j, c in zip(K, K1, s, _apply(on, X)):
-            r -= s_j[:, None] * (_apply(K_j, X - c) + K1_j[:, None, None] * c)
+        for (P, K_j), s_j in zip(own, s):
+            X_P = X[P]
+            c = X_P.mean(axis=0)
+            r[P] -= s_j[:, None] * (_apply(K_j, X_P - c) + K_j.sum(axis=1)[:, None, None] * c)
         return r
 
-    y_norm = np.linalg.norm(Y, axis=0) + np.all(Y == 0.0, axis=0)  # a zero load: zero solution, residual 0
+    y_norm = linsolve._norms(Y) + ~Y.any(axis=0)  # a zero load: zero solution, residual 0
     # Lines of equal heads, sorted; step: 2 per head coefficient unlike the previous sample's, 1 for the last.
     order = np.lexsort(samples.T[::-1])
     step = (np.diff(np.take(samples, order, axis=0), axis=0) != 0) @ (2.0 - (np.arange(pixels.size) == pixels.size - 1))
@@ -386,7 +399,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
             mu, V = np.empty((len(starts), S.size)), np.empty((len(starts), S.size, S.size))
             for i in range(len(starts)):
                 try:  # (M + t K_q)^{-1} = V diag(D) V^T for each sample of the piece
-                    mu[i], V[i] = eigh(K_q, M[i] + rho[i] * K_q)
+                    mu[i], V[i] = _pencil_eigh(K_q, M[i] + rho[i] * K_q)
                 except (np.linalg.LinAlgError, ValueError):  # not definite in double precision, or overflowed:
                     mu[i] = np.nan  # so each sample of the piece is solved on its own
             D, Vt = (1.0 / (1.0 + (t - rho[:, None])[:, None] * mu[:, :, None]))[..., None], V.transpose(0, 2, 1)
@@ -395,7 +408,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
             r = residual_S(X, s).reshape(S.size, *t.shape, e).transpose(1, 0, 2, 3)
             X += _apply(V, D * _apply(Vt, r)).transpose(1, 0, 2, 3).reshape(X.shape)
             r_R, r_S = _apply(E_W, X) - e_U[:, None], residual_S(X, s)
-            worst = (np.sqrt(np.einsum("ime,ime->me", r_R, r_R) + np.einsum("ime,ime->me", r_S, r_S)) / y_norm).max(1)
+            worst = (np.hypot(linsolve._norms(r_R), linsolve._norms(r_S)) / y_norm).max(1)
             found = offset + np.einsum("smp,sp->mp", X[:, :, left], G)  # from lam_S and lam_R = U - W lam_S
         kept = (np.arange(rows.shape[1]) < (stops - starts)[:, None]).ravel()  # unpadded
         values[starts[0]:stops[-1]] = found[kept]

@@ -77,8 +77,15 @@ def _band_cholesky(band) -> np.ndarray:
 
 
 def _norms(A) -> np.ndarray:
-    """Two-norm of each column, with no temporary the size of ``A``."""
-    return np.sqrt(np.einsum("ij,ij->j", A, A))
+    """Two-norm along the first axis, each column scaled by a power of two near its largest entry before
+    squaring (an inf reads inf); exact, so skipped where the plain norm is finite and at least 1e-100."""
+    norms = np.sqrt(np.einsum("i...,i...->...", A, A))
+    redo = ~((norms >= 1e-100) & (norms < math.inf))
+    if redo.any():
+        exponent = np.frexp(np.abs(A[:, redo]).max(axis=0, initial=0.0))[1]
+        scaled = np.ldexp(A[:, redo], -exponent)
+        norms[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->j", scaled, scaled)), exponent)
+    return norms
 
 
 def _solve_block(matrix, rhs_list, tol, factor) -> list[SolveReport]:

@@ -1,6 +1,7 @@
 import functools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pixelinv.assembly import (
     global_matrix,
 )
 from pixelinv.forward import (
+    _pencil_eigh,
     directional_derivative,
     forward_matrix,
     forward_pair_sweep,
@@ -411,9 +413,9 @@ class TestForwardPairSweep:
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
+            return _pencil_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(forward, "eigh", counted)
+        monkeypatch.setattr(forward, "_pencil_eigh", counted)
         heads, lasts = np.meshgrid(np.linspace(0.2, 2.0, a), np.linspace(0.3, 1.5, b), indexing="ij")
         samples = np.column_stack([heads.ravel(), lasts.ravel()])
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7])]
@@ -428,9 +430,9 @@ class TestForwardPairSweep:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return eigh(*args, **kwargs)
+            return _pencil_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(forward, "eigh", counted)
+        monkeypatch.setattr(forward, "_pencil_eigh", counted)
         monkeypatch.setattr(forward, "_LINE_PIECE", 8)
         samples, pairs = np.linspace(0.05, 3.0, 20)[:, None], [(loads3x4[0], loads3x4[7])]
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [4], samples, pairs)
@@ -460,7 +462,7 @@ class TestForwardPairSweep:
             return [SolveReport(x, rep.iterations, rep.residual_norm) for x, rep in zip(spoiled["solutions"], reports)]
 
         def spoiled_eigh(*args, **kwargs):
-            mu, V = eigh(*args, **kwargs)
+            mu, V = _pencil_eigh(*args, **kwargs)
             spoiled["eigh"] = mu, V * (1.0 + 1e-3)
             return spoiled["eigh"]
 
@@ -469,7 +471,7 @@ class TestForwardPairSweep:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linsolve, "solve_multi", spoiled_multi)
-            mp.setattr(forward, "eigh", spoiled_eigh)
+            mp.setattr(forward, "_pencil_eigh", spoiled_eigh)
             mp.setattr(forward, "forward_pair_values", failed_own_solve)
             with pytest.raises(SolverError, match=r"sweep sample \d+ of") as err:
                 forward_pair_sweep(stiffness, sigma, pixels, samples, pairs, tol=1e-6)
@@ -519,12 +521,12 @@ class TestForwardPairSweep:
             return reports
 
         def spoiled_eigh(*args, **kwargs):
-            mu, V = eigh(*args, **kwargs)
+            mu, V = _pencil_eigh(*args, **kwargs)
             return mu, V * factor
 
         monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
         if spoil == "decomposition":
-            monkeypatch.setattr(forward, "eigh", spoiled_eigh)
+            monkeypatch.setattr(forward, "_pencil_eigh", spoiled_eigh)
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs, tol=1e-13)
         assert len(calls) == 1 + 20  # the set-up solve and one own solve per sample
         assert np.max(np.abs(swept - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -619,14 +621,14 @@ class TestForwardPairSweep:
                                                         own_solves, error, message):
         # At contrast 1e20 (and on the line from 1 to 1e100) the pencil is not
         # definite in double precision (LAPACK's LinAlgError); at 1e308 it
-        # overflows (eigh's ValueError). Either way each sample of the line is
-        # solved on its own: the sweep names the first whose own solve fails,
-        # and passes global_matrix's overflow error on unchanged.
+        # overflows (the non-finite ValueError). Either way each sample of the
+        # line is solved on its own: the sweep names the first whose own solve
+        # fails, and passes global_matrix's overflow error on unchanged.
         failed, own = [], []
 
         def recorded_eigh(*args, **kwargs):
             try:
-                return eigh(*args, **kwargs)
+                return _pencil_eigh(*args, **kwargs)
             except (np.linalg.LinAlgError, ValueError):
                 failed.append(1)
                 raise
@@ -635,7 +637,7 @@ class TestForwardPairSweep:
             own.append(1)
             return forward_pair_values(*args, **kwargs)
 
-        monkeypatch.setattr(forward, "eigh", recorded_eigh)
+        monkeypatch.setattr(forward, "_pencil_eigh", recorded_eigh)
         monkeypatch.setattr(forward, "forward_pair_values", counted_own)
         with pytest.raises(error, match=message) as err:
             forward_pair_sweep(stiffness3x4, np.ones(9), [4], np.array(samples)[:, None], [(loads3x4[0], loads3x4[6])])
@@ -653,12 +655,12 @@ class TestForwardPairSweep:
             return solve_multi(matrix, rhs_list, **kwargs)
 
         def nan_eigh(*args, **kwargs):
-            mu, V = eigh(*args, **kwargs)
+            mu, V = _pencil_eigh(*args, **kwargs)
             V[:, 0] = np.nan
             return mu, V
 
         monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
-        monkeypatch.setattr(forward, "eigh", nan_eigh)
+        monkeypatch.setattr(forward, "_pencil_eigh", nan_eigh)
         samples, pairs = np.linspace(0.5, 2.0, 6).reshape(3, 2), [(loads3x4[0], loads3x4[6])]
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
         assert calls == [True] * (1 + 3)  # the set-up solve and one own solve per sample
@@ -690,9 +692,9 @@ class TestForwardPairSweep:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return eigh(*args, **kwargs)
+            return _pencil_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(forward, "eigh", counted)
+        monkeypatch.setattr(forward, "_pencil_eigh", counted)
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7]), (loads3x4[0], loads3x4[7])]
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.empty((0, len(pixels))), pairs)
         assert swept.shape == (0, 3)
@@ -726,15 +728,33 @@ class TestForwardPairSweep:
             return solve_multi(matrix, rhs_list, **kwargs)
 
         def spoiled_eigh(*args, **kwargs):
-            mu, V = eigh(*args, **kwargs)
+            mu, V = _pencil_eigh(*args, **kwargs)
             return mu, V * (1.0 + 1e-6)
 
         monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
-        monkeypatch.setattr(forward, "eigh", spoiled_eigh)
+        monkeypatch.setattr(forward, "_pencil_eigh", spoiled_eigh)
         samples = np.tile([[0.3, 0.7], [0.3, 1.9]], (40, 1))
         swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, [(loads3x4[0], loads3x4[6])], tol=1e-13)
         assert sizes == [1 + 40, 1, 1]
         assert np.array_equal(swept, np.tile(swept[:2], (40, 1)))
+
+    def test_loads_beyond_the_square_root_of_the_double_range(self, stiffness3x4, loads3x4):
+        # An excitation scaled by 2**530 has entries whose squares overflow.
+        # The scaling is exact, so the sweep must give the unscaled values
+        # times 2**530 to the bit, those of one solve per sample, and no warning.
+        plain = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
+        y_l = LoadVector(y=loads3x4[0].y * 2.0**530, disk=loads3x4[0].disk)
+        pairs = [(y_l, y_r) for _, y_r in plain]
+        samples = np.linspace(0.1, 3.0, 40).reshape(20, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            swept = forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, pairs)
+        assert np.array_equal(swept, 2.0**530 * forward_pair_sweep(stiffness3x4, np.ones(9), [3, 5], samples, plain))
+        for row, sample in zip(swept, samples):
+            sigma = np.ones(9)
+            sigma[[3, 5]] = sample
+            expected = forward_pair_values(stiffness3x4, sigma, pairs)
+            assert np.max(np.abs(row - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_memory_peak_of_a_landscape_sweep(self, stiffness3x4, loads3x4, solve_counter):
         # The benchmark's landscape sweep: a 30 x 30 grid and the truth. Its
@@ -763,6 +783,58 @@ class TestForwardPairSweep:
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[1], loads3x4[7]), (loads3x4[0], loads3x4[7])]
         forward_pair_sweep(stiffness3x4, np.ones(9), pixels, np.full((count, 2), 0.7), pairs)
         assert solve_counter.solves == 2 + swept_unknowns  # two distinct excitations
+
+
+class TestPencilEigh:
+    """The sweep's decomposition against ``scipy.linalg.eigh(K_q, A)``."""
+
+    @staticmethod
+    def pencil(stiffness, pixels, contrast):
+        """``B_sigma`` with the swept pixels at ``contrast`` in a background of 1,
+        condensed onto their unknowns ``S``; the last pixel's block on ``S``; and
+        the unknowns ``Q`` of that pixel."""
+        sigma = np.ones(stiffness.n)
+        sigma[pixels] = contrast
+        B = global_matrix(stiffness, sigma).toarray()
+        dofs = stiffness.dofs[pixels]
+        S = np.unique(dofs[dofs >= 0])
+        R = np.setdiff1d(np.arange(stiffness.N), S)
+        A = B[np.ix_(S, S)] - B[np.ix_(S, R)] @ np.linalg.solve(B[np.ix_(R, R)], B[np.ix_(R, S)])
+        free = dofs[-1] >= 0
+        Q = np.searchsorted(S, dofs[-1, free])
+        K_q = np.zeros(A.shape)
+        K_q[np.ix_(Q, Q)] = stiffness.block[np.ix_(free, free)]
+        return K_q, A, Q
+
+    @pytest.mark.parametrize("contrast", [1.0, 1e4])
+    @pytest.mark.parametrize("pixels", [[3, 5], [4], [3, 4]], ids=["apart", "interior", "adjacent"])
+    def test_contract_of_eigh(self, stiffness3x4, pixels, contrast):
+        # Pixel 4 is interior, so its K_QQ is singular; pixels 3 and 4 share
+        # vertices. At contrast 1e4 pixel 4 alone makes A's condition 2.7e5, and
+        # eigh's own V^T A V and zero eigenvalue are then off by 0.9e-12 and
+        # 5e-12 of the largest: the bound is 1e-12, or the rounding of A's
+        # condition where that is larger.
+        K_q, A, Q = self.pencil(stiffness3x4, pixels, contrast)
+        mu, V = _pencil_eigh(K_q, A)
+        expected = eigh(K_q, A, eigvals_only=True)
+        bound = max(1e-12, np.finfo(float).eps * np.linalg.cond(A))
+        assert np.max(np.abs(V.T @ A @ V - np.eye(len(A)))) <= bound
+        assert np.max(np.abs(V.T @ K_q @ V - np.diag(mu))) <= 1e-12
+        assert np.max(np.abs(np.sort(mu) - expected)) <= bound * expected.max()
+        assert np.all(mu[:len(A) - Q.size] == 0.0)
+
+    @pytest.mark.parametrize("spoil, error", [("indefinite", np.linalg.LinAlgError), ("inf", ValueError),
+                                              ("nan", ValueError)])
+    def test_errors_of_eigh(self, stiffness3x4, spoil, error):
+        # The errors the sweep catches to solve a line's samples on their own.
+        K_q, A, _ = self.pencil(stiffness3x4, [3, 5], 1.0)
+        if spoil == "indefinite":
+            A -= np.median(np.linalg.eigvalsh(A)) * np.eye(len(A))
+        else:
+            A[0, 1] = A[1, 0] = float(spoil)
+        for decompose in (eigh, _pencil_eigh):
+            with pytest.raises(error):
+                decompose(K_q, A)
 
 
 class TestLoadsOfAnotherMesh:

@@ -57,6 +57,30 @@ def test_nonconvergence_carries_residual(rng, monkeypatch):
     assert 0.0 < err.value.residual_norm
 
 
+def test_residual_of_a_load_beyond_the_square_root_of_the_double_range(stiffness3x4, loads3x4):
+    # A load scaled by 2**530 has entries whose squares overflow. The scaling
+    # is exact, so its relative residual must be the unscaled one, not the 0.0
+    # of an infinite ||y||.
+    B = global_matrix(stiffness3x4, np.ones(9))
+    y = loads3x4[0].y
+    plain, scaled = solve_multi(B, [y, y * 2.0**530])
+    assert scaled.residual_norm == plain.residual_norm > 0.0
+    assert np.array_equal(scaled.solution, plain.solution * 2.0**530)
+
+
+def test_norms_neither_overflow_nor_underflow(rng):
+    # Columns whose squares overflow or underflow, one with an inf, a zero
+    # and a NaN one, and ordinary ones; along the first axis of a stack too.
+    A = np.array([[1e200, 1e-200, np.inf, 0.0, np.nan, 3.0],
+                  [-1e200, 1e-200, 1.0, 0.0, 1.0, 4.0]])
+    norms = linsolve._norms(A)
+    assert norms[:2] == pytest.approx([np.sqrt(2) * 1e200, np.sqrt(2) * 1e-200], rel=1e-15)
+    assert norms[2] == np.inf and norms[3] == 0.0 and np.isnan(norms[4]) and norms[5] == 5.0
+    stack = rng.standard_normal((7, 3, 2))
+    assert np.allclose(linsolve._norms(stack), np.linalg.norm(stack, axis=0), rtol=1e-15, atol=0.0)
+    assert np.allclose(linsolve._norms(stack * 1e200), np.linalg.norm(stack, axis=0) * 1e200, rtol=1e-15, atol=0.0)
+
+
 def test_rejects_bad_tolerance():
     A = sp.identity(3, format="csr")
     for tol in (0.0, -1e-10, np.nan, np.inf):
