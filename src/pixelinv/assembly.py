@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DiskSpec, PixelGrid, TriMesh
+from .mesh import DiskSpec, PixelGrid, TriMesh, _read_only
 
 __all__ = [
     "StiffnessSet",
@@ -124,6 +124,7 @@ class StiffnessSet:
     block: np.ndarray = field(repr=False)
     pattern: sp.csr_matrix = field(repr=False)
     C: sp.csr_matrix = field(repr=False)
+    __post_init__ = _read_only
 
     @property
     def n(self) -> int:
@@ -201,6 +202,7 @@ class Condensation:
     band_position: np.ndarray
     band_pixel: np.ndarray
     band_value: np.ndarray
+    __post_init__ = _read_only
 
     def band(self, sigma: np.ndarray) -> np.ndarray:
         """``S_sigma``'s upper band, ``(b + 1, Ns)`` in Fortran order."""
@@ -317,6 +319,7 @@ class LoadVector:
 
     y: np.ndarray
     disk: DiskSpec | None
+    __post_init__ = _read_only
 
 
 def assemble_load(mesh: TriMesh, disk: DiskSpec) -> LoadVector:
@@ -332,7 +335,7 @@ def assemble_load(mesh: TriMesh, disk: DiskSpec) -> LoadVector:
     f = mesh.free_index[mesh.triangles[disk.element_set]].ravel()
     keep = f >= 0
     y = np.bincount(f[keep], contrib[keep], minlength=mesh.n_free)  # adds in order, as np.add.at
-    if disk.element_set.size and not y.any():
+    if disk.element_set.size and not keep.any():  # each kept contribution is area/3 > 0
         warnings.warn(
             "load vector is identically zero: disk region touches no "
             "interior vertex",

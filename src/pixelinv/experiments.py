@@ -91,9 +91,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject grid sizes, disk radii, sweep steps, ranges, tolerances and
         seeds no study can run with."""
-        for name, least in (("nx", 2), ("k", 1), ("nx_min", 2), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name, least in (("nx", 2), ("k", 1), ("nx_min", 2), ("nx_max", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.nx_min > self.nx_max:
             raise ValueError(
                 f"nx_min={self.nx_min} is larger than nx_max={self.nx_max}, "

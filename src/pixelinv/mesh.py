@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 
+def _read_only(self) -> None:
+    """``__post_init__`` of the set-up dataclasses: each array, a sparse matrix's three too, read-only,
+    so that no caller can change one under the caches and results built from it."""
+    for value in vars(self).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        elif hasattr(value, "indptr"):
+            for array in (value.data, value.indices, value.indptr):
+                array.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class PixelGrid:
     """Partition of the unit square into ``nx * nx`` equal square pixels."""
@@ -106,6 +117,7 @@ class TriMesh:
     free_index: np.ndarray
     _areas: np.ndarray = field(repr=False, default=None)
     _centroids: np.ndarray = field(repr=False, default=None)
+    __post_init__ = _read_only
 
     @property
     def n_vertices(self) -> int:
@@ -121,7 +133,7 @@ class TriMesh:
         return int((~self.boundary_vertex).sum())
 
     def areas(self) -> np.ndarray:
-        """Signed triangle areas; positive for this mesh's orientation."""
+        """Triangle areas, all positive: half the product of their square's side lengths."""
         return self._areas
 
     def centroids(self) -> np.ndarray:
@@ -138,6 +150,7 @@ class DiskSpec:
     radius: float
     element_set: np.ndarray
     mesh: tuple[int, int]
+    __post_init__ = _read_only
 
     def check_mesh(self, mesh: TriMesh) -> None:
         """Refuse ``mesh`` unless it is the one this disk's triangles belong to."""
@@ -167,31 +180,30 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
     nx = grid.nx
     S = nx * k
 
-    axis = np.arange(S + 1)
-    ix, iy = np.meshgrid(axis, axis, indexing="xy")
-    vertices = np.column_stack([ix.ravel() / S, iy.ravel() / S])
+    x = np.arange(S + 1) / S  # the lattice lines; x[S] = S / S is 1 exactly
+    vertices = np.column_stack([np.tile(x, S + 1), np.repeat(x, S + 1)])
 
-    # Square (sx, sy) has corners ll, lr, ul, ur on the lattice.
+    # Square (sx, sy) has corners ll, lr = ll + 1, ul = ll + S + 1, ur = ll + S + 2.
     sy, sx = np.divmod(np.arange(S * S), S)
     ll = sy * (S + 1) + sx
-    lr, ul, ur = ll + 1, ll + (S + 1), ll + (S + 2)
-    triangles = np.empty((2 * S * S, 3), dtype=np.int64)
-    triangles[0::2] = np.column_stack([ll, lr, ur])  # below the diagonal
-    triangles[1::2] = np.column_stack([ll, ur, ul])  # above the diagonal
+    corners = np.array([[0, 1, S + 2], [0, S + 2, S + 1]])  # ll, lr, ur below the diagonal; ll, ur, ul above
+    triangles = (ll[:, None, None] + corners).reshape(-1, 3)
     element_pixel = np.repeat((sy // k) * nx + (sx // k), 2)
 
-    on_edge = (ix == 0) | (ix == S) | (iy == 0) | (iy == S)
-    boundary_vertex = on_edge.ravel()
+    side = (x == 0.0) | (x == 1.0)
+    boundary_vertex = (side[:, None] | side).ravel()
 
     free_index = np.full(vertices.shape[0], -1, dtype=np.int64)
     interior = np.nonzero(~boundary_vertex)[0]
     free_index[interior] = np.arange(interior.size)
 
-    v = vertices[triangles]
-    areas = 0.5 * np.abs(
-        (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-        - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1])
-    )
+    # Both triangles of a square have half its sides' product as area. A centroid sums the lines in
+    # vertex order (ll, lr, ur below, ll, ur, ul above) / 3, as the corner mean does, bit for bit.
+    lo, hi = x[:-1], x[1:]
+    up, down = (lo + hi + hi) / 3.0, (lo + lo + hi) / 3.0
+    centroids = np.empty((S, S, 2, 2))  # square (sy, sx), below/above, x/y
+    centroids[..., 0, 0], centroids[..., 0, 1] = up, down[:, None]
+    centroids[..., 1, 0], centroids[..., 1, 1] = (lo + hi + lo) / 3.0, up[:, None]
 
     return TriMesh(
         grid=grid,
@@ -201,8 +213,8 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
         element_pixel=element_pixel,
         boundary_vertex=boundary_vertex,
         free_index=free_index,
-        _areas=areas,
-        _centroids=v.sum(axis=1) / 3.0,
+        _areas=np.repeat(0.5 * np.outer(hi - lo, hi - lo).ravel(), 2),
+        _centroids=centroids.reshape(-1, 2),
     )
 
 

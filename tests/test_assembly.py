@@ -1,4 +1,6 @@
+import operator
 import re
+import types
 
 import numpy as np
 import pytest
@@ -416,3 +418,58 @@ class TestCondensation:
         assert "condensation" not in vars(stiffness)  # the sweep never needs it
         forward_matrix(stiffness, np.ones(9), loads)
         assert vars(stiffness)["condensation"] is stiffness.condensation
+
+
+_SHARED_ARRAYS = [
+    *(f"mesh.{name}" for name in ("vertices", "triangles", "element_pixel", "boundary_vertex", "free_index")),
+    "areas", "centroids", "disk.center", "disk.element_set", "load.y", "stiffness.dofs", "stiffness.block",
+    *(f"stiffness.{m}.{a}" for m in ("pattern", "C") for a in ("data", "indices", "indptr")),
+    *(f"condensation.{name}" for name in ("skeleton", "interior", "edge", "P", "K_II_inv", "band_position",
+                                          "band_pixel", "band_value")),
+    *(f"condensation.scatter.{a}" for a in ("data", "indices", "indptr")),
+]
+
+
+class TestReadOnly:
+    """Set-up arrays are shared: every disk and load of a mesh reads its
+    geometry, and the cached condensation holds the stiffness block. An
+    in-place change would leave what was built from them stale, so it raises."""
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        mesh = build_mesh(PixelGrid(3), 4)
+        disk = standard_disk_layout(mesh)[0]
+        stiffness = assemble_pixel_matrices(mesh)
+        return types.SimpleNamespace(mesh=mesh, areas=mesh.areas(), centroids=mesh.centroids(), disk=disk,
+                                     load=assemble_load(mesh, disk), stiffness=stiffness,
+                                     condensation=stiffness.condensation)
+
+    @pytest.mark.parametrize("path", _SHARED_ARRAYS)
+    def test_in_place_change_raises(self, shared, path):
+        array = operator.attrgetter(path)(shared)
+        assert array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+    def test_block_cannot_go_stale_under_the_condensation(self, stiffness3x4, loads3x4):
+        # Doubling the block in place once left F as it was but gave J twice over.
+        F, J = forward_matrix(stiffness3x4, np.ones(9), loads3x4)
+        with pytest.raises(ValueError, match="read-only"):
+            stiffness3x4.block[:] *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            stiffness3x4.C.data *= 2
+        F2, J2 = forward_matrix(stiffness3x4, np.ones(9), loads3x4)
+        assert np.array_equal(F2.values, F.values) and np.array_equal(J2.slices, J.slices)
+
+    def test_centroids_cannot_be_overwritten(self, mesh3x4, disks3x4):
+        # Overwritten centroids once made the standard layout report a mesh too coarse.
+        with pytest.raises(ValueError, match="read-only"):
+            mesh3x4.centroids()[:] = 0.5
+        again = standard_disk_layout(mesh3x4, 0.25)
+        assert all(np.array_equal(a.element_set, b.element_set) for a, b in zip(again, disks3x4))
+
+    def test_copies_stay_writable(self, shared):
+        # Functions that write into a fresh matrix, as the sweep does, keep working.
+        B = global_matrix(shared.stiffness, np.ones(9))
+        B.data *= 2
+        shared.stiffness.C.tocsc().data[0] += 1.0

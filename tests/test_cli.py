@@ -117,6 +117,15 @@ def test_unparsable_config_value_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("k", True), ("seed", 2.5), ("nx_min", 2.5)])
+def test_non_integer_config_field_is_usage_error(tmp_path, capsys, monkeypatch, field, value):
+    monkeypatch.setattr(cli, "ExperimentConfig", lambda: experiments.ExperimentConfig(**{field: value}))
+    out = tmp_path / "stab.csv"
+    assert main(["stability", "--out", str(out)]) == 2
+    assert f"bad config: {field} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", ["nonuniqueness", "properties"])
 def test_out_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, experiment):
     # Refused before the study runs, not when its output is written.

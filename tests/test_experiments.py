@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,21 @@ class TestConfig:
             cfg.validate()
         with pytest.raises(ValueError, match=message):
             run_nonuniqueness_sweep(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", True), ("seed", 2.5), ("nx", 3.5), ("nx_min", 2.5), ("nx_max", 4.0), ("seed", False),
+         ("nx", "3"), ("k", np.float64(2.0))],
+    )
+    def test_integer_fields_refuse_bools_and_non_integers(self, field, value):
+        cfg = ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            cfg.validate()
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            run_stability_study(cfg)
+
+    def test_numpy_integers_are_integers(self):
+        ExperimentConfig(nx=np.int64(3), k=np.int32(2), seed=np.uint8(7)).validate()
 
     @pytest.mark.parametrize(
         "step, stop, count",

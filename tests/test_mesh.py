@@ -110,6 +110,21 @@ class TestBuildMesh:
         mesh = build_mesh(PixelGrid(nx), k)
         assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
 
+    @pytest.mark.parametrize("nx, k", [(1, 1), (2, 1), (3, 4), (5, 3), (10, 2), (11, 2), (12, 2), (15, 4), (3, 16)])
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_geometry_is_the_corner_formula_bit_for_bit(self, nx, k, refined):
+        # build_mesh forms areas and centroids from the lattice lines; they must
+        # be what the cross product and mean over each triangle's corners give.
+        mesh = build_mesh(PixelGrid(nx), k)
+        if refined:
+            mesh = refine(mesh)
+        v = mesh.vertices[mesh.triangles]
+        cross = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - (v[:, 2, 0] - v[:, 0, 0]) * (
+            v[:, 1, 1] - v[:, 0, 1])
+        for got, want in ((mesh.areas(), 0.5 * np.abs(cross)), (mesh.centroids(), v.sum(axis=1) / 3.0)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(mesh.areas()[0::2], mesh.areas()[1::2])  # one area per lattice square
+
     @pytest.mark.parametrize("nx, k", [(1, 1), (2, 1), (3, 4), (15, 4)])
     def test_n_free_counts_interior_vertices(self, nx, k):
         mesh = build_mesh(PixelGrid(nx), k)
