@@ -97,6 +97,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        for name in ("radius_fraction", "sigma_step", "sigma_max", "landscape_step", "landscape_max", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if name != "radius_fraction" and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.nx_min > self.nx_max:
             raise ValueError(
                 f"nx_min={self.nx_min} is larger than nx_max={self.nx_max}, "
@@ -106,10 +112,6 @@ class ExperimentConfig:
             raise ValueError(f"radius_fraction must be in (0, 0.5), got {self.radius_fraction}")
         if self.experiment == "landscape" and self.nx != 3:
             raise ValueError(f"nx must be 3 for the landscape study (its 3x3 grid), got {self.nx}")
-        for name in ("sigma_step", "sigma_max", "landscape_step", "landscape_max", "tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
         for step_name, stop_name in (("sigma_step", "sigma_max"), ("landscape_step", "landscape_max")):
             step, stop = getattr(self, step_name), getattr(self, stop_name)
             if step > stop:

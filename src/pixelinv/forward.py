@@ -263,21 +263,29 @@ def _apply(matrix, x: np.ndarray) -> np.ndarray:
     return (matrix @ flat).reshape(*lead, matrix.shape[-2], *rest)
 
 
-def _pencil_eigh(K_q, A):
-    """``scipy.linalg.eigh(K_q, A)``, errors included, for a positive semidefinite ``K_q`` zero off
-    the rows and columns ``Q`` of its nonzero diagonal. With ``Q`` ordered last (``P``), ``A = L L^T``
-    (``dpotrf``) leaves ``C = L_Q^-1 K_QQ L_Q^-T`` the only nonzero block of ``L^-1 K_q L^-T``, and
+def _pencil_data(K_q):
+    """What :func:`_pencil_eigh` needs of ``K_q``, for any number of ``A``: the flat gather of ``P A P^T``, ``P`` the
+    stable ordering that puts the rows ``Q`` of ``K_q``'s nonzero diagonal last; ``P``'s inverse; and ``K_QQ``."""
+    n, order = len(K_q), np.argsort(K_q.diagonal() != 0.0, kind="stable")
+    Q = order[np.count_nonzero(K_q.diagonal() == 0.0):]
+    return order[:, None] * n + order, np.argsort(order), K_q.take(Q[:, None] * n + Q)
+
+
+def _pencil_eigh(A, gather, inverse, K_QQ):
+    """``scipy.linalg.eigh(K_q, A)``, errors included, for a positive semidefinite ``K_q`` zero off the rows and
+    columns ``Q`` of its nonzero diagonal, given as ``_pencil_data(K_q)``. With ``Q`` ordered last (``P``),
+    ``A = L L^T`` (``dpotrf``) leaves ``C = L_Q^-1 K_QQ L_Q^-T`` the only nonzero block of ``L^-1 K_q L^-T``, and
     ``C = Z diag(mu_Q) Z^T`` (``dsyevd``) gives ``V = P^T L^-T diag(I, Z)`` and ``mu = (0, mu_Q)``."""
-    n, on_q = len(A), K_q.diagonal() != 0.0
-    order, q = np.argsort(on_q, kind="stable"), n - np.count_nonzero(on_q)  # Q is order[q:]
-    U, info = dpotrf(np.asarray_chkfinite(A).take(order[:, None] * n + order).T)  # U^T U = P A P^T
+    q = len(A) - len(K_QQ)
+    U, info = dpotrf(np.asarray_chkfinite(A).take(gather).T)  # U^T U = P A P^T
     if info:
         raise np.linalg.LinAlgError(f"the leading minor of order {info} is not positive definite")
     T = dtrtri(U, overwrite_c=1)[0]  # U^-1 = L^-T, so T[q:, q:] is L_Q^-T
-    mu, Z, info = dsyevd((T[q:, q:].T @ K_q.take(order[q:, None] * n + order[q:]) @ T[q:, q:]).T, overwrite_a=1)
+    mu, Z, info = dsyevd((T[q:, q:].T @ K_QQ @ T[q:, q:]).T, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"{info} eigenvalues of the pencil did not converge")
-    return np.concatenate([np.zeros(q), mu]), np.hstack([T[:, :q], T[:, q:] @ Z])[np.argsort(order)]
+    T[:, q:] = T[:, q:] @ Z  # T is now P V
+    return np.concatenate([np.zeros(q), mu]), T[inverse]
 
 
 def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: list,
@@ -288,7 +296,8 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     at ``sigma`` with ``sigma[pixels] = samples[j]``, for each of the ``P``
     rows of ``samples``.
 
-    ``S`` are the unknowns on the swept pixels' vertices and ``R`` the rest. ``B_RR`` is
+    ``S`` are the unknowns on the swept pixels' vertices and ``R`` the rest; the four blocks of
+    ``B_sigma`` are cut by ranges from one symmetric permutation that puts ``R`` first. ``B_RR`` is
     solved for the distinct excitations (``U``) and the ``|S|`` columns of ``B_RS``
     (``W``): a sweep costs that many solves, whatever ``P`` is. The Schur complement is
     formed without the swept pixels' blocks, so ``sigma[pixels]`` never enters the
@@ -302,11 +311,13 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     ``q``'s unknowns, :func:`_pencil_eigh` solves an eigenproblem of their order only. All
     else runs on batches of pieces, each padded to the batch's longest with its last
     sample. Each sample's ``lam_S`` gets one correction against ``M + t K_q``, which makes
-    it as accurate as a direct solve. Every sample's relative residual
-    ``||B_sample lam - y|| / ||y||`` is formed from set-up quantities and ``M + t K_q``
-    and checked against ``tol``. A sample whose residual misses ``tol`` (or is NaN), whose
-    value is not finite or whose piece cannot be decomposed is solved again on its own by
-    :func:`forward_pair_values`: one more solve, and the sweep's one failure path.
+    it as accurate as a direct solve. Every sample's relative residual ``||B_sample lam - y|| / ||y||``
+    is formed and checked against ``tol``: rows ``S`` from ``M + t K_q``, rows ``R`` (``E_W lam_S - e_U``)
+    from one reduced QR ``[E_W, e_U] = Q [[R_E, Q_E^T e_U], [0, D]]`` taken at set-up, by the identity
+    ``||E_W x - e_U||^2 = ||R_E x - Q_E^T e_U||^2 + ||(I - Q_E Q_E^T) e_U||^2`` (the last term a squared
+    column of ``D``): ``|S| + e`` rows a sample, or ``|R|`` if fewer. A sample whose residual misses
+    ``tol`` (or is NaN), whose value is not finite or whose piece cannot be decomposed is solved again on
+    its own by :func:`forward_pair_values`: one more solve, and the sweep's one failure path.
 
     Raises
     ------
@@ -344,7 +355,9 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     outside = base.copy()
     outside[pixels] = 0.0
     B.data = stiffness.C @ outside
-    B_RR, B_RS, B_SR, B_SS = B[R][:, R], B[R][:, S].toarray(), B[S][:, R], B[S][:, S].toarray()
+    RS, r = np.concatenate([R, S]), R.size
+    B = B[RS][:, RS]  # one symmetric permutation, cut into the four blocks by ranges
+    B_RR, B_RS, B_SR, B_SS = B[:r, :r], B[:r, r:].toarray(), B[r:, :r], B[r:, r:].toarray()
     excitations, left = _distinct([y_l for y_l, _ in pairs])
     Y, e = np.column_stack([ld.y for ld in excitations]), len(excitations)
     Y_r = np.column_stack([r.y for _, r in pairs])
@@ -353,14 +366,15 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     U, W = solved[:, :e], solved[:, e:]  # B_RR^{-1} y_R and B_RR^{-1} B_RS
     schur = B_SS - B_SR @ W
     load_S = Y[S] - B_SR @ U
-    # With lam_R = U - W lam_S, rows R of y - B lam are E_W lam_S - e_U; values lam_S . G + offset.
-    E_W, e_U = B_RR @ W - B_RS, B_RR @ U - Y[R]
+    # With lam_R = U - W lam_S, rows R of y - B lam are E_W lam_S - e_U (normed by QR_E); values lam_S . G + offset.
+    QR_E = np.linalg.qr(np.column_stack([B_RR @ W - B_RS, B_RR @ U - Y[R]]), mode="r")
     G, offset = Y_r[S] - W.T @ Y_r[R], np.einsum("ij,ij->j", U[:, left], Y_r[R])
     free, at = dofs >= 0, np.searchsorted(S, dofs)
     j, a, b = np.nonzero(free[:, :, None] & free[:, None, :])
     K = np.zeros((pixels.size, S.size, S.size))
     K[j, at[j, a], at[j, b]] = stiffness.block[a, b]  # K_j: the shared block on pixel j's free vertices
-    own, K_q = [(at[j, f], stiffness.block[np.ix_(f, f)]) for j, f in enumerate(free)], K[-1]  # P_j, K_j: K_j 1 exact
+    own, pencil = [(at[j, f], K_j, K_j.sum(axis=1)[:, None, None])  # P_j, K_j and K_j 1, exact
+                   for j, f in enumerate(free) for K_j in [stiffness.block[np.ix_(f, f)]]], _pencil_data(K[-1])
 
     def residual_S(X, s):
         """``load_S - (schur + sum_j s_j K_j) X`` for the samples ``s``, (p, n).
@@ -369,20 +383,23 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
         pixel of high coefficient ``lam_S`` is nearly constant, so ``K_j X`` as it stands loses the contrast's digits.
         """
         r = load_S[:, None] - _apply(schur, X)
-        for (P, K_j), s_j in zip(own, s):
+        for (P, K_j, K_j1), s_j in zip(own, s):
             X_P = X[P]
             c = X_P.mean(axis=0)
-            r[P] -= s_j[:, None] * (_apply(K_j, X_P - c) + K_j.sum(axis=1)[:, None, None] * c)
+            r[P] -= s_j[:, None] * (_apply(K_j, X_P - c) + K_j1 * c)
         return r
 
     y_norm = linsolve._norms(Y) + ~Y.any(axis=0)  # a zero load: zero solution, residual 0
-    # Lines of equal heads, sorted; step: 2 per head coefficient unlike the previous sample's, 1 for the last.
+    # Lines of equal heads, sorted; changed[k]: the first sample, or first k coefficients unlike the previous sample's.
     order = np.lexsort(samples.T[::-1])
-    step = (np.diff(np.take(samples, order, axis=0), axis=0) != 0) @ (2.0 - (np.arange(pixels.size) == pixels.size - 1))
-    new, line = np.ones((2, len(samples)), dtype=bool)
-    new[1:], line[1:] = step > 0, step > 1
-    first, where = order[new], np.empty(len(samples), dtype=np.intp)  # where each distinct sample first appears
+    changed = np.zeros((pixels.size + 1, len(samples)), dtype=bool)
+    changed[:, :1] = True
+    for k in range(pixels.size):  # a column at a time: no temporary of all the samples' coefficients
+        np.logical_or(changed[k, 1:], np.diff(samples[:, k].take(order)) != 0, out=changed[k + 1, 1:])
+    line, new = changed[-2:]  # a sample that starts a line, and one that is not a repeat
+    first, where = order[new], np.empty_like(order)  # where each distinct sample first appears
     where[order] = np.cumsum(new) - 1  # each sample's distinct row
+    del order  # not held through the batches
     distinct, place = np.take(samples, first, axis=0), np.arange(first.size)
     place -= np.maximum.accumulate(np.where(line[new], place, 0))  # each distinct sample's place in its line
     bounds = np.append(np.flatnonzero(place % _LINE_PIECE == 0), len(distinct))
@@ -399,7 +416,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
             mu, V = np.empty((len(starts), S.size)), np.empty((len(starts), S.size, S.size))
             for i in range(len(starts)):
                 try:  # (M + t K_q)^{-1} = V diag(D) V^T for each sample of the piece
-                    mu[i], V[i] = _pencil_eigh(K_q, M[i] + rho[i] * K_q)
+                    mu[i], V[i] = _pencil_eigh(M[i] + rho[i] * K[-1], *pencil)
                 except (np.linalg.LinAlgError, ValueError):  # not definite in double precision, or overflowed:
                     mu[i] = np.nan  # so each sample of the piece is solved on its own
             D, Vt = (1.0 / (1.0 + (t - rho[:, None])[:, None] * mu[:, :, None]))[..., None], V.transpose(0, 2, 1)
@@ -407,7 +424,7 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
             # One correction against M + t K_q: at high contrast in S the decomposition alone is less accurate.
             r = residual_S(X, s).reshape(S.size, *t.shape, e).transpose(1, 0, 2, 3)
             X += _apply(V, D * _apply(Vt, r)).transpose(1, 0, 2, 3).reshape(X.shape)
-            r_R, r_S = _apply(E_W, X) - e_U[:, None], residual_S(X, s)
+            r_R, r_S = _apply(QR_E[:, :S.size], X) - QR_E[:, S.size:][:, None], residual_S(X, s)  # Q^T times rows R
             worst = (np.hypot(linsolve._norms(r_R), linsolve._norms(r_S)) / y_norm).max(1)
             found = offset + np.einsum("smp,sp->mp", X[:, :, left], G)  # from lam_S and lam_R = U - W lam_S
         kept = (np.arange(rows.shape[1]) < (stops - starts)[:, None]).ravel()  # unpadded

@@ -124,6 +124,28 @@ class TestConfig:
         ExperimentConfig(nx=np.int64(3), k=np.int32(2), seed=np.uint8(7)).validate()
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("tol", True), ("tol", "1e-10"), ("sigma_step", None), ("radius_fraction", True), ("sigma_max", False),
+         ("landscape_step", "0.02"), ("landscape_max", np.bool_(True)), ("tol", 1e-10j), ("sigma_step", [0.01])],
+    )
+    def test_float_fields_refuse_bools_and_non_reals(self, field, value):
+        # True would pass as 1.0 (tol=True accepts nearly any solve), and a string or None
+        # would end in a bare TypeError from the range checks.
+        cfg = ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            cfg.validate()
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            run_stability_study(cfg)
+
+    def test_numbers_of_any_real_type_are_accepted(self):
+        # Integers and numpy scalars are real numbers too; none of them changes what the study computes.
+        cfg = ExperimentConfig(experiment="landscape", radius_fraction=np.float32(0.25), sigma_step=np.float64(0.01),
+                               sigma_max=3, landscape_step=0.2, landscape_max=np.int64(1), tol=np.float64(1e-10))
+        cfg.validate()
+        plain = dataclasses.replace(cfg, radius_fraction=0.25, sigma_max=3.0, landscape_max=1.0, tol=1e-10)
+        assert run_residual_landscape(cfg).rows == run_residual_landscape(plain).rows
+
+    @pytest.mark.parametrize(
         "step, stop, count",
         [(0.01, 3.0, 300), (0.002, 0.6, 300), (0.02, 0.6, 30), (0.4, 0.6, 1), (0.6, 0.6, 1), (0.7, 3.0, 4)],
     )

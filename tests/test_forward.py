@@ -21,6 +21,7 @@ from pixelinv.assembly import (
     global_matrix,
 )
 from pixelinv.forward import (
+    _pencil_data,
     _pencil_eigh,
     directional_derivative,
     forward_matrix,
@@ -361,6 +362,66 @@ def sweeps(draw):
     return stiffness, sigma, pixels, samples, pairs
 
 
+def assert_reported_residual_is_direct(stiffness, sigma, pixels, samples, pairs):
+    """Spoil the B_RR solutions and the decomposition, so that the samples'
+    solutions have residuals in the rows of both R and S, and let the
+    samples' own solves fail; the residual the sweep reports must be
+    ||B_sample lam - y|| / ||y|| of the solution it formed for the sample
+    it names."""
+    samples = samples.copy()
+    samples[:, :-1] = samples[0, :-1]  # one line
+    excitations = list({id(y_l): y_l for y_l, _ in pairs}.values())
+    e = len(excitations)
+    spoiled = {}
+
+    def spoiled_multi(matrix, rhs_list, **kwargs):
+        reports = solve_multi(matrix, rhs_list, **kwargs)
+        factors = [1.0 + 1e-2] * e + [1.0 + 1e-7] * (len(reports) - e)
+        spoiled["solutions"] = [rep.solution * f for rep, f in zip(reports, factors)]
+        return [SolveReport(x, rep.iterations, rep.residual_norm) for x, rep in zip(spoiled["solutions"], reports)]
+
+    def spoiled_eigh(*args, **kwargs):
+        mu, V = _pencil_eigh(*args, **kwargs)
+        spoiled["eigh"] = mu, V * (1.0 + 1e-3)
+        return spoiled["eigh"]
+
+    def failed_own_solve(*args, **kwargs):
+        raise SolverError("own solve failed", residual_norm=1.0, iterations=0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "solve_multi", spoiled_multi)
+        mp.setattr(forward, "_pencil_eigh", spoiled_eigh)
+        mp.setattr(forward, "forward_pair_values", failed_own_solve)
+        with pytest.raises(SolverError, match=r"sweep sample \d+ of") as err:
+            forward_pair_sweep(stiffness, sigma, pixels, samples, pairs, tol=1e-6)
+    assert str(err.value.__cause__) == "own solve failed"  # the own solve's error is chained
+    j = int(re.search(r"sweep sample (\d+) of", str(err.value)).group(1)) - 1
+
+    dofs = stiffness.dofs[pixels]
+    S = np.unique(dofs[dofs >= 0])
+    R = np.setdiff1d(np.arange(stiffness.N), S)
+    solved = np.array(spoiled["solutions"]).reshape(e + S.size, R.size).T
+    U, W = solved[:, :e], solved[:, e:]
+    point = np.array(sigma)
+    point[pixels] = samples[j]
+    B = global_matrix(stiffness, point)
+    Y = np.column_stack([y_l.y for y_l in excitations])
+    # The line's pencil is decomposed at rho; t is the shift from rho.
+    t = samples[j, -1] - np.sqrt(samples[:, -1].min() * samples[:, -1].max())
+    mu, V = spoiled["eigh"]
+    reduced, load_S = B[S][:, S].toarray() - B[S][:, R] @ W, Y[S] - B[S][:, R] @ U
+
+    def from_pencil(rhs):
+        return V @ ((V.T @ rhs) / (1.0 + t * mu)[:, None])
+
+    lam = np.zeros((stiffness.N, e))
+    lam[S] = from_pencil(load_S)
+    lam[S] += from_pencil(load_S - reduced @ lam[S])  # the one correction against M + t K_q
+    lam[R] = U - W @ lam[S]
+    direct = np.linalg.norm(Y - B @ lam, axis=0) / np.linalg.norm(Y, axis=0)
+    assert err.value.residual_norm == pytest.approx(direct.max(), rel=1e-9)
+
+
 class TestForwardPairSweep:
     @settings(max_examples=60, deadline=None)
     @given(sweep=sweeps())
@@ -443,64 +504,38 @@ class TestForwardPairSweep:
     @settings(max_examples=40, deadline=None)
     @given(sweep=sweeps())
     def test_setup_residual_is_the_direct_one(self, sweep):
-        # Spoil the B_RR solutions and the decomposition, so that the samples'
-        # solutions have residuals in the rows of both R and S, and let the
-        # samples' own solves fail; the residual the sweep reports must be
-        # ||B_sample lam - y|| / ||y|| of the solution it formed for the sample
-        # it names.
-        stiffness, sigma, pixels, samples, pairs = sweep
-        samples = samples.copy()
-        samples[:, :-1] = samples[0, :-1]  # one line
-        excitations = list({id(y_l): y_l for y_l, _ in pairs}.values())
-        e = len(excitations)
-        spoiled = {}
+        assert_reported_residual_is_direct(*sweep)
 
-        def spoiled_multi(matrix, rhs_list, **kwargs):
-            reports = solve_multi(matrix, rhs_list, **kwargs)
-            factors = [1.0 + 1e-2] * e + [1.0 + 1e-7] * (len(reports) - e)
-            spoiled["solutions"] = [rep.solution * f for rep, f in zip(reports, factors)]
-            return [SolveReport(x, rep.iterations, rep.residual_norm) for x, rep in zip(spoiled["solutions"], reports)]
+    @pytest.mark.parametrize(
+        "nx, k, pixels, excitations",
+        [(3, 4, [3, 5], [0, 1]), (3, 4, [4], [0, 1, 2]), (3, 2, [0, 1, 3, 4], [0, 5]), (2, 2, [0, 3], [0, 1, 2]),
+         (2, 2, [0, 1, 2, 3], [1, 3])],
+        ids=["apart", "interior", "block", "few-remaining", "none-remaining"],
+    )
+    def test_setup_residual_with_several_excitations(self, nx, k, pixels, excitations):
+        # The rows R enter the residual through one QR of E_W and e_U together,
+        # whose last columns hold each excitation's part of e_U; with two or more
+        # excitations, and with fewer unknowns left in R than swept (or none),
+        # the reported residual is still the direct one.
+        stiffness, loads = problem(nx, k)
+        pairs = [(loads[i], loads[j]) for i in excitations for j in (-1, -2)]
+        samples = np.column_stack([np.full((5, len(pixels) - 1), 0.7), np.linspace(0.2, 3.0, 5)])
+        sigma = np.linspace(0.5, 2.0, stiffness.n)
+        assert_reported_residual_is_direct(stiffness, sigma, pixels, samples, pairs)
 
-        def spoiled_eigh(*args, **kwargs):
-            mu, V = _pencil_eigh(*args, **kwargs)
-            spoiled["eigh"] = mu, V * (1.0 + 1e-3)
-            return spoiled["eigh"]
-
-        def failed_own_solve(*args, **kwargs):
-            raise SolverError("own solve failed", residual_norm=1.0, iterations=0)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linsolve, "solve_multi", spoiled_multi)
-            mp.setattr(forward, "_pencil_eigh", spoiled_eigh)
-            mp.setattr(forward, "forward_pair_values", failed_own_solve)
-            with pytest.raises(SolverError, match=r"sweep sample \d+ of") as err:
-                forward_pair_sweep(stiffness, sigma, pixels, samples, pairs, tol=1e-6)
-        assert str(err.value.__cause__) == "own solve failed"  # the own solve's error is chained
-        j = int(re.search(r"sweep sample (\d+) of", str(err.value)).group(1)) - 1
-
+    @pytest.mark.parametrize("nx, k, pixels, remaining", [(2, 2, [0, 3], 2), (3, 2, [0, 1, 3, 4], 9),
+                                                          (2, 2, [0, 1, 2, 3], 0)])
+    def test_few_or_no_remaining_unknowns(self, rng, nx, k, pixels, remaining):
+        # Fewer unknowns left in R than swept in S, or none, with two distinct
+        # excitations: the QR of the rows R has fewer rows than |S| + e (none at
+        # all), and the sweep still gives the values of one solve per sample.
+        stiffness, loads = problem(nx, k)
         dofs = stiffness.dofs[pixels]
-        S = np.unique(dofs[dofs >= 0])
-        R = np.setdiff1d(np.arange(stiffness.N), S)
-        solved = np.array(spoiled["solutions"]).reshape(e + S.size, R.size).T
-        U, W = solved[:, :e], solved[:, e:]
-        point = np.array(sigma)
-        point[pixels] = samples[j]
-        B = global_matrix(stiffness, point)
-        Y = np.column_stack([y_l.y for y_l in excitations])
-        # The line's pencil is decomposed at rho; t is the shift from rho.
-        t = samples[j, -1] - np.sqrt(samples[:, -1].min() * samples[:, -1].max())
-        mu, V = spoiled["eigh"]
-        reduced, load_S = B[S][:, S].toarray() - B[S][:, R] @ W, Y[S] - B[S][:, R] @ U
-
-        def from_pencil(rhs):
-            return V @ ((V.T @ rhs) / (1.0 + t * mu)[:, None])
-
-        lam = np.zeros((stiffness.N, e))
-        lam[S] = from_pencil(load_S)
-        lam[S] += from_pencil(load_S - reduced @ lam[S])  # the one correction against M + t K_q
-        lam[R] = U - W @ lam[S]
-        direct = np.linalg.norm(Y - B @ lam, axis=0) / np.linalg.norm(Y, axis=0)
-        assert err.value.residual_norm == pytest.approx(direct.max(), rel=1e-9)
+        assert stiffness.N - np.unique(dofs[dofs >= 0]).size == remaining
+        pairs = [(loads[0], loads[1]), (loads[2], loads[1]), (loads[0], loads[2])]
+        samples = rng.uniform(0.1, 3.0, (12, len(pixels)))
+        samples[6:, :-1] = samples[5, :-1]  # a line of seven samples among single ones
+        assert_sweep_matches(stiffness, np.linspace(0.5, 2.0, stiffness.n), pixels, samples, pairs)
 
     @pytest.mark.parametrize("spoil", ["solves", "decomposition"])
     def test_spoiled_set_up_samples_are_solved_again(self, stiffness3x4, loads3x4, monkeypatch, spoil):
@@ -815,7 +850,7 @@ class TestPencilEigh:
         # 5e-12 of the largest: the bound is 1e-12, or the rounding of A's
         # condition where that is larger.
         K_q, A, Q = self.pencil(stiffness3x4, pixels, contrast)
-        mu, V = _pencil_eigh(K_q, A)
+        mu, V = _pencil_eigh(A, *_pencil_data(K_q))
         expected = eigh(K_q, A, eigvals_only=True)
         bound = max(1e-12, np.finfo(float).eps * np.linalg.cond(A))
         assert np.max(np.abs(V.T @ A @ V - np.eye(len(A)))) <= bound
@@ -832,9 +867,9 @@ class TestPencilEigh:
             A -= np.median(np.linalg.eigvalsh(A)) * np.eye(len(A))
         else:
             A[0, 1] = A[1, 0] = float(spoil)
-        for decompose in (eigh, _pencil_eigh):
+        for decompose in (lambda: eigh(K_q, A), lambda: _pencil_eigh(A, *_pencil_data(K_q))):
             with pytest.raises(error):
-                decompose(K_q, A)
+                decompose()
 
 
 class TestLoadsOfAnotherMesh:
