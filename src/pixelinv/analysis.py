@@ -5,9 +5,9 @@ data-misfit residual over (excitation, measurement) pairs and its
 gradient, a damped Gauss-Newton (Levenberg-Marquardt) reconstruction
 loop, the condition number of the flattened measurement Jacobian, and
 the smallest eigenvalue used for Loewner-order checks. Eigenvalues come
-from LAPACK's symmetric eigensolver and singular values from its
-preconditioned one-sided Jacobi SVD; the tests check both against
-matrices of known spectrum.
+from LAPACK's symmetric eigensolver, singular values from Drmac's (2017)
+QR-preconditioned QR SVD, relatively accurate on graded columns (Demmel et
+al. 1999); the tests check both against matrices of known spectrum.
 
 The slices of a Jacobian stack are symmetric, so row ``(k, j)`` of the
 flattening ``A`` repeats row ``(j, k)``. The SVD runs on the packed
@@ -179,25 +179,25 @@ def loewner_min_eig(matrix) -> float:
 def singular_values(matrix) -> np.ndarray:
     """The ``min(rows, cols)`` singular values of a matrix, descending.
 
-    LAPACK ``dgejsv``, the preconditioned one-sided Jacobi SVD of Drmac and
-    Veselic (SIAM J. Matrix Anal. Appl. 29(4), 2008), on the matrix itself
-    (never its Gram matrix), without singular vectors (``JOBU=JOBV='N'``)
-    and without perturbing the input (``JOBP='N'``). ``JOBA='C'`` keeps
-    small singular values relatively accurate, which matters for
-    ill-conditioned Jacobians; the wrapper's default ``'A'`` would set
-    those below about ``n * eps * ||A||`` to zero.
+    Drmac's QR-preconditioned QR SVD (ACM TOMS 44(1), 2017), values only, on
+    the matrix itself: ``dgeqp3`` pivots the columns by norm, and ``dgesvd``
+    takes the transposed ``n x n`` factor. For ``A = B D`` with ``D`` diagonal,
+    each value is accurate to about ``cond(B) * eps`` relative to itself (Demmel
+    et al., Linear Algebra Appl. 299, 1999), which ``dgesdd`` does not promise.
     """
     A = np.asarray_chkfinite(matrix, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2D matrix, got shape {A.shape}")
     if A.shape[0] < A.shape[1]:
-        A = A.T  # dgejsv needs rows >= cols
+        A = A.T  # the QR needs rows >= cols
     if A.shape[1] == 0:
         return np.zeros(0)
-    sva, _, _, work, _, info = lapack.dgejsv(A, joba=0, jobu=3, jobv=3, jobp=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgejsv failed with info={info}")
-    return sva * (work[1] / work[0])  # dgejsv sorts them descending
+    lwork = int(lapack.dgeqp3(A, lwork=-1, overwrite_a=True)[3][0])  # blocked; a query reads only A's shape
+    R, _, _, _, info = lapack.dgeqp3(A, lwork=lwork)
+    _, s, _, info_svd = lapack.dgesvd(np.triu(R[:A.shape[1]]).T, compute_uv=0)
+    if info or info_svd:
+        raise np.linalg.LinAlgError(f"dgeqp3 or dgesvd failed with info={info}, {info_svd}")
+    return s  # dgesvd sorts them descending
 
 
 # ---------------------------------------------------------------------------

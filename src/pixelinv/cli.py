@@ -2,30 +2,29 @@
 
 Exit status is 0 on success, 1 when a property check fails, 2 on usage
 errors and on a failed solve (``SolverError``), which write no output.
+
+The ``pixelinv`` command (:func:`entry_point`) runs OpenBLAS on one thread
+unless its caller set ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``; then
+it sets neither, since OpenBLAS reads the first before the second. The
+studies' LAPACK calls are small, and a second thread only slows them. The
+variables act only before numpy loads, so this module imports the studies
+inside :func:`main`, which, as a library call, leaves the environment alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from .experiments import (
-    ExperimentConfig,
-    load_config,
-    run_nonuniqueness_sweep,
-    run_property_suite,
-    run_residual_landscape,
-    run_stability_study,
-    write_csv,
-)
-from .linsolve import SolverError
-
+# Each experiment and the function of ``pixelinv.experiments`` that runs it.
 _RUNNERS = {
-    "nonuniqueness": run_nonuniqueness_sweep,
-    "landscape": run_residual_landscape,
-    "stability": run_stability_study,
+    "landscape": "run_residual_landscape",
+    "nonuniqueness": "run_nonuniqueness_sweep",
+    "stability": "run_stability_study",
+    "properties": "run_property_suite",
 }
 
 
@@ -36,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_RUNNERS) + ["properties"],
+        choices=list(_RUNNERS),
         help="which study to run",
     )
     parser.add_argument("--config", help="flat key=value configuration file")
@@ -49,8 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from . import experiments
+    from .linsolve import SolverError
+
     try:
-        config = load_config(args.config) if args.config else ExperimentConfig()
+        config = experiments.load_config(args.config) if args.config else experiments.ExperimentConfig()
         config.experiment = args.experiment
         for name in ("nx", "k", "seed", "out"):
             if getattr(args, name) is not None:
@@ -63,9 +65,8 @@ def main(argv=None) -> int:
         print(f"pixelinv: bad config: {err}", file=sys.stderr)
         return 2
 
-    run = run_property_suite if args.experiment == "properties" else _RUNNERS[args.experiment]
     try:
-        result = run(config)
+        result = getattr(experiments, _RUNNERS[args.experiment])(config)
     except SolverError as err:
         print(f"pixelinv: {args.experiment} failed: {err}", file=sys.stderr)
         return 2
@@ -81,10 +82,17 @@ def main(argv=None) -> int:
         print(f"report written to {out}")
         return 0 if result["all_passed"] else 1
 
-    write_csv(result, out)
+    experiments.write_csv(result, out)
     print(f"{len(result.rows)} rows written to {out}")
     return 0
 
 
+def entry_point() -> int:
+    """The ``pixelinv`` command: :func:`main` with one BLAS thread unless the caller chose a count."""
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+        os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

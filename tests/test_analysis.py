@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
+from pixelinv import analysis
 from pixelinv.analysis import (
     ResidualProblem,
     condition_number,
@@ -77,6 +81,16 @@ class TestSymmetricEigenvalues:
                 kernel(A)
 
 
+def jacobi_singular_values(A):
+    """Singular values of a matrix with at least as many rows as columns, by
+    LAPACK's preconditioned one-sided Jacobi SVD (``dgejsv``, ``JOBA='C'``,
+    Drmac and Veselic 2008): the kernel ``singular_values`` used before the
+    QR SVD, kept as its oracle. It is relatively accurate on graded columns."""
+    sva, _, _, work, _, info = lapack.dgejsv(A, joba=0, jobu=3, jobv=3, jobp=0)
+    assert info == 0
+    return sva * (work[1] / work[0])
+
+
 class TestSingularValues:
     def test_matches_gram_eigen_oracle(self, rng):
         # Dense eigen-decomposition of J^T J as the independent route.
@@ -97,12 +111,58 @@ class TestSingularValues:
         assert np.max(np.abs(s - 1.0)) <= 1e-12
 
     def test_graded_columns_keep_small_values(self, rng):
-        # Orthonormal columns scaled by s have singular values s; one-sided
-        # Jacobi returns each to a few eps relative to itself, where a
-        # cutoff at n * eps * ||A|| would return 0 for 1e-20.
+        # Orthonormal columns scaled by s have singular values s; the pivoted
+        # QR followed by the SVD of R^T returns each to a few eps relative to
+        # itself (Demmel et al. 1999), where an absolute accuracy of
+        # n * eps * ||A|| would lose 1e-20 entirely.
         Q, _ = np.linalg.qr(rng.standard_normal((20, 4)))
         s = np.array([1.0, 1e-5, 1e-12, 1e-20])
         assert np.max(np.abs(singular_values(Q * s) - s) / s) <= 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), extra=st.integers(0, 12))
+    def test_graded_columns_match_jacobi_oracle(self, seed, n, extra):
+        # A = B D, cond(B) <= 100, D over 20 decades, rows permuted: both
+        # methods promise each value to about cond(B) * eps relative to
+        # itself. np.linalg.svd (dgesdd) misses the small ones by orders.
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        U, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        B = (U * rng.uniform(1.0, 100.0, n)) @ V.T
+        A = (B * 10.0 ** rng.uniform(-10.0, 10.0, n))[rng.permutation(m)]
+        oracle = jacobi_singular_values(A)
+        assert np.max(np.abs(singular_values(A) - oracle) / oracle) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_packed_stability_jacobians_match_jacobi_oracle(self, k, monkeypatch):
+        # The matrices the stability study hands the kernel: the packed rows
+        # of the Jacobian at sigma = 1, nx = 2..12.
+        packed = []
+        kernel = analysis.singular_values
+
+        def recorded(J):
+            packed.append(J)
+            return kernel(J)
+
+        monkeypatch.setattr(analysis, "singular_values", recorded)
+        worst = 0.0
+        for nx in range(2, 13):
+            grid = PixelGrid(nx)
+            mesh = build_mesh(grid, k)
+            loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
+            _, jac = forward_matrix(assemble_pixel_matrices(mesh, grid), np.ones(grid.n), loads, tol=1e-10)
+            s = condition_number(jac).singular_values
+            oracle = jacobi_singular_values(packed[-1])
+            worst = max(worst, np.max(np.abs(s - oracle) / oracle))
+        assert len(packed) == 11 and worst <= 1e-12
+
+    def test_input_unchanged(self, rng):
+        for A in (rng.standard_normal((9, 4)), np.asfortranarray(rng.standard_normal((9, 4))),
+                  rng.standard_normal((4, 9))):
+            before = A.copy()
+            singular_values(A)
+            assert np.array_equal(A, before)
 
     def test_wide_input(self, rng):
         s = np.array([3.0, 2.0, 0.5])

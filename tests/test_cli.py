@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,7 +123,8 @@ def test_unparsable_config_value_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [("k", True), ("seed", 2.5), ("nx_min", 2.5)])
 def test_non_integer_config_field_is_usage_error(tmp_path, capsys, monkeypatch, field, value):
-    monkeypatch.setattr(cli, "ExperimentConfig", lambda: experiments.ExperimentConfig(**{field: value}))
+    config = experiments.ExperimentConfig
+    monkeypatch.setattr(experiments, "ExperimentConfig", lambda: config(**{field: value}))
     out = tmp_path / "stab.csv"
     assert main(["stability", "--out", str(out)]) == 2
     assert f"bad config: {field} must be an integer, got {value!r}" in capsys.readouterr().err
@@ -132,8 +137,8 @@ def test_out_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, 
     def not_run(config):
         raise AssertionError("the study ran")
 
-    monkeypatch.setitem(cli._RUNNERS, "nonuniqueness", not_run)
-    monkeypatch.setattr(cli, "run_property_suite", not_run)
+    monkeypatch.setattr(experiments, "run_nonuniqueness_sweep", not_run)
+    monkeypatch.setattr(experiments, "run_property_suite", not_run)
     out = tmp_path / "missing" / "x.csv"
     assert main([experiment, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -164,3 +169,69 @@ def test_cli_nx_and_seed_flags_override_config(tmp_path):
     fields = lines[0].split()
     assert "nx=4" in fields and "seed=5" in fields
     assert len(lines) == 2 + 16 * 3
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(code, *args, **env):
+    """Standard output of ``code`` (or of ``-m pixelinv.cli`` with ``args``) in
+    a new interpreter that imports this checkout's package, with no thread
+    variable set but those in ``env``."""
+    environ = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    environ.update(env, PYTHONPATH=os.pathsep.join([src, environ.get("PYTHONPATH", "")]))
+    command = ["-c", code] if code else ["-m", "pixelinv.cli", *args]
+    return subprocess.run([sys.executable, *command], env=environ, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+
+
+def test_import_loads_no_numpy_and_leaves_the_environment_alone():
+    code = """
+import os, sys
+before = dict(os.environ)
+import pixelinv, pixelinv.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+pixelinv.cli.build_parser()
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+for name in pixelinv.__all__:
+    getattr(pixelinv, name)
+print("numpy" in sys.modules, dict(os.environ) == before)
+"""
+    assert fresh_python(code).split("\n") == ["[]", "[]", "True True", ""]
+
+
+@pytest.mark.parametrize(
+    "env, seen",
+    [({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 None"), ({"OMP_NUM_THREADS": "3"}, "None 3"),
+     ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, "4 2")],
+)
+def test_command_pins_one_thread_before_numpy_loads_unless_the_caller_chose(env, seen):
+    # The thread variables act only if set before numpy loads; a caller's
+    # choice of either one is kept, and no default overrides it.
+    code = """
+import os, sys
+from pixelinv import cli
+cli.main = lambda: print(*(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
+                         "numpy" in sys.modules) or 0
+sys.exit(cli.entry_point())
+"""
+    assert fresh_python(code, **env) == f"{seen} False\n"
+
+
+def test_module_entry_runs_a_study(tmp_path):
+    out = tmp_path / "stab.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nx_min=2\nnx_max=3\n", encoding="utf-8")
+    assert fresh_python(None, "stability", "--config", str(cfg), "--out", str(out)) == f"2 rows written to {out}\n"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "nx,n,m,cond" and [line.rsplit(",", 1)[0] for line in lines[2:]] == ["2,4,4", "3,9,8"]
+
+
+def test_main_in_process_leaves_the_environment_alone(tmp_path):
+    before = dict(os.environ)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nx_min=2\nnx_max=3\n", encoding="utf-8")
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "stab.csv")]) == 0
+    assert main(["stability", "--k", "0"]) == 2
+    assert dict(os.environ) == before
