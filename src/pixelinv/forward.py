@@ -16,7 +16,8 @@ All maps but the sweep take one path: ``global_matrix`` validates ``sigma``
 and forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
 all loads in one block with a factor of ``B_sigma`` condensed onto the
 skeleton (``StiffnessSet.condensation``): the band Cholesky factor of the
-Schur complement ``S_sigma``, back-substituted in place, then the pixel
+Schur complement ``S_sigma``, back-substituted in :data:`_PANEL`-column
+panels, so no load's bits depend on the others, then the pixel
 interiors lifted back. The Jacobian is contracted a chunk of pixels at a
 time, from the pixel block all pixels share and the solutions gathered
 onto their vertices, straight into the returned stack. Pair values are one
@@ -46,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrs, dpotrf, dsyevd, dtrtri
+from scipy.linalg.lapack import dpotrf, dsyevd, dtrtri
 
 from . import linsolve
 from .assembly import (
@@ -139,33 +140,37 @@ def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out:
     return out
 
 
-def _condensed_factor(stiffness: StiffnessSet, sigma: np.ndarray):
-    """``solve(R)``, close to ``B_sigma^-1 R``, through a band Cholesky factor
-    of the skeleton's Schur complement (:class:`assembly.Condensation`). It
-    leaves ``R`` as it is and returns a view of an array with a zero row below."""
-    c = stiffness.condensation
-    cholesky = linsolve._band_cholesky(c.band(sigma))
+# Columns of the skeleton factor's working panels, a multiple of 8: every product has one shape whatever the
+# number of loads, so no column's bits depend on the others (OpenBLAS picks its kernel by shape).
+_PANEL = 56
 
-    def condensed(R, R_I):
-        """``lam_E`` from the condensed loads, back-substituted in place."""
-        X_S = np.empty((c.skeleton.size, R.shape[1]), order="F")
-        np.add(R[c.skeleton], c.scatter @ (c.P.T @ R_I).reshape(c.edge.size, -1), out=X_S)
-        if X_S.size:  # LAPACK refuses an empty block
-            dpbtrs(cholesky, X_S, overwrite_b=1)
-        return X_S
+
+def _condensed_factor(stiffness: StiffnessSet, sigma: np.ndarray):
+    """``solve(R)``, close to ``B_sigma^-1 R``, through a band Cholesky factor of the skeleton's Schur complement
+    (:class:`assembly.Condensation`) and ``linsolve._block_substitution``, a :data:`_PANEL`-column panel at a
+    time, the last padded with zeros. It leaves ``R`` as it is and returns a view of the panels, above a zero row."""
+    c = stiffness.condensation
+    substitute = linsolve._block_substitution(linsolve._band_cholesky(c.band(sigma)))
+    q, e = c.P.shape
+    step = max(1, _WORKING_BYTES // (8 * e * _PANEL))  # pixels a lift step
 
     def solve(R):
-        R_I = R[c.interior.T]  # (q, n, columns), a copy
-        shape, flat = R_I.shape, (R_I.shape[0], R_I.shape[1] * R_I.shape[2])
-        X_S = condensed(R, R_I.reshape(flat))
-        R_I /= sigma[:, None]
-        X_I = c.K_II_inv @ R_I.reshape(flat)
-        X = np.empty((stiffness.N + 1, R.shape[1]))
-        X[-1], X[c.skeleton] = 0.0, X_S
-        del R_I, X_S  # not held through the lift
-        X_I += c.P @ X[c.edge.T].reshape(c.P.shape[1], -1)
-        X[c.interior.T] = X_I.reshape(shape)
-        return X[:-1]
+        X = np.empty((stiffness.N + 1, -(-R.shape[1] // _PANEL) * _PANEL))
+        X[-1] = 0.0
+        for start in range(0, X.shape[1], _PANEL):
+            loads, panel = R[:, start:start + _PANEL], X[:, start:start + _PANEL]
+            R_I = np.zeros((q, stiffness.n, _PANEL))
+            np.take(loads, c.interior.T, axis=0, out=R_I[..., :loads.shape[1]], mode="clip")  # "raise" would buffer
+            X_S = c.scatter @ (c.P.T @ R_I.reshape(q, stiffness.n * _PANEL)).reshape(c.edge.size, _PANEL)
+            X_S[:, :loads.shape[1]] += loads[c.skeleton]
+            panel[c.skeleton] = substitute(X_S)
+            R_I /= sigma[:, None]
+            for p in range(0, stiffness.n, step):  # the interiors lifted a few pixels at a time
+                interior, edge = c.interior[p:p + step].T, c.edge[p:p + step].T
+                X_I = c.K_II_inv @ R_I[:, p:p + step].reshape(q, edge.shape[1] * _PANEL)
+                X_I += c.P @ panel[edge].reshape(e, -1)
+                panel[interior] = X_I.reshape(*interior.shape, _PANEL)
+        return X[:-1, :R.shape[1]]
 
     return solve
 
@@ -183,8 +188,8 @@ def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
     Y = np.zeros((stiffness.N, len(loads)))
     Y[rows] = np.array([ld.y[rows] for ld in loads], dtype=float).T
     reports = linsolve.solve_multi(B, Y.T, tol=tol, factor=factor)
-    # The solutions are columns of the array the factor returned, refined in place.
-    return reports[0].solution.base, (rows, Y[rows]), sum(1 + rep.iterations for rep in reports)
+    # The solutions are columns of the factor's panels, refined in place.
+    return reports[0].solution.base[:, :len(loads)], (rows, Y[rows]), sum(1 + rep.iterations for rep in reports)
 
 
 def _distinct(loads: list):

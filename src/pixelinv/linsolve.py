@@ -3,17 +3,19 @@
 Numbered lexicographically, ``B_sigma`` on ``nx x nx`` pixels with ``k``
 elements per pixel side has bandwidth ``b = nx*k``. A matrix is factored
 once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper band, taken
-as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work (Golub & Van Loan,
-*Matrix Computations*, 4th ed., 4.3); the forward maps hand in a factor of
-``B_sigma`` condensed onto its skeleton instead. All right-hand sides are
-solved in one block, all residuals come from one product with the full
-matrix, and each relative residual ``||B x - y|| / ||y||`` is checked
-against ``tol`` on its own. The columns that miss it are refined together,
-each while its residual falls, for up to :data:`REFINE_STEPS` steps; one
-that still misses it raises :class:`SolverError`, so an asymmetric matrix,
-a poor factor or a solution out of the double range (no numpy warning is
-raised) gives no wrong answer. Runs are deterministic for a fixed BLAS
-thread count. Callers count the :class:`SolveReport` of each right-hand side.
+as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work (Golub & Van
+Loan, *Matrix Computations*, 4th ed., 4.3) and back-substituted by
+``dpbtrs``; the forward maps hand in a factor of ``B_sigma`` condensed
+onto its skeleton instead, back-substituted by
+:func:`_block_substitution`. All right-hand sides are solved in one block,
+all residuals come from one product with the full matrix, and each
+relative residual ``||B x - y|| / ||y||`` is checked against ``tol`` on
+its own. The columns that miss it are refined together, each while its
+residual falls, for up to :data:`REFINE_STEPS` steps; one that still
+misses it raises :class:`SolverError`, so an asymmetric matrix, a poor
+factor or a solution out of the double range (no numpy warning is raised)
+gives no wrong answer. Runs are deterministic for a fixed BLAS thread
+count. Callers count the :class:`SolveReport` of each right-hand side.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtrtri
 
 __all__ = ["DEFAULT_TOL", "REFINE_STEPS", "SolveReport", "SolverError", "solve_spd", "solve_multi"]
 
@@ -74,6 +76,52 @@ def _band_cholesky(band) -> np.ndarray:
         raise SolverError(f"cannot factor the {n}x{n} matrix: leading minor of order {info} is not positive "
                           "definite (singular or indefinite)", residual_norm=math.inf, iterations=0)
     return factor
+
+
+# Most unknowns in a block row of :func:`_block_substitution`: the bandwidth is cut into equal parts of at most
+# this many (35 at bandwidth 105, 30 at 30); a larger block costs dense flops on its inverse, a smaller one more
+# products.
+_BLOCK_ROWS = 48
+
+
+def _block_substitution(cholesky):
+    """``substitute(X)``, which overwrites an ``(N, c)`` block ``X`` by ``A^-1 X`` and returns it, for the factor
+    ``A = U^T U`` that :func:`_band_cholesky` returns, with every step a matrix product.
+
+    ``U`` is cut into block rows of ``nb <= kd + 1`` unknowns, at most :data:`_BLOCK_ROWS`. Each column of the band
+    is copied with ``nb - 1`` zeros below it, so one strided view reads ``U[i, j]`` for ``-nb < j - i < kd + nb``:
+    a band entry, or a zero outside the band. Each diagonal block is inverted once by ``dtrtri`` and written back in
+    its own place, and the coupling slabs above and right of it, ``C = U[s - kd:s, s:s + nb]`` and
+    ``D = U[s:s + nb, s + nb:s + nb + kd]``, are views. ``U^T Y = X`` is then solved a block row at a time down
+    through ``C``, and ``U X = Y`` up through ``D`` (Golub & Van Loan, *Matrix Computations*, 4th ed., 4.3 and
+    4.5). The band itself is not kept.
+    """
+    kd, n = cholesky.shape[0] - 1, cholesky.shape[1]
+    nb = -(-kd // -(-kd // _BLOCK_ROWS)) if kd else 1
+    padded = np.empty((n, kd + nb))
+    padded[:, :kd + 1], padded[:, kd + 1:] = cholesky.T, 0.0
+    step = padded.itemsize
+    U = np.ndarray((n, n), buffer=padded.reshape(-1)[kd:], strides=(step, step * (kd + nb - 1)))
+    rows = []
+    for s in range(0, n, nb):
+        a, e = max(0, s - kd), min(s + nb, n)
+        T = U[s:e, s:e]
+        T[...] = dtrtri(T)[0]  # U_ss^-1 is upper triangular, so it fits where U_ss was
+        rows.append((U[a:s, s:e], U[s:e, e:e + kd], T, slice(a, s), slice(s, e), slice(e, e + kd)))
+
+    def substitute(X):
+        Z = np.empty((nb, X.shape[1]))
+        for C, _, T, above, block, _ in rows:  # U^T Y = X: Y_s = T^T (X_s - C^T Y_above)
+            Z_s = Z[:T.shape[0]]
+            np.subtract(X[block], np.matmul(C.T, X[above], out=Z_s), out=Z_s)
+            np.matmul(T.T, Z_s, out=X[block])
+        for _, D, T, _, block, below in reversed(rows):  # U X = Y: X_s = T (Y_s - D X_below)
+            Z_s = Z[:T.shape[0]]
+            np.subtract(X[block], np.matmul(D, X[below], out=Z_s), out=Z_s)
+            np.matmul(T, Z_s, out=X[block])
+        return X
+
+    return substitute
 
 
 def _norms(A) -> np.ndarray:

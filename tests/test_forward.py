@@ -274,6 +274,18 @@ class TestForwardPairs:
             assert solve_counter.solves == 2
             assert np.array_equal(values, forward_pairs(stiffness, sigma, pairs)[0])
 
+    @pytest.mark.parametrize("nx, k", [(3, 4), (4, 3), (9, 4)])
+    def test_pair_values_equal_forward_pairs_to_the_bit(self, nx, k):
+        # forward_pairs also solves the measurement loads, so its block has more
+        # columns; the skeleton factor solves in fixed-width panels, so no
+        # column's bits depend on how many others there are.
+        stiffness, loads = problem(nx, k)
+        rng = np.random.default_rng(nx * 10 + k)
+        for _ in range(200):
+            sigma = 10.0 ** rng.uniform(-2.0, 2.0, stiffness.n)
+            pairs = [(loads[i], loads[j]) for i, j in rng.integers(len(loads), size=(rng.integers(1, 6), 2))]
+            assert np.array_equal(forward_pair_values(stiffness, sigma, pairs), forward_pairs(stiffness, sigma, pairs)[0])
+
     @pytest.mark.parametrize("nx, k", [(3, 4), (8, 4)])
     def test_all_pairs_are_the_symmetric_layout(self, nx, k):
         # A symmetric layout written as pairs: the values are forward_matrix's to
@@ -1023,6 +1035,16 @@ class TestCondensedPath:
         assert np.max(np.abs(jac.slices - jac_clean.slices)) <= 1e-11 * np.max(np.abs(jac_clean.slices))
         assert np.max(np.abs(values - values_clean)) <= 1e-11 * np.max(np.abs(values_clean))
         assert np.max(np.abs(rows - rows_clean)) <= 1e-11 * np.max(np.abs(rows_clean))
+
+    def test_columns_do_not_depend_on_the_column_count(self, stiffness3x4):
+        # Every prefix of a block of 2 W + 1 right-hand sides (W the panel
+        # width) is solved to the bit as in the whole block.
+        sigma = np.random.default_rng(3).uniform(0.5, 2.0, stiffness3x4.n)
+        solve = forward._condensed_factor(stiffness3x4, sigma)
+        R = np.random.default_rng(4).standard_normal((stiffness3x4.N, 2 * forward._PANEL + 1))
+        wide = solve(R)
+        for columns in range(1, R.shape[1] + 1):
+            assert np.array_equal(solve(R[:, :columns]), wide[:, :columns])
 
     def test_memory_peak_of_one_call(self):
         # One forward_matrix call at nx=15, k=4 (N=3481, m=56, n=225) returns

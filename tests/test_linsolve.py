@@ -252,3 +252,42 @@ class TestFactorKeyword:
         with pytest.raises(SolverError, match="right-hand side 1 of 2") as err:
             solve_multi(A, [rng.standard_normal(10), np.zeros(10)], factor=np.zeros_like)
         assert err.value.residual_norm == 1.0
+
+
+class TestBlockSubstitution:
+    @staticmethod
+    def band_factor(rng, n, kd):
+        """dpbtrf's factor of a random SPD matrix of order ``n`` in band storage of bandwidth ``kd``."""
+        A = np.zeros((n, n))
+        for d in range(min(kd, n - 1) + 1):
+            A += np.diag(rng.standard_normal(n - d), d)
+        A = A + A.T + (4.0 * kd + 8.0) * np.eye(n)  # diagonally dominant
+        band = np.zeros((kd + 1, n), order="F")
+        for d in range(min(kd, n - 1) + 1):
+            band[kd - d, d:] = np.diagonal(A, d)
+        return linsolve._band_cholesky(band)
+
+    @pytest.mark.parametrize("n, kd, columns", [
+        (30, 0, 3),  # diagonal: blocks of one unknown
+        (5, 12, 3),  # fewer unknowns than one block row
+        (100, 21, 4),  # 100 is not a multiple of the block rows (21)
+        (250, 105, 5),  # three block rows (35) per bandwidth, 250 not a multiple
+        (1, 0, 2),
+        (1, 4, 2),
+        (40, 7, 0),  # an empty block
+    ])
+    def test_matches_dpbtrs(self, rng, n, kd, columns):
+        cholesky = self.band_factor(rng, n, kd)
+        X = rng.standard_normal((n, columns))
+        expected = linsolve.dpbtrs(cholesky, X)[0] if X.size else X.copy()
+        solved = linsolve._block_substitution(cholesky)(X.copy())
+        assert solved.shape == X.shape
+        assert np.max(np.abs(solved - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)
+
+    def test_the_factor_is_not_kept(self, rng):
+        # The block rows live in one padded copy; the band dpbtrf returned is not held.
+        cholesky = self.band_factor(rng, 60, 9)
+        substitute = linsolve._block_substitution(cholesky)
+        before = substitute(np.eye(60))
+        cholesky[...] = np.nan
+        assert np.array_equal(substitute(np.eye(60)), before)
