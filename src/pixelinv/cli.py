@@ -52,15 +52,13 @@ def main(argv=None) -> int:
     from .linsolve import SolverError
 
     try:
-        config = experiments.load_config(args.config) if args.config else experiments.ExperimentConfig()
-        config.experiment = args.experiment
-        for name in ("nx", "k", "seed", "out"):
-            if getattr(args, name) is not None:
-                setattr(config, name, getattr(args, name))
-        config.validate()
+        flags = {name: value for name, value in vars(args).items() if name != "config" and value is not None}
+        config = experiments.load_config(args.config, **flags) if args.config else experiments.ExperimentConfig(**flags)
         out = config.out or ("properties.json" if args.experiment == "properties" else f"{args.experiment}.csv")
         if not Path(out).parent.is_dir():
             raise ValueError(f"out={out}: directory {Path(out).parent} does not exist")
+        if Path(out).is_dir():
+            raise ValueError(f"out={out} is a directory")
     except (OSError, ValueError) as err:
         print(f"pixelinv: bad config: {err}", file=sys.stderr)
         return 2

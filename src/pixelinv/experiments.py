@@ -16,7 +16,8 @@ checks (assembly identities, Jacobian exactness, semidefinite-order
 monotonicity/convexity, refinement ordering, solve budget) and reports
 JSON. CSV output is UTF-8 with a ``# config:`` comment line, a header
 row, and floats printed with 17 significant digits; runs are
-deterministic for a fixed configuration and seed.
+deterministic for a fixed configuration and seed and a fixed BLAS thread
+count (the ``pixelinv`` command pins one unless its caller sets a count).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
 _MAX_SWEEP_POINTS = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs for the experiment drivers; every field holds the value the
     studies run with.
@@ -64,7 +65,9 @@ class ExperimentConfig:
     at every stability rung, and ``radius_fraction`` the disk radius in
     pixel widths. The refinement cap (:data:`linsolve.REFINE_STEPS`) and
     the property checks' tolerances (:data:`CHECKS`) are fixed, not
-    settings.
+    settings. A config is checked when it is built, whether by the
+    constructor, :func:`load_config` or ``dataclasses.replace``, and cannot
+    change afterwards.
     """
 
     experiment: str = ""
@@ -88,7 +91,7 @@ class ExperimentConfig:
             f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self) if f.name != "out"
         )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Reject grid sizes, disk radii, sweep steps, ranges, tolerances and
         seeds no study can run with."""
         for name, least in (("nx", 2), ("k", 1), ("nx_min", 2), ("nx_max", 2), ("seed", 0)):
@@ -133,9 +136,10 @@ _CONFIG_PARSERS = {
 }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a flat ``key=value`` config file; ``#`` starts a comment line."""
-    cfg = ExperimentConfig()
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Parse a flat ``key=value`` config file (``#`` starts a comment line) and
+    build the config from its values, with ``overrides`` in their place."""
+    values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -148,10 +152,10 @@ def load_config(path) -> ExperimentConfig:
             if key not in _CONFIG_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                setattr(cfg, key, _CONFIG_PARSERS[key](value.strip()))
+                values[key] = _CONFIG_PARSERS[key](value.strip())
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: bad value for config key {key!r}: {err}") from err
-    return cfg
+    return ExperimentConfig(**{**values, **overrides})
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +211,6 @@ def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:
     :func:`forward_pair_sweep` call: one factorization serves all its
     samples.
     """
-    config.validate()
     _, _, _, stiffness, loads = _experiment_setup(config, config.nx)
     pairs = [(loads[0], loads[-1])]
     values = _sweep_values(config.sigma_step, config.sigma_max)
@@ -230,8 +233,8 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     truth are one :func:`forward_pair_sweep` call: one factorization serves
     every point, and the truth's row reads exactly 0.
     """
-    # Checked as a landscape run, however the config is tagged.
-    dataclasses.replace(config, experiment="landscape").validate()
+    # Checked as a landscape run, however the config is tagged; the CSV keeps the caller's tag.
+    dataclasses.replace(config, experiment="landscape")
     _, _, _, stiffness, loads = _experiment_setup(config, 3)
     pairs = [(loads[0], loads[6]), (loads[0], loads[7])]
     values = _sweep_values(config.landscape_step, config.landscape_max)
@@ -255,7 +258,6 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
     Jacobians report an infinite condition number in their row instead of
     aborting the sweep.
     """
-    config.validate()
     rows = []
     for nx in range(config.nx_min, config.nx_max + 1):
         _, _, _, stiffness, loads = _experiment_setup(config, nx)
@@ -315,7 +317,6 @@ def _fd_jacobian(stiffness, sigma, loads, step, tol):
 
 def run_property_suite(config: ExperimentConfig) -> dict:
     """Run every structural check and return a JSON-ready report."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     nx, k, tol = config.nx, config.k, config.tol
     grid, mesh, disks, stiffness, loads = _experiment_setup(config, nx)

@@ -71,7 +71,7 @@ def test_bad_step_or_tolerance_is_usage_error(tmp_path, capsys, experiment, sett
     ],
 )
 def test_failed_solve_is_one_line_and_exit_2(tmp_path, capsys, experiment, setting, named):
-    # A config that passes validate() can still ask for more than the solver
+    # A config that is valid when built can still ask for more than the solver
     # gives: the run ends in SolverError, reported as one line, not a traceback.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(setting + "\n", encoding="utf-8")
@@ -104,6 +104,21 @@ def test_cli_flags_override_config(tmp_path):
     assert "k=2" in comment
 
 
+def test_flags_apply_before_the_one_check(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nx=1\nsigma_step=1.0\nk=1\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["nonuniqueness", "--config", str(cfg), "--nx", "3", "--out", str(out)]) == 0
+    assert "nx=3" in out.read_text(encoding="utf-8").split("\n")[0].split()
+
+    out.unlink()
+    cfg.write_text("nx=1\nsigma_step=0\n", encoding="utf-8")
+    assert main(["nonuniqueness", "--config", str(cfg), "--nx", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "pixelinv: bad config: sigma_step must be positive and finite, got 0.0\n"
+    assert not out.exists()
+
+
 def test_zero_k_flag_is_usage_error(tmp_path, capsys):
     out = tmp_path / "stab.csv"
     assert main(["stability", "--k", "0", "--out", str(out)]) == 2
@@ -124,7 +139,7 @@ def test_unparsable_config_value_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [("k", True), ("seed", 2.5), ("nx_min", 2.5)])
 def test_non_integer_config_field_is_usage_error(tmp_path, capsys, monkeypatch, field, value):
     config = experiments.ExperimentConfig
-    monkeypatch.setattr(experiments, "ExperimentConfig", lambda: config(**{field: value}))
+    monkeypatch.setattr(experiments, "ExperimentConfig", lambda **flags: config(**flags, **{field: value}))
     out = tmp_path / "stab.csv"
     assert main(["stability", "--out", str(out)]) == 2
     assert f"bad config: {field} must be an integer, got {value!r}" in capsys.readouterr().err
@@ -144,6 +159,19 @@ def test_out_in_missing_directory_is_usage_error(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bad config" in err and "does not exist" in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("experiment", ["nonuniqueness", "properties"])
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys, monkeypatch, experiment):
+    def not_run(config):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(experiments, "run_nonuniqueness_sweep", not_run)
+    monkeypatch.setattr(experiments, "run_property_suite", not_run)
+    assert main([experiment, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"pixelinv: bad config: out={tmp_path} is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_properties_pass_and_fail_exit_codes(tmp_path, monkeypatch):

@@ -69,11 +69,10 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["sigma_step", "landscape_step", "tol"])
     @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf")])
     def test_nonpositive_or_nonfinite_values_rejected(self, field, value):
-        cfg = ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
-            cfg.validate()
+            ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
-            run_stability_study(dataclasses.replace(cfg, nx_min=2, nx_max=2))
+            run_stability_study(dataclasses.replace(ExperimentConfig(nx_min=2, nx_max=2), **{field: value}))
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -102,11 +101,10 @@ class TestConfig:
         ],
     )
     def test_empty_or_oversized_sweep_rejected(self, settings, message):
-        cfg = ExperimentConfig(**settings)
         with pytest.raises(ValueError, match=message):
-            cfg.validate()
+            ExperimentConfig(**settings)
         with pytest.raises(ValueError, match=message):
-            run_nonuniqueness_sweep(cfg)
+            run_nonuniqueness_sweep(dataclasses.replace(ExperimentConfig(), **settings))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -114,14 +112,13 @@ class TestConfig:
          ("nx", "3"), ("k", np.float64(2.0))],
     )
     def test_integer_fields_refuse_bools_and_non_integers(self, field, value):
-        cfg = ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
-            cfg.validate()
+            ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            run_stability_study(cfg)
+            run_stability_study(dataclasses.replace(ExperimentConfig(), **{field: value}))
 
     def test_numpy_integers_are_integers(self):
-        ExperimentConfig(nx=np.int64(3), k=np.int32(2), seed=np.uint8(7)).validate()
+        ExperimentConfig(nx=np.int64(3), k=np.int32(2), seed=np.uint8(7))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -131,17 +128,15 @@ class TestConfig:
     def test_float_fields_refuse_bools_and_non_reals(self, field, value):
         # True would pass as 1.0 (tol=True accepts nearly any solve), and a string or None
         # would end in a bare TypeError from the range checks.
-        cfg = ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
-            cfg.validate()
+            ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be a real number"):
-            run_stability_study(cfg)
+            run_stability_study(dataclasses.replace(ExperimentConfig(), **{field: value}))
 
     def test_numbers_of_any_real_type_are_accepted(self):
         # Integers and numpy scalars are real numbers too; none of them changes what the study computes.
         cfg = ExperimentConfig(experiment="landscape", radius_fraction=np.float32(0.25), sigma_step=np.float64(0.01),
                                sigma_max=3, landscape_step=0.2, landscape_max=np.int64(1), tol=np.float64(1e-10))
-        cfg.validate()
         plain = dataclasses.replace(cfg, radius_fraction=0.25, sigma_max=3.0, landscape_max=1.0, tol=1e-10)
         assert run_residual_landscape(cfg).rows == run_residual_landscape(plain).rows
 
@@ -170,9 +165,8 @@ class TestConfig:
         nx_max=st.integers(-2, 4),
     )
     def test_grid_values_give_clean_error_or_valid_rows(self, nx, k, nx_min, nx_max):
-        cfg = ExperimentConfig(nx=nx, k=k, nx_min=nx_min, nx_max=nx_max)
         try:
-            cfg.validate()
+            cfg = ExperimentConfig(nx=nx, k=k, nx_min=nx_min, nx_max=nx_max)
         except ValueError:
             event("rejected")
             return
@@ -181,6 +175,23 @@ class TestConfig:
         assert [r[0] for r in result.rows] == list(range(nx_min, nx_max + 1))
         for row in result.rows:
             assert row[3] == np.inf or (np.isfinite(row[3]) and row[3] >= 1.0)
+
+    def test_config_is_frozen(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.nx = 4
+        assert cfg.nx == 3
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ValueError, match="^k must be at least 1, got 0$"):
+            dataclasses.replace(ExperimentConfig(), k=0)
+
+    def test_landscape_checks_an_untagged_config_and_keeps_its_tag(self):
+        with pytest.raises(ValueError, match="nx must be 3 for the landscape study"):
+            run_residual_landscape(ExperimentConfig(nx=4))
+        cfg = ExperimentConfig(experiment="scan", landscape_step=0.3)
+        result = run_residual_landscape(cfg)
+        assert result.config is cfg and "experiment=scan " in result.config.comment()
 
     def test_defaults_are_the_values_used(self):
         cfg = ExperimentConfig()

@@ -1,5 +1,5 @@
 """Rules the library's source keeps: no ``except`` broader than the errors it expects,
-and no import that is neither used nor exported."""
+no import that is neither used nor exported, and no dataclass whose fields can be reassigned."""
 
 import ast
 from pathlib import Path
@@ -107,3 +107,49 @@ def f(x: DiskSpec):
 @pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unfrozen_dataclasses(source: str) -> list[int]:
+    """Lines of a ``@dataclass`` decorator, bare, called or reached as an
+    attribute, that does not pass ``frozen=True``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        for decorator in node.decorator_list if isinstance(node, ast.ClassDef) else []:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            if "dataclass" in _names(call.func if call else decorator):
+                keywords = call.keywords if call else []
+                if not any(kw.arg == "frozen" and getattr(kw.value, "value", None) is True for kw in keywords):
+                    lines.append(decorator.lineno)
+    return lines
+
+
+def test_rule_finds_every_unfrozen_dataclass():
+    source = """
+@dataclass
+class A:
+    x: int
+@dataclass()
+class B:
+    x: int
+@dataclasses.dataclass(eq=False)
+class C:
+    x: int
+@dataclass(frozen=False)
+class D:
+    x: int
+@dataclass(frozen=True, eq=False)
+class E:
+    x: int
+@dataclasses.dataclass(frozen=True)
+class F:
+    x: int
+@functools.total_ordering
+class G:
+    x: int
+"""
+    assert unfrozen_dataclasses(source) == [2, 5, 8, 11]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_dataclass_is_frozen(path):
+    assert unfrozen_dataclasses(path.read_text(encoding="utf-8")) == []
