@@ -38,7 +38,7 @@ from .forward import (
     forward_pair_values,  # noqa: F401  (not called here; benchmark/spans.py traces this binding)
     true_reference,
 )
-from .mesh import PixelGrid, build_mesh, standard_disk_layout
+from .mesh import PixelGrid, _check_integer, build_mesh, standard_disk_layout
 
 __all__ = [
     "ExperimentConfig",
@@ -95,11 +95,7 @@ class ExperimentConfig:
         """Reject grid sizes, disk radii, sweep steps, ranges, tolerances and
         seeds no study can run with."""
         for name, least in (("nx", 2), ("k", 1), ("nx_min", 2), ("nx_max", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+            _check_integer(name, getattr(self, name), least)
         for name in ("radius_fraction", "sigma_step", "sigma_max", "landscape_step", "landscape_max", "tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):

@@ -16,17 +16,17 @@ All maps but the sweep take one path: ``global_matrix`` validates ``sigma``
 and forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
 all loads in one block with a factor of ``B_sigma`` condensed onto the
 skeleton (``StiffnessSet.condensation``): the band Cholesky factor of the
-Schur complement ``S_sigma``, back-substituted in :data:`_PANEL`-column
-panels, so no load's bits depend on the others, then the pixel
-interiors lifted back. The Jacobian is contracted a chunk of pixels at a
-time, from the pixel block all pixels share and the solutions gathered
-onto their vertices, straight into the returned stack. Pair values are one
-product of the distinct excitations' solutions with the distinct
-measurement loads; a symmetric layout is all ``m*m`` pairs. The number of
-back-substitutions is returned (``MeasurementMatrix.solves_used``). The
-matrix map is symmetric positive semidefinite, monotonically non-increasing
-and convex in the Loewner order, and grows pointwise under nested mesh
-refinement; these properties are exercised by the test suite.
+Schur complement ``S_sigma``, back-substituted by ``linsolve``'s one kernel
+in :data:`linsolve._PANEL`-column panels, so no load's bits depend on the
+others, then the pixel interiors lifted back. The Jacobian is contracted a
+chunk of pixels at a time, from the pixel block all pixels share and the
+solutions gathered onto their vertices, straight into the returned stack.
+Pair values are one product of the distinct excitations' solutions with the
+distinct measurement loads; a symmetric layout is all ``m*m`` pairs. The
+number of back-substitutions is returned (``MeasurementMatrix.solves_used``).
+The matrix map is symmetric positive semidefinite, monotonically
+non-increasing and convex in the Loewner order, and grows pointwise under
+nested mesh refinement; these properties are exercised by the test suite.
 
 Pair values along a sweep of a few pixel coefficients take a second path
 (:func:`forward_pair_sweep`): ``B_RR`` on the unknowns ``R`` off the swept
@@ -140,36 +140,31 @@ def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out:
     return out
 
 
-# Columns of the skeleton factor's working panels, a multiple of 8: every product has one shape whatever the
-# number of loads, so no column's bits depend on the others (OpenBLAS picks its kernel by shape).
-_PANEL = 56
-
-
 def _condensed_factor(stiffness: StiffnessSet, sigma: np.ndarray):
     """``solve(R)``, close to ``B_sigma^-1 R``, through a band Cholesky factor of the skeleton's Schur complement
-    (:class:`assembly.Condensation`) and ``linsolve._block_substitution``, a :data:`_PANEL`-column panel at a
+    (:class:`assembly.Condensation`) and ``linsolve._block_substitution``, a :data:`linsolve._PANEL`-column panel at a
     time, the last padded with zeros. It leaves ``R`` as it is and returns a view of the panels, above a zero row."""
-    c = stiffness.condensation
+    c, width = stiffness.condensation, linsolve._PANEL
     substitute = linsolve._block_substitution(linsolve._band_cholesky(c.band(sigma)))
     q, e = c.P.shape
-    step = max(1, _WORKING_BYTES // (8 * e * _PANEL))  # pixels a lift step
+    step = max(1, _WORKING_BYTES // (8 * e * width))  # pixels a lift step
 
     def solve(R):
-        X = np.empty((stiffness.N + 1, -(-R.shape[1] // _PANEL) * _PANEL))
+        X = np.empty((stiffness.N + 1, -(-R.shape[1] // width) * width))
         X[-1] = 0.0
-        for start in range(0, X.shape[1], _PANEL):
-            loads, panel = R[:, start:start + _PANEL], X[:, start:start + _PANEL]
-            R_I = np.zeros((q, stiffness.n, _PANEL))
+        for start in range(0, X.shape[1], width):
+            loads, panel = R[:, start:start + width], X[:, start:start + width]
+            R_I = np.zeros((q, stiffness.n, width))
             np.take(loads, c.interior.T, axis=0, out=R_I[..., :loads.shape[1]], mode="clip")  # "raise" would buffer
-            X_S = c.scatter @ (c.P.T @ R_I.reshape(q, stiffness.n * _PANEL)).reshape(c.edge.size, _PANEL)
+            X_S = c.scatter @ (c.P.T @ R_I.reshape(q, stiffness.n * width)).reshape(c.edge.size, width)
             X_S[:, :loads.shape[1]] += loads[c.skeleton]
             panel[c.skeleton] = substitute(X_S)
             R_I /= sigma[:, None]
             for p in range(0, stiffness.n, step):  # the interiors lifted a few pixels at a time
                 interior, edge = c.interior[p:p + step].T, c.edge[p:p + step].T
-                X_I = c.K_II_inv @ R_I[:, p:p + step].reshape(q, edge.shape[1] * _PANEL)
+                X_I = c.K_II_inv @ R_I[:, p:p + step].reshape(q, edge.shape[1] * width)
                 X_I += c.P @ panel[edge].reshape(e, -1)
-                panel[interior] = X_I.reshape(*interior.shape, _PANEL)
+                panel[interior] = X_I.reshape(*interior.shape, width)
         return X[:-1, :R.shape[1]]
 
     return solve

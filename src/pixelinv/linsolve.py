@@ -4,12 +4,12 @@ Numbered lexicographically, ``B_sigma`` on ``nx x nx`` pixels with ``k``
 elements per pixel side has bandwidth ``b = nx*k``. A matrix is factored
 once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper band, taken
 as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work (Golub & Van
-Loan, *Matrix Computations*, 4th ed., 4.3) and back-substituted by
-``dpbtrs``; the forward maps hand in a factor of ``B_sigma`` condensed
-onto its skeleton instead, back-substituted by
-:func:`_block_substitution`. All right-hand sides are solved in one block,
-all residuals come from one product with the full matrix, and each
-relative residual ``||B x - y|| / ||y||`` is checked against ``tol`` on
+Loan, *Matrix Computations*, 4th ed., 4.3); the forward maps hand in a
+factor of ``B_sigma`` condensed onto its skeleton instead. Either factor is
+back-substituted by :func:`_block_substitution` in zero-padded panels of
+:data:`_PANEL` columns, defined here only. All right-hand sides are solved in
+one block, all residuals come from one product with the full matrix, and
+each relative residual ``||B x - y|| / ||y||`` is checked against ``tol`` on
 its own. The columns that miss it are refined together, each while its
 residual falls, for up to :data:`REFINE_STEPS` steps; one that still
 misses it raises :class:`SolverError`, so an asymmetric matrix, a poor
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtrtri
+from scipy.linalg.lapack import dpbtrf, dtrtri
 
 __all__ = ["DEFAULT_TOL", "REFINE_STEPS", "SolveReport", "SolverError", "solve_spd", "solve_multi"]
 
@@ -77,6 +77,10 @@ def _band_cholesky(band) -> np.ndarray:
                           "definite (singular or indefinite)", residual_norm=math.inf, iterations=0)
     return factor
 
+
+# Columns of a back-substitution's working panels, a multiple of 8: every product has one shape whatever the
+# number of right-hand sides, so no column's bits depend on the others (OpenBLAS picks its kernel by shape).
+_PANEL = 56
 
 # Most unknowns in a block row of :func:`_block_substitution`: the bandwidth is cut into equal parts of at most
 # this many (35 at bandwidth 105, 30 at 30); a larger block costs dense flops on its inverse, a smaller one more
@@ -150,10 +154,13 @@ def _solve_block(matrix, rhs_list, tol, factor) -> list[SolveReport]:
     if not finite.all():
         raise ValueError(f"right-hand side {np.argmin(finite) + 1} of {m} is not finite")
     if factor is None:
-        cholesky = _band_cholesky(_upper_band(matrix))
+        substitute = _block_substitution(_band_cholesky(_upper_band(matrix)))
 
-        def factor(R):  # LAPACK refuses an empty block; its only solution is empty
-            return dpbtrs(cholesky, R)[0] if R.size else np.zeros(R.shape)
+        def factor(R):  # in zero-padded panels of _PANEL columns, so no column's bits depend on the others
+            X = np.hstack([R, np.zeros((n, -R.shape[1] % _PANEL))])
+            for start in range(0, X.shape[1], _PANEL):
+                X[:, start:start + _PANEL] = substitute(X[:, start:start + _PANEL].copy())
+            return X[:, :R.shape[1]]
 
     with np.errstate(all="ignore"):  # a solution that leaves the double range misses tol below
         X = factor(Y)

@@ -50,6 +50,14 @@ def _read_only(self) -> None:
                 array.setflags(write=False)
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class PixelGrid:
     """Partition of the unit square into ``nx * nx`` equal square pixels."""
@@ -57,8 +65,7 @@ class PixelGrid:
     nx: int
 
     def __post_init__(self):
-        if self.nx < 1:
-            raise ValueError(f"nx must be a positive integer, got {self.nx}")
+        _check_integer("nx", self.nx, 1)
 
     @property
     def n(self) -> int:
@@ -175,8 +182,7 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
     k : int
         Refinement parameter, must be >= 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_integer("k", k, 1)
     nx = grid.nx
     S = nx * k
 

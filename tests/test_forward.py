@@ -1041,7 +1041,7 @@ class TestCondensedPath:
         # width) is solved to the bit as in the whole block.
         sigma = np.random.default_rng(3).uniform(0.5, 2.0, stiffness3x4.n)
         solve = forward._condensed_factor(stiffness3x4, sigma)
-        R = np.random.default_rng(4).standard_normal((stiffness3x4.N, 2 * forward._PANEL + 1))
+        R = np.random.default_rng(4).standard_normal((stiffness3x4.N, 2 * linsolve._PANEL + 1))
         wide = solve(R)
         for columns in range(1, R.shape[1] + 1):
             assert np.array_equal(solve(R[:, :columns]), wide[:, :columns])

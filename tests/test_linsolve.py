@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrs
 
 from pixelinv import linsolve
 from pixelinv.assembly import assemble_pixel_matrices, global_matrix
@@ -11,6 +14,18 @@ from pixelinv.mesh import PixelGrid, build_mesh
 def random_spd(rng, n, shift=1.0):
     G = rng.standard_normal((n, n))
     return sp.csr_matrix(G @ G.T + shift * n * np.eye(n))
+
+
+def route_substitutions(monkeypatch, through):
+    """Send every back-substitution ``substitute(X)`` the solver makes through ``through(substitute, X)``."""
+    block_substitution = linsolve._block_substitution
+    monkeypatch.setattr(linsolve, "_block_substitution",
+                        lambda cholesky: functools.partial(through, block_substitution(cholesky)))
+
+
+def loaded_columns(X) -> int:
+    """The columns of a panel that carry a right-hand side rather than zero padding."""
+    return int(X.any(axis=0).sum())
 
 
 def test_zero_rhs_returns_zero():
@@ -160,14 +175,18 @@ class TestSolveMulti:
         assert np.array_equal(reports[0].solution, reports[1].solution)
         assert np.array_equal(reports[0].solution, reports[2].solution)
 
-    def test_matches_independent_solves(self, rng):
+    def test_matches_independent_solves(self, rng, count=4):
         A = random_spd(rng, 15)
-        rhs = [rng.standard_normal(15) for _ in range(4)]
+        rhs = [rng.standard_normal(15) for _ in range(count)]
         multi = solve_multi(A, rhs)
         for b, rep in zip(rhs, multi):
             single = solve_spd(A, b)
             assert np.array_equal(rep.solution, single.solution)
             assert rep.iterations == single.iterations
+
+    @pytest.mark.parametrize("count", [1, 55, 56, 57, 113])  # either side of a panel edge
+    def test_matches_independent_solves_across_panel_edges(self, rng, count):
+        self.test_matches_independent_solves(rng, count)
 
     def test_disk_loads_all_converge(self, stiffness3x4, loads3x4):
         B = global_matrix(stiffness3x4, np.ones(9))
@@ -177,13 +196,12 @@ class TestSolveMulti:
 
     def test_one_back_substitution_for_all_loads(self, stiffness3x4, loads3x4, monkeypatch):
         calls = []
-        dpbtrs = linsolve.dpbtrs
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].shape)
-            return dpbtrs(*args, **kwargs)
+        def counted(substitute, X):
+            calls.append((X.shape[0], loaded_columns(X)))
+            return substitute(X)
 
-        monkeypatch.setattr(linsolve, "dpbtrs", counted)
+        route_substitutions(monkeypatch, counted)
         B = global_matrix(stiffness3x4, np.ones(9))
         reports = solve_multi(B, [ld.y for ld in loads3x4])
         assert [rep.iterations for rep in reports] == [0] * 8
@@ -193,16 +211,17 @@ class TestSolveMulti:
         A = random_spd(rng, 30)
         rhs = [rng.standard_normal(30) for _ in range(4)]
         clean = solve_multi(A, rhs[:1] + rhs[2:])
-        dpbtrs, calls = linsolve.dpbtrs, []
+        calls = []
 
-        def spoil_column_2(factor, b):
-            x, info = dpbtrs(factor, b)
+        def spoil_column_2(substitute, b):
+            width = loaded_columns(b)
+            x = substitute(b)
             if not calls:  # the first back-substitution: column 2 misses tol
                 x[:, 1] *= 1.0 + 1e-6
-            calls.append(b.shape[1])
-            return x, info
+            calls.append(width)
+            return x
 
-        monkeypatch.setattr(linsolve, "dpbtrs", spoil_column_2)
+        route_substitutions(monkeypatch, spoil_column_2)
         reports = solve_multi(A, rhs)
         assert calls[0] == 4 and all(width == 1 for width in calls[1:])
         assert [rep.iterations > 0 for rep in reports] == [False, True, False, False]
@@ -279,7 +298,7 @@ class TestBlockSubstitution:
     def test_matches_dpbtrs(self, rng, n, kd, columns):
         cholesky = self.band_factor(rng, n, kd)
         X = rng.standard_normal((n, columns))
-        expected = linsolve.dpbtrs(cholesky, X)[0] if X.size else X.copy()
+        expected = dpbtrs(cholesky, X)[0] if X.size else X.copy()
         solved = linsolve._block_substitution(cholesky)(X.copy())
         assert solved.shape == X.shape
         assert np.max(np.abs(solved - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)

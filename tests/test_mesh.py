@@ -54,6 +54,20 @@ class TestPixelGrid:
         with pytest.raises(ValueError):
             PixelGrid(0)
 
+    @pytest.mark.parametrize("nx, message", [
+        (True, "nx must be an integer, got True"),
+        (2.5, "nx must be an integer, got 2.5"),
+        (3.0, "nx must be an integer, got 3.0"),
+        ("3", "nx must be an integer, got '3'"),
+        (0, "nx must be at least 1, got 0"),
+    ])
+    def test_nx_must_be_an_integer_of_at_least_1(self, nx, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PixelGrid(nx)
+
+    def test_numpy_integer_nx(self):
+        assert PixelGrid(np.int64(3)).n == 9
+
     def test_pixel_center(self):
         g = PixelGrid(2)
         assert np.allclose(g.pixel_center(0), [0.25, 0.25])
@@ -80,6 +94,19 @@ class TestBuildMesh:
     def test_rejects_zero_k(self):
         with pytest.raises(ValueError):
             build_mesh(PixelGrid(2), 0)
+
+    @pytest.mark.parametrize("k, message", [
+        (True, "k must be an integer, got True"),
+        (2.0, "k must be an integer, got 2.0"),
+        (np.float64(2.0), "k must be an integer, got np.float64(2.0)"),
+        (-1, "k must be at least 1, got -1"),
+    ])
+    def test_k_must_be_an_integer_of_at_least_1(self, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_mesh(PixelGrid(2), k)
+
+    def test_numpy_integer_k(self):
+        assert build_mesh(PixelGrid(2), np.int64(2)).n_triangles == build_mesh(PixelGrid(2), 2).n_triangles == 32
 
     def test_pixel_compliance(self):
         # All three vertices of every triangle lie in the closed square of

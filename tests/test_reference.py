@@ -8,9 +8,9 @@ The config comment, the header, the row count and every column not produced by a
 grids) compare as text. Each solved float column is allowed ``FACTOR`` times the largest legitimate change
 recorded for it so far:
 
-* landscape ``R``: 1.36e-14 of max R (the factor-less solve's block substitution), 1e-14 (the sweep's
-  condensation) and 7.7e-15 (the sweep's batch count);
-* nonuniqueness ``F_value``: 8.8e-16 relative (the factor-less solve's block substitution);
+* landscape ``R``: 1.36e-14 of max R (the factor-less solve's block substitution), 1e-14 and 7.7e-15 (the
+  sweep's batches);
+* nonuniqueness ``F_value``: 1.02e-15 relative (the factor-less solve's block substitution, at the defaults);
 * stability ``cond``: 2.8e-13 relative (the SVD kernel), 2.7e-13 (two BLAS threads);
 * ``properties``: 3.1e-14 relative (the refinement checks on two BLAS threads). Measurements at rounding
   level moved from 3.7e-16 to 0 (``solve_symmetry``), so each also gets an absolute floor of ``FACTOR``
@@ -29,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from pixelinv import experiments
+from pixelinv.cli import _RUNNERS
 
 DATA = Path(__file__).resolve().parent / "data"
 FACTOR = 10.0
-_F_DRIFT = 8.8e-16
+_F_DRIFT = 1.02e-15
 
 # Each CSV study: its config, and the allowed difference of each solved column from the reference column.
 STUDIES = {
@@ -43,8 +44,6 @@ STUDIES = {
     "stability": (
         dict(nx_max=12), {"cond": lambda ref: FACTOR * 2.8e-13 * np.abs(ref)}),
 }
-_RUNNERS = {"landscape": "run_residual_landscape", "nonuniqueness": "run_nonuniqueness_sweep",
-            "stability": "run_stability_study"}
 _PROPERTIES_RELATIVE, _PROPERTIES_FLOOR = FACTOR * 3.1e-14, FACTOR * 3.7e-16
 _FLOORS = {"jacobian_fd": FACTOR * _F_DRIFT / 1e-5}
 
