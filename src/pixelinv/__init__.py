@@ -11,8 +11,7 @@ batch studies of non-uniqueness, local minima and instability.
 import importlib
 
 # Each public name and the module that defines it. A name is imported on
-# first use (PEP 562), so ``import pixelinv`` loads neither numpy nor scipy,
-# and the command line can set the BLAS thread count before they load.
+# first use (PEP 562), so ``import pixelinv`` loads neither numpy nor scipy.
 _EXPORTS = {
     "mesh": ("DiskSpec", "PixelGrid", "TriMesh", "build_mesh", "refine", "refine_disk", "resolve_disk",
              "standard_disk_layout"),

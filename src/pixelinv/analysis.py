@@ -73,6 +73,8 @@ class ResidualProblem:
         if data.shape != (len(self.pairs),):
             raise ValueError(f"data must hold one value for each of the {len(self.pairs)} pairs, "
                              f"got shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"data must be finite, got {data.tolist()}")
         object.__setattr__(self, "data", data)
 
     def misfit(self, sigma):

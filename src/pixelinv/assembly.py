@@ -54,17 +54,17 @@ def element_stiffness(vertices) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the triangle is degenerate or negatively oriented.
+        If the triangle is degenerate, negatively oriented or not finite.
     """
     v = np.asarray(vertices, dtype=float)
     if v.shape != (3, 2):
         raise ValueError(f"expected three 2D vertices, got shape {v.shape}")
-    x, y = v[:, 0], v[:, 1]
+    x, y = v.T.tolist()  # Python floats: an infinite vertex gives a NaN area without a numpy warning
     twice_area = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-    if twice_area <= 0:
+    if not 0 < twice_area < np.inf:  # a NaN fails both comparisons
         raise ValueError(
-            f"triangle has non-positive area {0.5 * twice_area}; vertices "
-            "must be distinct and counter-clockwise"
+            f"triangle has area {0.5 * twice_area}, not positive and finite; vertices "
+            "must be finite, distinct and counter-clockwise"
         )
     # Gradient of L_a is (b_a, c_a) / (2*area) with the classic coefficients.
     b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
@@ -302,10 +302,8 @@ def assemble_global(mesh: TriMesh, grid: PixelGrid, sigma) -> sp.csr_matrix:
     f = mesh.free_index[mesh.triangles]
     t, a, b = np.nonzero((f[:, :, None] >= 0) & (f[:, None, :] >= 0))
     N = mesh.n_free
-    m = sp.coo_matrix((K[t, a, b] * s[mesh.element_pixel[t]], (f[t, a], f[t, b])), shape=(N, N)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
+    # tocsr sums the duplicates, which sorts the indices too.
+    return sp.coo_matrix((K[t, a, b] * s[mesh.element_pixel[t]], (f[t, a], f[t, b])), shape=(N, N)).tocsr()
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,20 +2,14 @@
 
 Exit status is 0 on success, 1 when a property check fails, 2 on usage
 errors and on a failed solve (``SolverError``), which write no output.
-
-The ``pixelinv`` command (:func:`entry_point`) runs OpenBLAS on one thread
-unless its caller set ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``; then
-it sets neither, since OpenBLAS reads the first before the second. The
-studies' LAPACK calls are small, and a second thread only slows them. The
-variables act only before numpy loads, so this module imports the studies
-inside :func:`main`, which, as a library call, leaves the environment alone.
+The studies are imported inside :func:`main`, so that ``--help`` and a
+usage error load neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -85,12 +79,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def entry_point() -> int:
-    """The ``pixelinv`` command: :func:`main` with one BLAS thread unless the caller chose a count."""
-    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
-        os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return main()
-
-
 if __name__ == "__main__":
-    sys.exit(entry_point())
+    sys.exit(main())

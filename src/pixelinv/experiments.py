@@ -15,18 +15,21 @@ A fourth driver, ``properties``, runs the full battery of structural
 checks (assembly identities, Jacobian exactness, semidefinite-order
 monotonicity/convexity, refinement ordering, solve budget) and reports
 JSON. CSV output is UTF-8 with a ``# config:`` comment line, a header
-row, and floats printed with 17 significant digits; runs are
-deterministic for a fixed configuration and seed and a fixed BLAS thread
-count (the ``pixelinv`` command pins one unless its caller sets a count).
+row, and floats printed with 17 significant digits. Every study runs on
+one OpenBLAS thread (:func:`_experiment_setup`), so its output is fixed by
+its configuration and seed, whatever thread count its caller runs with.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import _flapack
 
 from . import linsolve
 from .assembly import assemble_global, assemble_load, assemble_pixel_matrices, global_matrix
@@ -187,13 +190,26 @@ def _sweep_values(step: float, stop: float) -> np.ndarray:
     return (np.arange(count) + 1) * step
 
 
+# The thread-count setter of numpy's OpenBLAS (``@``, ``np.linalg``) and of scipy's (LAPACK). It sets the count
+# of the whole process, not of the calling thread alone, and returns the count it replaces.
+_SET_THREADS = [ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)(("openblas_set_num_threads_local", ctypes.CDLL(path)))
+                for path in (np._core._multiarray_umath.__file__, _flapack.__file__)]
+
+
+@contextmanager
 def _experiment_setup(config: ExperimentConfig, nx: int):
-    grid = PixelGrid(nx)
-    mesh = build_mesh(grid, config.k)
-    disks = standard_disk_layout(mesh, config.radius_fraction)
-    stiffness = assemble_pixel_matrices(mesh, grid)
-    loads = [assemble_load(mesh, d) for d in disks]
-    return grid, mesh, disks, stiffness, loads
+    """A study's set-up at ``nx``: grid, mesh, disks, pixel stiffness family and loads. The set-up and the
+    study inside the ``with`` run on one thread in both OpenBLAS copies, so their bits do not depend on the
+    caller's thread count, and the caller's counts come back when the ``with`` ends, by an exception too."""
+    previous = [set_threads(1) for set_threads in _SET_THREADS]
+    try:
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, config.k)
+        disks = standard_disk_layout(mesh, config.radius_fraction)
+        yield grid, mesh, disks, assemble_pixel_matrices(mesh, grid), [assemble_load(mesh, d) for d in disks]
+    finally:
+        for set_threads, count in zip(_SET_THREADS, previous):
+            set_threads(count)
 
 
 def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:
@@ -207,14 +223,14 @@ def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:
     :func:`forward_pair_sweep` call: one factorization serves all its
     samples.
     """
-    _, _, _, stiffness, loads = _experiment_setup(config, config.nx)
-    pairs = [(loads[0], loads[-1])]
-    values = _sweep_values(config.sigma_step, config.sigma_max)
-    rows = []
-    for pixel in range(stiffness.n):
-        F = forward_pair_sweep(stiffness, np.ones(stiffness.n), [pixel], values[:, None], pairs, tol=config.tol)
-        rows.extend((pixel + 1, s, value) for s, value in zip(values, F[:, 0]))
-    return ExperimentResult(header=["pixel", "sigma_i", "F_value"], rows=rows, config=config)
+    with _experiment_setup(config, config.nx) as (_, _, _, stiffness, loads):
+        pairs = [(loads[0], loads[-1])]
+        values = _sweep_values(config.sigma_step, config.sigma_max)
+        rows = []
+        for pixel in range(stiffness.n):
+            F = forward_pair_sweep(stiffness, np.ones(stiffness.n), [pixel], values[:, None], pairs, tol=config.tol)
+            rows.extend((pixel + 1, s, value) for s, value in zip(values, F[:, 0]))
+        return ExperimentResult(header=["pixel", "sigma_i", "F_value"], rows=rows, config=config)
 
 
 def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
@@ -231,18 +247,18 @@ def run_residual_landscape(config: ExperimentConfig) -> ExperimentResult:
     """
     # Checked as a landscape run, however the config is tagged; the CSV keeps the caller's tag.
     dataclasses.replace(config, experiment="landscape")
-    _, _, _, stiffness, loads = _experiment_setup(config, 3)
-    pairs = [(loads[0], loads[6]), (loads[0], loads[7])]
-    values = _sweep_values(config.landscape_step, config.landscape_max)
-    a, b = np.meshgrid(values, values, indexing="ij")
-    points = np.column_stack([a.ravel(), b.ravel()])
-    # The truth, 0.5 in both swept pixels, is the last sample.
-    samples = np.vstack([points, [0.5, 0.5]])
-    swept = forward_pair_sweep(stiffness, np.ones(9), [3, 5], samples, pairs, tol=config.tol)
-    misfit = swept[:-1] - swept[-1]
-    R = (misfit * misfit).sum(axis=1)
-    rows = list(zip(points[:, 0], points[:, 1], R))
-    return ExperimentResult(header=["sigma4", "sigma6", "R"], rows=rows, config=config)
+    with _experiment_setup(config, 3) as (_, _, _, stiffness, loads):
+        pairs = [(loads[0], loads[6]), (loads[0], loads[7])]
+        values = _sweep_values(config.landscape_step, config.landscape_max)
+        a, b = np.meshgrid(values, values, indexing="ij")
+        points = np.column_stack([a.ravel(), b.ravel()])
+        # The truth, 0.5 in both swept pixels, is the last sample.
+        samples = np.vstack([points, [0.5, 0.5]])
+        swept = forward_pair_sweep(stiffness, np.ones(9), [3, 5], samples, pairs, tol=config.tol)
+        misfit = swept[:-1] - swept[-1]
+        R = (misfit * misfit).sum(axis=1)
+        rows = list(zip(points[:, 0], points[:, 1], R))
+        return ExperimentResult(header=["sigma4", "sigma6", "R"], rows=rows, config=config)
 
 
 def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
@@ -256,9 +272,9 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
     """
     rows = []
     for nx in range(config.nx_min, config.nx_max + 1):
-        _, _, _, stiffness, loads = _experiment_setup(config, nx)
-        _, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, tol=config.tol)
-        rows.append((nx, nx * nx, len(loads), condition_number(jac).condition))
+        with _experiment_setup(config, nx) as (_, _, _, stiffness, loads):
+            _, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, tol=config.tol)
+            rows.append((nx, nx * nx, len(loads), condition_number(jac).condition))
     return ExperimentResult(header=["nx", "n", "m", "cond"], rows=rows, config=config)
 
 
@@ -315,137 +331,132 @@ def run_property_suite(config: ExperimentConfig) -> dict:
     """Run every structural check and return a JSON-ready report."""
     rng = np.random.default_rng(config.seed)
     nx, k, tol = config.nx, config.k, config.tol
-    grid, mesh, disks, stiffness, loads = _experiment_setup(config, nx)
-    n, N, m = stiffness.n, stiffness.N, len(loads)
+    with _experiment_setup(config, nx) as (grid, mesh, disks, stiffness, loads):
+        n, N, m = stiffness.n, stiffness.N, len(loads)
 
-    checks = []
+        checks = []
 
-    def record(name, measured):
-        tolerance, sense = CHECKS[name]
-        checks.append({
-            "name": name,
-            "passed": bool(_COMPARISONS[sense](measured, tolerance)),
-            "measured": float(measured),
-            "tolerance": float(tolerance),
-            "comparison": sense,
-        })
+        def record(name, measured):
+            tolerance, sense = CHECKS[name]
+            checks.append({
+                "name": name,
+                "passed": bool(_COMPARISONS[sense](measured, tolerance)),
+                "measured": float(measured),
+                "tolerance": float(tolerance),
+                "comparison": sense,
+            })
 
-    ones = np.ones(n)
+        ones = np.ones(n)
 
-    # Assembly identities against the direct one-pass assembler.
-    B_ones = assemble_global(mesh, grid, ones)
-    B_pixels = [stiffness.pixel_matrix(i) for i in range(n)]
-    record("pixel_sum_identity", _max_abs(sum(B_pixels) - B_ones))
+        # Assembly identities against the direct one-pass assembler.
+        B_ones = assemble_global(mesh, grid, ones)
+        B_pixels = [stiffness.pixel_matrix(i) for i in range(n)]
+        record("pixel_sum_identity", float(abs(sum(B_pixels) - B_ones).max()))
 
-    worst = 0.0
-    for i in range(n):
-        diff = assemble_global(mesh, grid, ones + np.eye(n)[i]) - B_ones
-        worst = max(worst, _max_abs(B_pixels[i] - diff))
-    record("difference_identity", worst)
+        worst = 0.0
+        for i in range(n):
+            diff = assemble_global(mesh, grid, ones + np.eye(n)[i]) - B_ones
+            worst = max(worst, float(abs(B_pixels[i] - diff).max()))
+        record("difference_identity", worst)
 
-    worst = np.inf
-    for Bi in B_pixels:
-        for _ in range(100):
+        worst = np.inf
+        for Bi in B_pixels:
+            for _ in range(100):
+                v = rng.standard_normal(N)
+                worst = min(worst, float(v @ (Bi @ v)))
+        record("pixel_psd", worst)
+
+        worst = np.inf
+        for _ in range(50):
             v = rng.standard_normal(N)
-            worst = min(worst, float(v @ (Bi @ v)))
-    record("pixel_psd", worst)
+            s = rng.uniform(0.5, 2.0, n)
+            quad_ones = float(v @ (B_ones @ v))
+            quad = float(v @ (global_matrix(stiffness, s) @ v))
+            worst = min(worst, quad - s.min() * quad_ones, s.max() * quad_ones - quad)
+        record("coercivity_ordering", worst)
 
-    worst = np.inf
-    for _ in range(50):
-        v = rng.standard_normal(N)
+        # Small-mesh quadrature oracle: midpoint-rule integration of hat
+        # gradients fitted per element, independent of the assembly formulas.
+        record("quadrature_oracle", _quadrature_deviation())
+
+        worst = 0.0
+        for _ in range(5):
+            G = rng.standard_normal((20, 20))
+            A = G @ G.T + 20.0 * np.eye(20)
+            b = rng.standard_normal(20)
+            x = linsolve.solve_spd(A, b, tol=1e-12).solution
+            worst = max(worst, float(np.linalg.norm(x - np.linalg.solve(A, b))))
+        record("solver_oracle", worst)
+
+        B = global_matrix(stiffness, ones)
+        y = loads[0].y
+        z = loads[-1].y
+        sy = linsolve.solve_spd(B, y, tol=tol).solution
+        sz = linsolve.solve_spd(B, z, tol=tol).solution
+        lhs, rhs = float(sy @ z), float(y @ sz)
+        record("solve_symmetry", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+
+        # Exact Jacobian against central finite differences.
+        sigmas = [ones] + [rng.uniform(0.5, 2.0, n) for _ in range(5)]
+        worst = 0.0
+        for s in sigmas:
+            _, jac = forward_matrix(stiffness, s, loads, tol=tol)
+            fd = _fd_jacobian(stiffness, s, loads, 1e-5, tol)
+            err = np.abs(fd - jac.slices) / np.maximum(1.0, np.abs(jac.slices))
+            worst = max(worst, float(err.max()))
+        record("jacobian_fd", worst)
+
         s = rng.uniform(0.5, 2.0, n)
-        quad_ones = float(v @ (B_ones @ v))
-        quad = float(v @ (global_matrix(stiffness, s) @ v))
-        worst = min(worst, quad - s.min() * quad_ones, s.max() * quad_ones - quad)
-    record("coercivity_ordering", worst)
+        F, jac = forward_matrix(stiffness, s, loads, tol=tol)
+        record("matrix_symmetry", float(np.max(np.abs(F.values - F.values.T))))
+        record("matrix_psd", loewner_min_eig(F.values))
+        F1, jac1 = forward_matrix(stiffness, ones, loads, tol=tol)
+        record("positive_definite_at_ones", loewner_min_eig(F1.values))
+        record("solve_economy", abs(F1.solves_used - m))
 
-    # Small-mesh quadrature oracle: midpoint-rule integration of hat
-    # gradients fitted per element, independent of the assembly formulas.
-    record("quadrature_oracle", _quadrature_deviation())
+        tau = rng.uniform(0.0, 1.0, n)
+        D = directional_derivative(jac1, tau)
+        record("directional_nsd", -loewner_min_eig(-0.5 * (D + D.T)))
 
-    worst = 0.0
-    for _ in range(5):
-        G = rng.standard_normal((20, 20))
-        A = G @ G.T + 20.0 * np.eye(20)
-        b = rng.standard_normal(20)
-        x = linsolve.solve_spd(A, b, tol=1e-12).solution
-        worst = max(worst, float(np.linalg.norm(x - np.linalg.solve(A, b))))
-    record("solver_oracle", worst)
+        worst = np.inf
+        for _ in range(20):
+            s1 = rng.uniform(0.5, 2.0, n)
+            s2 = rng.uniform(s1, 2.0)
+            Fa, _ = forward_matrix(stiffness, s1, loads, tol=tol)
+            Fb, _ = forward_matrix(stiffness, s2, loads, tol=tol)
+            worst = min(worst, loewner_min_eig(Fa.values - Fb.values))
+        record("monotonicity", worst)
 
-    B = global_matrix(stiffness, ones)
-    y = loads[0].y
-    z = loads[-1].y
-    sy = linsolve.solve_spd(B, y, tol=tol).solution
-    sz = linsolve.solve_spd(B, z, tol=tol).solution
-    lhs, rhs = float(sy @ z), float(y @ sz)
-    record("solve_symmetry", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        worst = np.inf
+        worst_segment = np.inf
+        for _ in range(20):
+            s0 = rng.uniform(0.5, 2.0, n)
+            s1 = rng.uniform(0.5, 2.0, n)
+            F0, jac0 = forward_matrix(stiffness, s0, loads, tol=tol)
+            Fs, _ = forward_matrix(stiffness, s1, loads, tol=tol)
+            linearized = directional_derivative(jac0, s1 - s0)
+            worst = min(worst, loewner_min_eig(Fs.values - F0.values - linearized))
+            for t in (0.25, 0.5, 0.75):
+                Ft, _ = forward_matrix(stiffness, (1 - t) * s0 + t * s1, loads, tol=tol)
+                gap = (1 - t) * F0.values + t * Fs.values - Ft.values
+                worst_segment = min(worst_segment, loewner_min_eig(gap))
+        record("convexity", worst)
+        record("segment_convexity", worst_segment)
 
-    # Exact Jacobian against central finite differences.
-    sigmas = [ones] + [rng.uniform(0.5, 2.0, n) for _ in range(5)]
-    worst = 0.0
-    for s in sigmas:
-        _, jac = forward_matrix(stiffness, s, loads, tol=tol)
-        fd = _fd_jacobian(stiffness, s, loads, 1e-5, tol)
-        err = np.abs(fd - jac.slices) / np.maximum(1.0, np.abs(jac.slices))
-        worst = max(worst, float(err.max()))
-    record("jacobian_fd", worst)
+        # Nested refinement: the measurement matrix grows in the semidefinite
+        # order, diagonals are non-decreasing, and level gaps shrink.
+        s = rng.uniform(0.5, 2.0, n)
+        F_k, F_2k, F_4k = (true_reference(grid, disks, s, k, level, tol=tol).values for level in (k, 2 * k, 4 * k))
+        coarse, fine = F_2k - F_k, F_4k - F_2k  # the two level steps
+        record("refinement_ordering", min(loewner_min_eig(coarse), loewner_min_eig(fine)))
+        record("refinement_diagonal", float(min(np.diag(coarse).min(), np.diag(fine).min())))
+        record("refinement_cauchy", float(np.linalg.norm(fine)) - float(np.linalg.norm(coarse)))
 
-    s = rng.uniform(0.5, 2.0, n)
-    F, jac = forward_matrix(stiffness, s, loads, tol=tol)
-    record("matrix_symmetry", float(np.max(np.abs(F.values - F.values.T))))
-    record("matrix_psd", loewner_min_eig(F.values))
-    F1, jac1 = forward_matrix(stiffness, ones, loads, tol=tol)
-    record("positive_definite_at_ones", loewner_min_eig(F1.values))
-    record("solve_economy", abs(F1.solves_used - m))
-
-    tau = rng.uniform(0.0, 1.0, n)
-    D = directional_derivative(jac1, tau)
-    record("directional_nsd", -loewner_min_eig(-0.5 * (D + D.T)))
-
-    worst = np.inf
-    for _ in range(20):
-        s1 = rng.uniform(0.5, 2.0, n)
-        s2 = rng.uniform(s1, 2.0)
-        Fa, _ = forward_matrix(stiffness, s1, loads, tol=tol)
-        Fb, _ = forward_matrix(stiffness, s2, loads, tol=tol)
-        worst = min(worst, loewner_min_eig(Fa.values - Fb.values))
-    record("monotonicity", worst)
-
-    worst = np.inf
-    worst_segment = np.inf
-    for _ in range(20):
-        s0 = rng.uniform(0.5, 2.0, n)
-        s1 = rng.uniform(0.5, 2.0, n)
-        F0, jac0 = forward_matrix(stiffness, s0, loads, tol=tol)
-        Fs, _ = forward_matrix(stiffness, s1, loads, tol=tol)
-        linearized = directional_derivative(jac0, s1 - s0)
-        worst = min(worst, loewner_min_eig(Fs.values - F0.values - linearized))
-        for t in (0.25, 0.5, 0.75):
-            Ft, _ = forward_matrix(stiffness, (1 - t) * s0 + t * s1, loads, tol=tol)
-            gap = (1 - t) * F0.values + t * Fs.values - Ft.values
-            worst_segment = min(worst_segment, loewner_min_eig(gap))
-    record("convexity", worst)
-    record("segment_convexity", worst_segment)
-
-    # Nested refinement: the measurement matrix grows in the semidefinite
-    # order, diagonals are non-decreasing, and level gaps shrink.
-    s = rng.uniform(0.5, 2.0, n)
-    F_k, F_2k, F_4k = (true_reference(grid, disks, s, k, level, tol=tol).values for level in (k, 2 * k, 4 * k))
-    coarse, fine = F_2k - F_k, F_4k - F_2k  # the two level steps
-    record("refinement_ordering", min(loewner_min_eig(coarse), loewner_min_eig(fine)))
-    record("refinement_diagonal", float(min(np.diag(coarse).min(), np.diag(fine).min())))
-    record("refinement_cauchy", float(np.linalg.norm(fine)) - float(np.linalg.norm(coarse)))
-
-    return {
-        "all_passed": all(c["passed"] for c in checks),
-        "checks": checks,
-        "config": {name: getattr(config, name) for name in ("nx", "k", "radius_fraction", "tol", "seed")},
-    }
-
-
-def _max_abs(matrix) -> float:
-    """Largest absolute entry of a sparse matrix, 0 for an all-zero one."""
-    return float(abs(matrix).max())
+        return {
+            "all_passed": all(c["passed"] for c in checks),
+            "checks": checks,
+            "config": {name: getattr(config, name) for name in ("nx", "k", "radius_fraction", "tol", "seed")},
+        }
 
 
 def _quadrature_deviation() -> float:

@@ -116,8 +116,7 @@ class JacobianStack:
 
     def flattened(self) -> np.ndarray:
         """Measurements stacked row-major into an ``(m*m, n)`` matrix."""
-        n = self.slices.shape[0]
-        return self.slices.reshape(n, -1).T
+        return self.slices.reshape(self.n, -1).T
 
 
 # Bytes per step of the Jacobian contraction's gathered solutions (they set its memory
@@ -458,6 +457,8 @@ def directional_derivative(jac: JacobianStack, tau) -> np.ndarray:
     t = np.asarray(tau, dtype=float).reshape(-1)
     if t.shape != (jac.n,):
         raise ValueError(f"direction must have {jac.n} entries, got {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"direction must be finite, got {t.tolist()}")
     return np.tensordot(t, jac.slices, axes=([0], [0]))
 
 

@@ -50,7 +50,7 @@ def _read_only(self) -> None:
                 array.setflags(write=False)
 
 
-def _check_integer(name: str, value, least: int) -> None:
+def _check_integer(name: str, value, least: float = -np.inf) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer, not a bool, of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -78,12 +78,17 @@ class PixelGrid:
 
     def pixel_of(self, ix: int, iy: int) -> int:
         """Index of the pixel in column ``ix``, row ``iy`` (0-based)."""
+        _check_integer("ix", ix)
+        _check_integer("iy", iy)
         if not (0 <= ix < self.nx and 0 <= iy < self.nx):
             raise IndexError(f"pixel ({ix}, {iy}) outside {self.nx}x{self.nx} grid")
         return iy * self.nx + ix
 
     def pixel_center(self, pixel: int) -> np.ndarray:
         """Coordinates of the center of pixel ``pixel``."""
+        _check_integer("pixel", pixel)
+        if not 0 <= pixel < self.n:
+            raise IndexError(f"pixel {pixel} outside {self.nx}x{self.nx} grid")
         iy, ix = divmod(pixel, self.nx)
         return np.array([(ix + 0.5) / self.nx, (iy + 0.5) / self.nx])
 
@@ -289,18 +294,14 @@ def resolve_disk(mesh: TriMesh, center, radius: float) -> DiskSpec:
     Raises
     ------
     ValueError
-        If the disk is degenerate, pokes out of the unit square, or if no
-        triangle centroid falls inside it (mesh too coarse).
+        If the radius is not positive, the disk is not finite or pokes out
+        of the unit square, or if no triangle centroid falls inside it
+        (mesh too coarse).
     """
     c = np.asarray(center, dtype=float).reshape(2)
-    if radius <= 0:
-        raise ValueError(f"disk radius must be positive, got {radius}")
-    margin = min(c[0], c[1], 1.0 - c[0], 1.0 - c[1])
-    if radius >= margin:
-        raise ValueError(
-            f"disk (center {c.tolist()}, radius {radius}) is not contained "
-            "in the open unit square"
-        )
+    if not 0 < radius < np.concatenate([c, 1.0 - c]).min():  # a NaN fails both comparisons
+        raise ValueError(f"disk (center {c.tolist()}, radius {radius}) is not contained in the open unit square, "
+                         "or its radius is not positive")
     return _disk(mesh, c, radius, np.flatnonzero(_inside(mesh.centroids(), c, radius)))
 
 

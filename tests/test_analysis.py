@@ -298,6 +298,13 @@ class TestResidual:
             with pytest.raises(ValueError, match="each of the 64 pairs"):
                 ResidualProblem(stiffness=stiffness3x4, pairs=pairs, data=np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_is_refused(self, stiffness3x4, loads3x4, bad):
+        # It once gave a NaN residual, and reconstruct_lm blamed its damping.
+        pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[0], loads3x4[7])]
+        with pytest.raises(ValueError, match="^data must be finite"):
+            ResidualProblem(stiffness=stiffness3x4, pairs=pairs, data=[1.0, bad])
+
 
 class TestReconstruction:
     def test_start_at_truth_accepts_nothing(self, stiffness3x4, loads3x4):

@@ -78,6 +78,12 @@ class TestElementStiffness:
         with pytest.raises(ValueError):
             element_stiffness([(0, 0), (0, 1), (1, 0)])  # clockwise
 
+    @pytest.mark.parametrize("vertex", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+    def test_non_finite_vertex_rejected(self, vertex):
+        # A NaN area is neither positive nor non-positive, so it once passed as an all-NaN matrix.
+        with pytest.raises(ValueError, match="not positive and finite"):
+            element_stiffness([(0.0, 0.0), (1.0, 0.0), vertex])
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1, 1), min_size=6, max_size=6))
     def test_row_sums_and_psd(self, flat):

@@ -199,16 +199,11 @@ def test_cli_nx_and_seed_flags_override_config(tmp_path):
     assert len(lines) == 2 + 16 * 3
 
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def fresh_python(code, *args, **env):
+def fresh_python(code, *args):
     """Standard output of ``code`` (or of ``-m pixelinv.cli`` with ``args``) in
-    a new interpreter that imports this checkout's package, with no thread
-    variable set but those in ``env``."""
-    environ = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    a new interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    environ.update(env, PYTHONPATH=os.pathsep.join([src, environ.get("PYTHONPATH", "")]))
+    environ = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     command = ["-c", code] if code else ["-m", "pixelinv.cli", *args]
     return subprocess.run([sys.executable, *command], env=environ, capture_output=True, text=True,
                           check=True, timeout=120).stdout
@@ -227,24 +222,6 @@ for name in pixelinv.__all__:
 print("numpy" in sys.modules, dict(os.environ) == before)
 """
     assert fresh_python(code).split("\n") == ["[]", "[]", "True True", ""]
-
-
-@pytest.mark.parametrize(
-    "env, seen",
-    [({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 None"), ({"OMP_NUM_THREADS": "3"}, "None 3"),
-     ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "2"}, "4 2")],
-)
-def test_command_pins_one_thread_before_numpy_loads_unless_the_caller_chose(env, seen):
-    # The thread variables act only if set before numpy loads; a caller's
-    # choice of either one is kept, and no default overrides it.
-    code = """
-import os, sys
-from pixelinv import cli
-cli.main = lambda: print(*(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
-                         "numpy" in sys.modules) or 0
-sys.exit(cli.entry_point())
-"""
-    assert fresh_python(code, **env) == f"{seen} False\n"
 
 
 def test_module_entry_runs_a_study(tmp_path):

@@ -210,6 +210,14 @@ class TestLoewnerStructure:
         e3[3] = 1.0
         assert np.array_equal(directional_derivative(jac, e3), jac.slices[3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_directional_derivative_refuses_a_non_finite_direction(self, stiffness3x4, loads3x4, bad):
+        _, jac = forward_matrix(stiffness3x4, np.ones(9), loads3x4)
+        tau = np.ones(9)
+        tau[4] = bad
+        with pytest.raises(ValueError, match="^direction must be finite"):
+            directional_derivative(jac, tau)
+
     def test_directional_derivative_nsd_for_nonnegative_tau(
         self, stiffness3x4, loads3x4, rng
     ):

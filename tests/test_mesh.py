@@ -73,6 +73,26 @@ class TestPixelGrid:
         assert np.allclose(g.pixel_center(0), [0.25, 0.25])
         assert np.allclose(g.pixel_center(3), [0.75, 0.75])
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda g: g.pixel_center(100), IndexError, "pixel 100 outside 3x3 grid"),
+        (lambda g: g.pixel_center(-1), IndexError, "pixel -1 outside 3x3 grid"),
+        (lambda g: g.pixel_center(9), IndexError, "pixel 9 outside 3x3 grid"),
+        (lambda g: g.pixel_center(1.0), ValueError, "pixel must be an integer, got 1.0"),
+        (lambda g: g.pixel_center(True), ValueError, "pixel must be an integer, got True"),
+        (lambda g: g.pixel_of(1.5, 0), ValueError, "ix must be an integer, got 1.5"),
+        (lambda g: g.pixel_of(0, np.float64(2.0)), ValueError, "iy must be an integer, got np.float64(2.0)"),
+        (lambda g: g.pixel_of(3, 0), IndexError, "pixel (3, 0) outside 3x3 grid"),
+        (lambda g: g.pixel_of(0, -1), IndexError, "pixel (0, -1) outside 3x3 grid"),
+    ])
+    def test_pixel_lookups_refuse_a_pixel_outside_the_grid_or_not_an_integer(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(PixelGrid(3))
+
+    def test_pixel_lookups_take_numpy_integers(self):
+        g = PixelGrid(3)
+        assert g.pixel_of(np.int64(2), np.int32(1)) == 5
+        assert np.array_equal(g.pixel_center(np.int64(5)), g.pixel_center(5))
+
     def test_boundary_pixels(self):
         assert PixelGrid(2).boundary_pixels() == [0, 1, 2, 3]
         assert PixelGrid(3).boundary_pixels() == [0, 1, 2, 3, 5, 6, 7, 8]
@@ -235,6 +255,15 @@ class TestResolveDisk:
         mesh = build_mesh(PixelGrid(3), 1)
         with pytest.raises(ValueError):
             resolve_disk(mesh, (0.5, 0.5), 0.0)
+
+    @pytest.mark.parametrize("center, radius", [
+        ((0.5, 0.5), np.nan), ((np.nan, 0.5), 0.1), ((0.5, np.nan), 0.1), ((np.inf, 0.5), 0.1),
+        ((0.5, 0.5), np.inf), ((0.5, 0.5), -0.1),
+    ])
+    def test_non_finite_or_non_positive_disk_is_refused_without_blaming_the_mesh(self, center, radius):
+        mesh = build_mesh(PixelGrid(3), 4)
+        with pytest.raises(ValueError, match="not contained in the open unit square, or its radius is not positive"):
+            resolve_disk(mesh, center, radius)
 
     def test_disk_must_stay_inside_square(self):
         mesh = build_mesh(PixelGrid(3), 2)

@@ -1,8 +1,11 @@
 """The four studies' outputs, at small configs, against references committed under ``tests/data``.
 
-The references were written on one BLAS thread by running this file as a script::
+The references were written by running this file as a script::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_reference.py tests/data
+    PYTHONPATH=src python tests/test_reference.py tests/data
+
+Every study runs on one OpenBLAS thread whatever the caller's count, so the files it writes are the same on one
+thread and on two, byte for byte, and an in-process run from a caller on two threads writes those bytes too.
 
 The config comment, the header, the row count and every column not produced by a solve (integers, the sample
 grids) compare as text. Each solved float column is allowed ``FACTOR`` times the largest legitimate change
@@ -20,6 +23,7 @@ recorded for it so far:
 A reference that is regenerated is stated with its largest old-to-new difference per column.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -27,9 +31,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy.linalg
 
 from pixelinv import experiments
-from pixelinv.cli import _RUNNERS
+from pixelinv.cli import _RUNNERS, main
+from pixelinv.linsolve import SolverError
 
 DATA = Path(__file__).resolve().parent / "data"
 FACTOR = 10.0
@@ -46,6 +53,11 @@ STUDIES = {
 }
 _PROPERTIES_RELATIVE, _PROPERTIES_FLOOR = FACTOR * 3.1e-14, FACTOR * 3.7e-16
 _FLOORS = {"jacobian_fd": FACTOR * _F_DRIFT / 1e-5}
+FILES = [f"{name}.csv" for name in STUDIES] + ["properties.json"]
+
+# The thread-count setter of numpy's and of scipy's OpenBLAS; each returns the count it replaces.
+SETTERS = [ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)(("openblas_set_num_threads_local", ctypes.CDLL(path)))
+           for path in (np._core._multiarray_umath.__file__, scipy.linalg._flapack.__file__)]
 
 
 def write_outputs(directory: Path) -> None:
@@ -87,12 +99,64 @@ def test_outputs_match_the_references(tmp_path):
     assert_match_references(tmp_path)
 
 
-def test_outputs_match_the_references_on_two_blas_threads(tmp_path):
-    environ = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The directories this file, run as a script, writes on one and on two OpenBLAS threads."""
     src = str(Path(experiments.__file__).resolve().parents[1])
-    environ["PYTHONPATH"] = os.pathsep.join([src, environ.get("PYTHONPATH", "")])
-    subprocess.run([sys.executable, __file__, str(tmp_path)], env=environ, check=True, timeout=120)
-    assert_match_references(tmp_path)
+    directories = {}
+    for threads in (1, 2):
+        directories[threads] = tmp_path_factory.mktemp(f"threads{threads}")
+        environ = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, __file__, str(directories[threads])], env=environ, check=True, timeout=120)
+    return directories
+
+
+def test_outputs_match_the_references_on_two_blas_threads(written):
+    assert_match_references(written[2])
+
+
+def test_outputs_are_the_same_bytes_on_one_and_two_blas_threads(written):
+    for name in FILES:
+        assert (written[2] / name).read_bytes() == (written[1] / name).read_bytes(), name
+
+
+@pytest.fixture()
+def two_threads():
+    """Both OpenBLAS copies on two threads while the test runs, then back at the counts found. Calling the
+    fixture's value reads both counts, leaving them at two."""
+    found = [set_threads(2) for set_threads in SETTERS]
+    yield lambda: [set_threads(2) for set_threads in SETTERS]
+    for set_threads, count in zip(SETTERS, found):
+        set_threads(count)
+
+
+def test_runners_and_main_write_the_one_thread_bytes_and_restore_the_callers_count(tmp_path, written, two_threads):
+    write_outputs(tmp_path)
+    assert two_threads() == [2, 2]
+    for name in FILES:
+        assert (tmp_path / name).read_bytes() == (written[1] / name).read_bytes(), name
+    for name, (config, _) in STUDIES.items():
+        (tmp_path / "study.cfg").write_text("".join(f"{key}={value}\n" for key, value in config.items()),
+                                             encoding="utf-8")
+        assert main([name, "--config", str(tmp_path / "study.cfg"), "--out", str(tmp_path / "main.csv")]) == 0
+        assert two_threads() == [2, 2]
+        assert (tmp_path / "main.csv").read_bytes() == (written[1] / f"{name}.csv").read_bytes(), name
+    assert main(["properties", "--out", str(tmp_path / "main.json")]) == 0
+    assert two_threads() == [2, 2]
+    report = json.loads((tmp_path / "main.json").read_text(encoding="utf-8"))
+    measured = json.loads((written[1] / "properties.json").read_text(encoding="utf-8"))
+    assert {check["name"]: check["measured"] for check in report["checks"]} == measured
+
+
+def test_a_failed_study_restores_the_callers_count(tmp_path, two_threads):
+    with pytest.raises(SolverError):
+        experiments.run_stability_study(experiments.ExperimentConfig(nx_max=3, tol=1e-300))
+    assert two_threads() == [2, 2]
+    (tmp_path / "study.cfg").write_text("nx_max=3\ntol=1e-300\n", encoding="utf-8")
+    assert main(["stability", "--config", str(tmp_path / "study.cfg"), "--out", str(tmp_path / "s.csv")]) == 2
+    assert two_threads() == [2, 2]
+    assert not (tmp_path / "s.csv").exists()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Rules the library's source keeps: no ``except`` broader than the errors it expects,
-no import that is neither used nor exported, and no dataclass whose fields can be reassigned."""
+no import that is neither used nor exported, no dataclass whose fields can be reassigned,
+and no access to the process environment."""
 
 import ast
 from pathlib import Path
@@ -153,3 +154,47 @@ class G:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_dataclass_is_frozen(path):
     assert unfrozen_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+# The names through which a module reads or writes the process environment.
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_access(source: str) -> list[int]:
+    """Lines that reach the process environment: an attribute, a ``from`` import or a
+    ``getattr`` of one of the :data:`ENVIRONMENT` names, on ``os`` or on anything else."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and {alias.name for alias in node.names} & ENVIRONMENT:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" and any(
+                getattr(arg, "value", None) in ENVIRONMENT for arg in node.args[1:2]):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_rule_finds_every_environment_access():
+    source = """
+import os
+from os import environ
+from os import path, getenv as read
+threads = os.environ["OPENBLAS_NUM_THREADS"]
+os.environ.update(OMP_NUM_THREADS="1")
+threads = os.getenv("OMP_NUM_THREADS")
+os.putenv("OMP_NUM_THREADS", "1")
+import os as system
+system.environb
+getattr(os, "environ")
+os.path.join("a", "b")
+environment = {"environ": 1}
+environment.get("getenv")
+getattr(os, "sep")
+"""
+    assert environment_access(source) == [3, 4, 5, 6, 7, 8, 10, 11]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_environment_access(path):
+    assert environment_access(path.read_text(encoding="utf-8")) == []
