@@ -25,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -191,9 +192,11 @@ def _sweep_values(step: float, stop: float) -> np.ndarray:
 
 
 # The thread-count setter of numpy's OpenBLAS (``@``, ``np.linalg``) and of scipy's (LAPACK). It sets the count
-# of the whole process, not of the calling thread alone, and returns the count it replaces.
+# of the whole process, not of the calling thread alone, and returns the count it replaces; so ``_PINNED`` is held
+# from the pin to the restore, and studies on concurrent threads take turns, each restoring the counts it found.
 _SET_THREADS = [ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)(("openblas_set_num_threads_local", ctypes.CDLL(path)))
                 for path in (np._core._multiarray_umath.__file__, _flapack.__file__)]
+_PINNED = threading.Lock()
 
 
 @contextmanager
@@ -201,15 +204,16 @@ def _experiment_setup(config: ExperimentConfig, nx: int):
     """A study's set-up at ``nx``: grid, mesh, disks, pixel stiffness family and loads. The set-up and the
     study inside the ``with`` run on one thread in both OpenBLAS copies, so their bits do not depend on the
     caller's thread count, and the caller's counts come back when the ``with`` ends, by an exception too."""
-    previous = [set_threads(1) for set_threads in _SET_THREADS]
-    try:
-        grid = PixelGrid(nx)
-        mesh = build_mesh(grid, config.k)
-        disks = standard_disk_layout(mesh, config.radius_fraction)
-        yield grid, mesh, disks, assemble_pixel_matrices(mesh, grid), [assemble_load(mesh, d) for d in disks]
-    finally:
-        for set_threads, count in zip(_SET_THREADS, previous):
-            set_threads(count)
+    with _PINNED:
+        previous = [set_threads(1) for set_threads in _SET_THREADS]
+        try:
+            grid = PixelGrid(nx)
+            mesh = build_mesh(grid, config.k)
+            disks = standard_disk_layout(mesh, config.radius_fraction)
+            yield grid, mesh, disks, assemble_pixel_matrices(mesh, grid), [assemble_load(mesh, d) for d in disks]
+        finally:
+            for set_threads, count in zip(_SET_THREADS, previous):
+                set_threads(count)
 
 
 def run_nonuniqueness_sweep(config: ExperimentConfig) -> ExperimentResult:

@@ -15,10 +15,10 @@ follow from just ``m`` linear solves.
 All maps but the sweep take one path: ``global_matrix`` validates ``sigma``
 and forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
 all loads in one block with a factor of ``B_sigma`` condensed onto the
-skeleton (``StiffnessSet.condensation``): the band Cholesky factor of the
-Schur complement ``S_sigma``, back-substituted by ``linsolve``'s one kernel
-in :data:`linsolve._PANEL`-column panels, so no load's bits depend on the
-others, then the pixel interiors lifted back. The Jacobian is contracted a
+skeleton (``StiffnessSet.condensation``): it condenses each zero-padded
+panel of loads ``linsolve`` hands it, solves the Schur complement
+``S_sigma`` by ``linsolve``'s band solver and lifts the pixel interiors
+back, so no load's bits depend on the others. The Jacobian is contracted a
 chunk of pixels at a time, from the pixel block all pixels share and the
 solutions gathered onto their vertices, straight into the returned stack.
 Pair values are one product of the distinct excitations' solutions with the
@@ -30,7 +30,7 @@ nested mesh refinement; these properties are exercised by the test suite.
 
 Pair values along a sweep of a few pixel coefficients take a second path
 (:func:`forward_pair_sweep`): ``B_RR`` on the unknowns ``R`` off the swept
-pixels is factored once by ``linsolve``'s band Cholesky, and each distinct
+pixels is factored once by ``linsolve``'s band solver, and each distinct
 sample condensed onto the rest ``S`` (static condensation). On a line of
 samples differing only in the last swept pixel the condensed matrix is a
 symmetric-definite pencil, reduced once per line by a Cholesky factor to an
@@ -140,31 +140,26 @@ def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out:
 
 
 def _condensed_factor(stiffness: StiffnessSet, sigma: np.ndarray):
-    """``solve(R)``, close to ``B_sigma^-1 R``, through a band Cholesky factor of the skeleton's Schur complement
-    (:class:`assembly.Condensation`) and ``linsolve._block_substitution``, a :data:`linsolve._PANEL`-column panel at a
-    time, the last padded with zeros. It leaves ``R`` as it is and returns a view of the panels, above a zero row."""
-    c, width = stiffness.condensation, linsolve._PANEL
-    substitute = linsolve._block_substitution(linsolve._band_cholesky(c.band(sigma)))
+    """``solve(R, out)``, the ``factor`` of :func:`linsolve.solve_multi` for ``B_sigma``: the skeleton's Schur
+    complement (:class:`assembly.Condensation`) solved by ``linsolve._band_solver``, then the interiors lifted back
+    into ``out``, whose zero last row a boundary edge vertex (-1) reads."""
+    c = stiffness.condensation
+    substitute = linsolve._band_solver(c.band(sigma))
     q, e = c.P.shape
-    step = max(1, _WORKING_BYTES // (8 * e * width))  # pixels a lift step
 
-    def solve(R):
-        X = np.empty((stiffness.N + 1, -(-R.shape[1] // width) * width))
-        X[-1] = 0.0
-        for start in range(0, X.shape[1], width):
-            loads, panel = R[:, start:start + width], X[:, start:start + width]
-            R_I = np.zeros((q, stiffness.n, width))
-            np.take(loads, c.interior.T, axis=0, out=R_I[..., :loads.shape[1]], mode="clip")  # "raise" would buffer
-            X_S = c.scatter @ (c.P.T @ R_I.reshape(q, stiffness.n * width)).reshape(c.edge.size, width)
-            X_S[:, :loads.shape[1]] += loads[c.skeleton]
-            panel[c.skeleton] = substitute(X_S)
-            R_I /= sigma[:, None]
-            for p in range(0, stiffness.n, step):  # the interiors lifted a few pixels at a time
-                interior, edge = c.interior[p:p + step].T, c.edge[p:p + step].T
-                X_I = c.K_II_inv @ R_I[:, p:p + step].reshape(q, edge.shape[1] * width)
-                X_I += c.P @ panel[edge].reshape(e, -1)
-                panel[interior] = X_I.reshape(*interior.shape, width)
-        return X[:-1, :R.shape[1]]
+    def solve(R, out):
+        width = R.shape[1]
+        R_I = np.take(R, c.interior.T, axis=0)  # (q, n, width)
+        X_S = c.scatter @ (c.P.T @ R_I.reshape(q, stiffness.n * width)).reshape(c.edge.size, width)
+        X_S += R[c.skeleton]
+        out[c.skeleton] = substitute(X_S)
+        R_I /= sigma[:, None]
+        step = max(1, _WORKING_BYTES // (8 * e * width))  # the interiors lifted a few pixels at a time
+        for p in range(0, stiffness.n, step):
+            interior, edge = c.interior[p:p + step].T, c.edge[p:p + step].T
+            X_I = c.K_II_inv @ R_I[:, p:p + step].reshape(q, edge.shape[1] * width)
+            X_I += c.P @ out[edge].reshape(e, -1)
+            out[interior] = X_I.reshape(*interior.shape, width)
 
     return solve
 
@@ -181,8 +176,7 @@ def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
     rows = np.flatnonzero(np.any([ld.y for ld in loads], axis=0))
     Y = np.zeros((stiffness.N, len(loads)))
     Y[rows] = np.array([ld.y[rows] for ld in loads], dtype=float).T
-    reports = linsolve.solve_multi(B, Y.T, tol=tol, factor=factor)
-    # The solutions are columns of the factor's panels, refined in place.
+    reports = linsolve.solve_multi(B, Y.T, tol=tol, factor=factor)  # solutions: columns of a block above a zero row
     return reports[0].solution.base[:, :len(loads)], (rows, Y[rows]), sum(1 + rep.iterations for rep in reports)
 
 

@@ -4,11 +4,12 @@ Numbered lexicographically, ``B_sigma`` on ``nx x nx`` pixels with ``k``
 elements per pixel side has bandwidth ``b = nx*k``. A matrix is factored
 once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper band, taken
 as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work (Golub & Van
-Loan, *Matrix Computations*, 4th ed., 4.3); the forward maps hand in a
-factor of ``B_sigma`` condensed onto its skeleton instead. Either factor is
-back-substituted by :func:`_block_substitution` in zero-padded panels of
-:data:`_PANEL` columns, defined here only. All right-hand sides are solved in
-one block, all residuals come from one product with the full matrix, and
+Loan, *Matrix Computations*, 4th ed., 4.3) and back-substituted by block
+rows, both in :func:`_band_solver`; the forward maps hand in a factor of
+``B_sigma`` condensed onto its skeleton instead. One loop hands either factor
+the right-hand sides in zero-padded panels of :data:`_PANEL` columns, defined
+here only, to solve into one block above a zero row. All residuals come from
+one product with the full matrix, and
 each relative residual ``||B x - y|| / ||y||`` is checked against ``tol`` on
 its own. The columns that miss it are refined together, each while its
 residual falls, for up to :data:`REFINE_STEPS` steps; one that still
@@ -67,40 +68,33 @@ def _upper_band(matrix) -> np.ndarray:
     return band.reshape(n, b + 1).T
 
 
-def _band_cholesky(band) -> np.ndarray:
-    """LAPACK's band Cholesky factor of an upper band ``(b + 1, N)``,
-    overwriting it when it is in Fortran order."""
-    factor, info = dpbtrf(band, overwrite_ab=1)
-    if info > 0:
-        n = band.shape[1]
-        raise SolverError(f"cannot factor the {n}x{n} matrix: leading minor of order {info} is not positive "
-                          "definite (singular or indefinite)", residual_norm=math.inf, iterations=0)
-    return factor
-
-
-# Columns of a back-substitution's working panels, a multiple of 8: every product has one shape whatever the
+# Columns of the panels :func:`_solve_block` hands a factor, a multiple of 8: every product has one shape whatever the
 # number of right-hand sides, so no column's bits depend on the others (OpenBLAS picks its kernel by shape).
 _PANEL = 56
 
-# Most unknowns in a block row of :func:`_block_substitution`: the bandwidth is cut into equal parts of at most
-# this many (35 at bandwidth 105, 30 at 30); a larger block costs dense flops on its inverse, a smaller one more
-# products.
+# Most unknowns in a block row of :func:`_band_solver`: the bandwidth is cut into equal parts of at most this many
+# (35 at bandwidth 105, 30 at 30); a larger block costs dense flops on its inverse, a smaller one more products.
 _BLOCK_ROWS = 48
 
 
-def _block_substitution(cholesky):
-    """``substitute(X)``, which overwrites an ``(N, c)`` block ``X`` by ``A^-1 X`` and returns it, for the factor
-    ``A = U^T U`` that :func:`_band_cholesky` returns, with every step a matrix product.
+def _band_solver(band):
+    """``substitute(X)``, which overwrites an ``(N, c)`` block ``X`` by ``A^-1 X`` and returns it, for the SPD matrix
+    ``A`` whose upper band ``(b + 1, N)`` is ``band``, with every step a matrix product.
 
-    ``U`` is cut into block rows of ``nb <= kd + 1`` unknowns, at most :data:`_BLOCK_ROWS`. Each column of the band
-    is copied with ``nb - 1`` zeros below it, so one strided view reads ``U[i, j]`` for ``-nb < j - i < kd + nb``:
-    a band entry, or a zero outside the band. Each diagonal block is inverted once by ``dtrtri`` and written back in
-    its own place, and the coupling slabs above and right of it, ``C = U[s - kd:s, s:s + nb]`` and
-    ``D = U[s:s + nb, s + nb:s + nb + kd]``, are views. ``U^T Y = X`` is then solved a block row at a time down
-    through ``C``, and ``U X = Y`` up through ``D`` (Golub & Van Loan, *Matrix Computations*, 4th ed., 4.3 and
-    4.5). The band itself is not kept.
+    ``A = U^T U`` is factored by LAPACK's band Cholesky ``dpbtrf``, overwriting ``band`` when it is in Fortran order;
+    a band that is not positive definite raises :class:`SolverError`. ``U`` is cut into block rows of
+    ``nb <= kd + 1`` unknowns, at most :data:`_BLOCK_ROWS`. Each column of the band is copied with ``nb - 1`` zeros
+    below it, so one strided view reads ``U[i, j]`` for ``-nb < j - i < kd + nb``: a band entry, or a zero outside
+    the band. Each diagonal block is inverted once by ``dtrtri`` and written back in its own place, and the coupling
+    slabs above and right of it, ``C = U[s - kd:s, s:s + nb]`` and ``D = U[s:s + nb, s + nb:s + nb + kd]``, are
+    views. ``U^T Y = X`` is then solved a block row at a time down through ``C``, and ``U X = Y`` up through ``D``
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., 4.3 and 4.5). The band itself is not kept.
     """
+    cholesky, info = dpbtrf(band, overwrite_ab=1)
     kd, n = cholesky.shape[0] - 1, cholesky.shape[1]
+    if info > 0:
+        raise SolverError(f"cannot factor the {n}x{n} matrix: leading minor of order {info} is not positive "
+                          "definite (singular or indefinite)", residual_norm=math.inf, iterations=0)
     nb = -(-kd // -(-kd // _BLOCK_ROWS)) if kd else 1
     padded = np.empty((n, kd + nb))
     padded[:, :kd + 1], padded[:, kd + 1:] = cholesky.T, 0.0
@@ -154,16 +148,21 @@ def _solve_block(matrix, rhs_list, tol, factor) -> list[SolveReport]:
     if not finite.all():
         raise ValueError(f"right-hand side {np.argmin(finite) + 1} of {m} is not finite")
     if factor is None:
-        substitute = _block_substitution(_band_cholesky(_upper_band(matrix)))
+        substitute = _band_solver(_upper_band(matrix))
 
-        def factor(R):  # in zero-padded panels of _PANEL columns, so no column's bits depend on the others
-            X = np.hstack([R, np.zeros((n, -R.shape[1] % _PANEL))])
-            for start in range(0, X.shape[1], _PANEL):
-                X[:, start:start + _PANEL] = substitute(X[:, start:start + _PANEL].copy())
-            return X[:, :R.shape[1]]
+        def factor(R, out):
+            out[:-1] = substitute(R.copy())
+
+    def solve(R):  # factor on R's columns in zero-padded panels: a view of the block above its zero row
+        X, c = np.zeros((n + 1, -(-R.shape[1] // _PANEL) * _PANEL)), R.shape[1]
+        if c % _PANEL:  # no copy of a block that needs no padding
+            R = np.hstack([R, np.zeros((n, X.shape[1] - c))])
+        for start in range(0, X.shape[1], _PANEL):
+            factor(R[:, start:start + _PANEL], X[:, start:start + _PANEL])
+        return X[:-1, :c]
 
     with np.errstate(all="ignore"):  # a solution that leaves the double range misses tol below
-        X = factor(Y)
+        X = solve(Y)
         R = matrix @ X
         np.subtract(Y, R, out=R)
         y_norm = _norms(Y) + ~Y.any(axis=0)  # a zero load: zero solution, residual 0
@@ -173,7 +172,7 @@ def _solve_block(matrix, rhs_list, tol, factor) -> list[SolveReport]:
         for _ in range(REFINE_STEPS):
             if not active.size:
                 break
-            X_new = X[:, active] + factor(R[:, active])
+            X_new = X[:, active] + solve(R[:, active])
             R_new = Y[:, active] - matrix @ X_new
             achieved_new = _norms(R_new) / y_norm[active]
             steps[active] += 1
@@ -208,10 +207,12 @@ def solve_multi(matrix, rhs_list, tol: float = DEFAULT_TOL, *, factor=None) -> l
     errors name the right-hand side (``right-hand side j of k``).
 
     ``factor``, if given, replaces the band Cholesky factor of ``matrix``:
-    ``factor(R)`` returns an approximation of ``matrix^-1 R`` for an
-    ``(N, c)`` block ``R`` and leaves ``R`` as it is. The solutions are the
-    columns of the array it returns for the whole block, refined in place.
-    Residuals are still formed with ``matrix``, so a poor factor costs
-    refinement steps or raises :class:`SolverError`, never a wrong solution.
+    ``factor(R, out)`` writes an approximation of ``matrix^-1 R`` into
+    ``out[:-1]`` for one ``(N, _PANEL)`` panel ``R`` of right-hand sides,
+    zero-padded, and leaves ``R`` and ``out``'s last row, the solution
+    block's zero row, as they are. The solutions are columns of that block
+    (``solution.base``), refined in place. Residuals are still formed with
+    ``matrix``, so a poor factor costs refinement steps or raises
+    :class:`SolverError`, never a wrong solution.
     """
     return _solve_block(matrix, rhs_list, tol, factor)

@@ -1,9 +1,10 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from pixelinv import linsolve
 from pixelinv.assembly import assemble_pixel_matrices, global_matrix
@@ -18,9 +19,8 @@ def random_spd(rng, n, shift=1.0):
 
 def route_substitutions(monkeypatch, through):
     """Send every back-substitution ``substitute(X)`` the solver makes through ``through(substitute, X)``."""
-    block_substitution = linsolve._block_substitution
-    monkeypatch.setattr(linsolve, "_block_substitution",
-                        lambda cholesky: functools.partial(through, block_substitution(cholesky)))
+    band_solver = linsolve._band_solver
+    monkeypatch.setattr(linsolve, "_band_solver", lambda band: functools.partial(through, band_solver(band)))
 
 
 def loaded_columns(X) -> int:
@@ -248,35 +248,55 @@ def test_solve_counter_increments(rng, solve_counter):
 class TestFactorKeyword:
     def test_solutions_are_refined_in_the_factors_array(self, rng):
         # An inexact factor: the solutions still meet tol against the matrix,
-        # and they are the columns of the array the factor returned.
+        # and they are columns of the block the factor filled first.
         A = random_spd(rng, 25)
         inverse = np.linalg.inv(A.toarray()) * (1.0 + 1e-4)
-        returned = []
+        blocks = []
 
-        def factor(R):
-            before = R.copy()
-            returned.append(inverse @ R)
-            assert np.array_equal(R, before)
-            return returned[-1]
+        def factor(R, out):
+            out[:-1] = inverse @ R
+            blocks.append(out.base)
 
         rhs = [rng.standard_normal(25) for _ in range(3)]
         reports = solve_multi(A, rhs, tol=1e-12, factor=factor)
-        assert len(returned) > 1 and all(rep.iterations > 0 for rep in reports)
+        assert len(blocks) > 1 and all(rep.iterations > 0 for rep in reports)
         for b, rep in zip(rhs, reports):
             assert np.linalg.norm(A @ rep.solution - b) / np.linalg.norm(b) <= 1e-12
-            assert rep.solution.base is returned[0]
+            assert rep.solution.base is blocks[0]
+
+    @pytest.mark.parametrize("count", [1, 55, 56, 57, 113])  # either side of a panel edge
+    def test_factor_sees_zero_padded_panels_above_a_zero_row(self, rng, count):
+        A, width = random_spd(rng, 12), linsolve._PANEL
+        inverse = np.linalg.inv(A.toarray())
+        rhs = rng.standard_normal((count, 12))
+        panels = []
+
+        def spy(R, out):
+            assert R.shape == (12, width) and out.shape == (13, width) and not out[-1].any()
+            panels.append(R.copy())
+            out[:-1] = inverse @ R
+
+        reports = solve_multi(A, rhs, factor=spy)
+        starts = range(0, count, width)
+        for start, R in zip(starts, panels):  # the first solve's panels: the loads, then zero columns
+            loads = rhs[start:start + width].T
+            assert np.array_equal(R[:, :loads.shape[1]], loads) and not R[:, loads.shape[1]:].any()
+        block = reports[0].solution.base
+        assert block.shape == (13, len(starts) * width) and not block[-1].any()
+        assert all(np.shares_memory(rep.solution, block) for rep in reports)
+        assert not solve_multi(A, rhs)[0].solution.base[-1].any()  # the band solver's block too
 
     def test_useless_factor_raises(self, rng):
         A = random_spd(rng, 10)
         with pytest.raises(SolverError, match="right-hand side 1 of 2") as err:
-            solve_multi(A, [rng.standard_normal(10), np.zeros(10)], factor=np.zeros_like)
+            solve_multi(A, [rng.standard_normal(10), np.zeros(10)], factor=lambda R, out: out.fill(0.0))
         assert err.value.residual_norm == 1.0
 
 
 class TestBlockSubstitution:
     @staticmethod
-    def band_factor(rng, n, kd):
-        """dpbtrf's factor of a random SPD matrix of order ``n`` in band storage of bandwidth ``kd``."""
+    def band(rng, n, kd):
+        """The upper band, in Fortran order, of a random SPD matrix of order ``n`` and bandwidth ``kd``."""
         A = np.zeros((n, n))
         for d in range(min(kd, n - 1) + 1):
             A += np.diag(rng.standard_normal(n - d), d)
@@ -284,7 +304,7 @@ class TestBlockSubstitution:
         band = np.zeros((kd + 1, n), order="F")
         for d in range(min(kd, n - 1) + 1):
             band[kd - d, d:] = np.diagonal(A, d)
-        return linsolve._band_cholesky(band)
+        return band
 
     @pytest.mark.parametrize("n, kd, columns", [
         (30, 0, 3),  # diagonal: blocks of one unknown
@@ -296,17 +316,26 @@ class TestBlockSubstitution:
         (40, 7, 0),  # an empty block
     ])
     def test_matches_dpbtrs(self, rng, n, kd, columns):
-        cholesky = self.band_factor(rng, n, kd)
+        band = self.band(rng, n, kd)
+        cholesky, info = dpbtrf(band)  # a copy: the band is left for the solver
+        assert info == 0
         X = rng.standard_normal((n, columns))
         expected = dpbtrs(cholesky, X)[0] if X.size else X.copy()
-        solved = linsolve._block_substitution(cholesky)(X.copy())
+        solved = linsolve._band_solver(band)(X.copy())
         assert solved.shape == X.shape
         assert np.max(np.abs(solved - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)
 
     def test_the_factor_is_not_kept(self, rng):
-        # The block rows live in one padded copy; the band dpbtrf returned is not held.
-        cholesky = self.band_factor(rng, 60, 9)
-        substitute = linsolve._block_substitution(cholesky)
+        # dpbtrf factors the band in place; the block rows live in one padded copy, so that factor is not held.
+        band = self.band(rng, 60, 9)
+        substitute = linsolve._band_solver(band)
         before = substitute(np.eye(60))
-        cholesky[...] = np.nan
+        band[...] = np.nan
         assert np.array_equal(substitute(np.eye(60)), before)
+
+    def test_a_band_that_is_not_positive_definite_is_refused(self, rng):
+        band = self.band(rng, 30, 4)
+        band[-1, 17] = -1.0  # a negative diagonal entry
+        with pytest.raises(SolverError, match="leading minor of order 18 is not positive definite") as err:
+            linsolve._band_solver(band)
+        assert err.value.residual_norm == math.inf and err.value.iterations == 0

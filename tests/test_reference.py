@@ -28,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,45 @@ def test_a_failed_study_restores_the_callers_count(tmp_path, two_threads):
     assert main(["stability", "--config", str(tmp_path / "study.cfg"), "--out", str(tmp_path / "s.csv")]) == 2
     assert two_threads() == [2, 2]
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_concurrent_studies_take_turns_and_restore_the_callers_count(tmp_path, written, two_threads, monkeypatch):
+    # Study A is parked inside its set-up, holding the one-thread pin; study B, started on a second thread, must
+    # not enter its set-up until A is done, so neither restores the other's count.
+    entered, parked, release = [], threading.Event(), threading.Event()
+
+    def build_mesh(*args, **kwargs):
+        entered.append(threading.current_thread().name)
+        if len(entered) == 1:
+            parked.set()
+            release.wait(timeout=60)
+        return original(*args, **kwargs)
+
+    original = experiments.build_mesh
+    monkeypatch.setattr(experiments, "build_mesh", build_mesh)
+    results = {}
+
+    def run(name):
+        config, _ = STUDIES[name]
+        results[name] = getattr(experiments, _RUNNERS[name])(experiments.ExperimentConfig(experiment=name, **config))
+
+    studies = [threading.Thread(target=run, args=(name,), name=name) for name in ("landscape", "nonuniqueness")]
+    try:
+        studies[0].start()
+        assert parked.wait(timeout=60)
+        studies[1].start()
+        studies[1].join(timeout=0.5)
+        assert entered == ["landscape"]
+    finally:
+        release.set()
+        for study in studies:
+            if study.ident is not None:  # started
+                study.join(timeout=120)
+    assert not any(study.is_alive() for study in studies) and entered == ["landscape", "nonuniqueness"]
+    for name in ("landscape", "nonuniqueness"):
+        experiments.write_csv(results[name], tmp_path / f"{name}.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (written[1] / f"{name}.csv").read_bytes(), name
+    assert two_threads() == [2, 2]
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Rules the library's source keeps: no ``except`` broader than the errors it expects,
 no import that is neither used nor exported, no dataclass whose fields can be reassigned,
-and no access to the process environment."""
+no access to the process environment, and no panel width or band Cholesky outside ``linsolve``."""
 
 import ast
 from pathlib import Path
@@ -198,3 +198,39 @@ getattr(os, "sep")
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_environment_access(path):
     assert environment_access(path.read_text(encoding="utf-8")) == []
+
+
+# The band solver's seam: only ``linsolve`` sets or reads the panel width and calls LAPACK's band Cholesky.
+SEAM = {"_PANEL", "dpbtrf"}
+
+
+def seam_uses(source: str) -> list[int]:
+    """Lines that name one of the :data:`SEAM` names: a name, an attribute or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and _names(node) & SEAM:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and {a.name.split(".")[-1] for a in node.names} & SEAM:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_rule_finds_every_seam_use():
+    source = """
+from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dpbtrs as solve
+from scipy.linalg import lapack
+factor = lapack.dpbtrf(band)
+width = linsolve._PANEL
+_PANEL = 56
+step = max(1, _PANEL // 8)
+panels = "_PANEL"
+from .linsolve import _PANEL as width
+"""
+    assert seam_uses(source) == [2, 5, 6, 7, 8, 10]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_panel_width_and_band_cholesky_stay_in_linsolve(path):
+    uses = seam_uses(path.read_text(encoding="utf-8"))
+    assert bool(uses) == (path.name == "linsolve.py"), uses
