@@ -270,15 +270,18 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
 
     Every grid size uses the mesh with ``config.k`` elements per pixel
     side and the full symmetric boundary-disk layout, so the flattened
-    Jacobian has ``(4*nx-4)^2`` rows and ``nx^2`` columns. Rank-deficient
+    Jacobian has ``(4*nx-4)^2`` rows and ``nx^2`` columns, in four blocks by
+    the grid's symmetries (the loads move with their boundary pixels). Rank-deficient
     Jacobians report an infinite condition number in their row instead of
     aborting the sweep.
     """
     rows = []
     for nx in range(config.nx_min, config.nx_max + 1):
-        with _experiment_setup(config, nx) as (_, _, _, stiffness, loads):
+        with _experiment_setup(config, nx) as (grid, _, _, stiffness, loads):
             _, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, tol=config.tol)
-            rows.append((nx, nx * nx, len(loads), condition_number(jac).condition))
+            edge = np.array(grid.boundary_pixels())
+            report = condition_number(jac, symmetries=[(p, np.searchsorted(edge, p[edge])) for p in grid.symmetries()])
+            rows.append((nx, nx * nx, len(loads), report.condition))
     return ExperimentResult(header=["nx", "n", "m", "cond"], rows=rows, config=config)
 
 

@@ -97,6 +97,11 @@ class PixelGrid:
         edge = (0, self.nx - 1)
         return [p for p in range(self.n) if p // self.nx in edge or p % self.nx in edge]
 
+    def symmetries(self) -> list[np.ndarray]:
+        """Pixel permutations (``p`` goes to ``perm[p]``) of the reflection about ``y = x`` and of the half-turn,
+        which generate the symmetries of every mesh of the grid; a quarter-turn flips the triangles' diagonals."""
+        return [np.arange(self.n).reshape(self.nx, self.nx).T.ravel(), np.arange(self.n)[::-1]]
+
 
 @dataclass(frozen=True, eq=False)
 class TriMesh:
@@ -268,11 +273,6 @@ def refine_disk(disk: DiskSpec, mesh: TriMesh) -> DiskSpec:
                     mesh=(mesh.grid.nx, 2 * mesh.k))
 
 
-def _inside(centroids: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """The centroid-membership rule: which centroids lie strictly inside."""
-    return ((centroids - center) ** 2).sum(axis=-1) < radius * radius
-
-
 def _disk(mesh: TriMesh, center: np.ndarray, radius: float, element_set: np.ndarray) -> DiskSpec:
     if not element_set.size:
         raise ValueError(f"no triangle centroid inside disk of radius {radius} at {center.tolist()}; "
@@ -302,7 +302,7 @@ def resolve_disk(mesh: TriMesh, center, radius: float) -> DiskSpec:
     if not 0 < radius < np.concatenate([c, 1.0 - c]).min():  # a NaN fails both comparisons
         raise ValueError(f"disk (center {c.tolist()}, radius {radius}) is not contained in the open unit square, "
                          "or its radius is not positive")
-    return _disk(mesh, c, radius, np.flatnonzero(_inside(mesh.centroids(), c, radius)))
+    return _disk(mesh, c, radius, np.flatnonzero(((mesh.centroids() - c) ** 2).sum(axis=1) < radius * radius))
 
 
 def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[DiskSpec]:
@@ -310,11 +310,11 @@ def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[D
 
     Disk radius is ``radius_fraction / nx``, so fractions below 0.5 keep
     every disk strictly inside its pixel. Disks are ordered by pixel
-    index; an ``nx x nx`` grid yields ``4*nx - 4`` disks. Each disk is
-    resolved as :func:`resolve_disk` would, but tested against its own
-    pixel's ``2k^2`` triangles only: every other centroid is more than
-    half a pixel from the centre, outside the disk.
-    """
+    index; an ``nx x nx`` grid yields ``4*nx - 4`` disks. Each holds its
+    pixel's triangles with centroids strictly inside, as in :func:`resolve_disk`,
+    but compared exactly, in sixths of a lattice step, so that a centroid on
+    the circle cannot tell congruent disks apart: the layout keeps the grid's
+    :meth:`PixelGrid.symmetries`."""
     grid = mesh.grid
     if grid.nx < 2:
         raise ValueError("standard layout needs nx >= 2")
@@ -323,10 +323,10 @@ def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[D
     radius = radius_fraction / grid.nx
     py, px = np.divmod(np.array(grid.boundary_pixels()), grid.nx)
     centers = np.column_stack([(px + 0.5) / grid.nx, (py + 0.5) / grid.nx])
-    # Triangle 2 (sy S + sx) + parity lies in lattice square (sx, sy); pixel
-    # (px, py) holds the squares from (px k, py k) on, k to a side.
+    # Triangle 2 (sy S + sx) + parity lies in lattice square (sx, sy); pixel (px, py) holds the squares from
+    # (px k, py k) on, k to a side. Pixel 0's disk, in sixths of a step from its centre, is translated.
     k, S = mesh.k, grid.nx * mesh.k
     dy, dx, parity = np.meshgrid(np.arange(k), np.arange(k), np.arange(2), indexing="ij")
-    triangles = (2 * (py * S + px) * k)[:, None] + (2 * (dy * S + dx) + parity).ravel()
-    inside = _inside(mesh.centroids()[triangles], centers[:, None], radius)
-    return [_disk(mesh, c, radius, t[i]) for c, t, i in zip(centers, triangles, inside)]
+    ox, oy = 6 * dx + 4 - 2 * parity - 3 * k, 6 * dy + 2 + 2 * parity - 3 * k
+    inside = (2 * (dy * S + dx) + parity)[ox * ox + oy * oy < (6 * k * radius_fraction) ** 2]
+    return [_disk(mesh, c, radius, 2 * (y * S + x) * k + inside) for c, x, y in zip(centers, px, py)]

@@ -14,6 +14,7 @@ from pixelinv.analysis import (
     singular_values,
 )
 from pixelinv.assembly import assemble_load, assemble_pixel_matrices
+from pixelinv.experiments import ExperimentConfig, run_stability_study
 from pixelinv.forward import JacobianStack, forward_matrix, forward_pair_values
 from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
 
@@ -259,6 +260,172 @@ class TestConditionNumber:
     def test_matrix_without_columns_rejected(self, shape):
         with pytest.raises(ValueError, match="one or more columns"):
             condition_number(np.zeros(shape))
+
+
+def stability_jacobian(nx, k, sigma=None, order=None):
+    """The stability study's Jacobian at ``nx, k`` (at sigma = 1 unless given, its loads in ``order``
+    if given), and the grid's symmetries mapped onto the standard layout's loads, which follow their
+    boundary pixels."""
+    grid = PixelGrid(nx)
+    mesh = build_mesh(grid, k)
+    loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
+    sigma = np.ones(grid.n) if sigma is None else sigma
+    loads = loads if order is None else [loads[i] for i in order]
+    _, jac = forward_matrix(assemble_pixel_matrices(mesh, grid), sigma, loads, tol=1e-10)
+    boundary = np.array(grid.boundary_pixels())
+    return jac, [(p, np.searchsorted(boundary, p[boundary])) for p in grid.symmetries()]
+
+
+def invariant_stack(rng, nx, symmetries, m):
+    """A random stack with symmetric slices, averaged over the group the two ``symmetries`` generate."""
+    (p1, t1), (p2, t2) = symmetries
+    slices = rng.standard_normal((nx * nx, m, m))
+    slices += slices.transpose(0, 2, 1)
+    group = [(np.arange(nx * nx), np.arange(m)), (p1, t1), (p2, t2), (p1[p2], t1[t2])]
+    # slices[p[i]][t[a], t[b]] == slices[i][a, b] for every element (p, t) of the group.
+    return JacobianStack(sum(slices[p][:, t][:, :, t] for p, t in group) / 4.0)
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_blocks_match_the_jacobi_oracle_and_the_packed_matrix(self, k, monkeypatch):
+        # Each block's values against dgejsv on that block, and their union
+        # against the packed matrix's, nx = 2..12.
+        blocks = []
+        kernel = analysis.singular_values
+
+        def recorded(J):
+            blocks.append(J)
+            return kernel(J)
+
+        monkeypatch.setattr(analysis, "singular_values", recorded)
+        worst_block = worst_union = 0.0
+        for nx in range(2, 13):
+            jac, symmetries = stability_jacobian(nx, k)
+            del blocks[:]
+            report = condition_number(jac, symmetries=symmetries)
+            assert len(blocks) == 4 and sum(B.shape[1] for B in blocks) == nx * nx
+            for B in blocks:
+                if B.shape[1]:
+                    oracle = jacobi_singular_values(B)
+                    worst_block = max(worst_block, np.max(np.abs(kernel(B) - oracle) / oracle))
+            packed = condition_number(jac).singular_values
+            worst_union = max(worst_union, np.max(np.abs(report.singular_values - packed) / packed))
+            assert report.condition == pytest.approx(packed[0] / packed[-1], rel=1e-12)
+        assert worst_block <= 1e-12 and worst_union <= 1e-12
+
+    def test_stability_rows_match_the_packed_kernel(self):
+        for k in (2, 4):
+            rows = run_stability_study(ExperimentConfig(nx_min=2, nx_max=12, k=k)).rows
+            for nx, _, _, cond in rows:
+                packed = condition_number(stability_jacobian(nx, k)[0]).condition
+                assert cond == pytest.approx(packed, rel=1e-12)
+
+    def test_loads_out_of_the_layouts_order_are_refused(self):
+        # Loads 0 and 1 swapped: the reflection about y = x no longer maps the
+        # stack onto itself through the layout's load permutation.
+        jac, symmetries = stability_jacobian(4, 2, order=[1, 0] + list(range(2, 12)))
+        with pytest.raises(ValueError, match="not invariant"):
+            condition_number(jac, symmetries=symmetries)
+
+    def test_loads_in_reverse_order_are_the_half_turns(self):
+        # The boundary pixels in reverse are the half-turn's image of the layout,
+        # and the half-turn commutes with the other elements, so the reversed
+        # stack is invariant too: accepted, with the spectrum of the rows it permutes.
+        jac, symmetries = stability_jacobian(4, 2)
+        reversed_jac, _ = stability_jacobian(4, 2, order=range(11, -1, -1))
+        assert np.array_equal(symmetries[1][1], np.arange(12)[::-1])
+        s = condition_number(jac, symmetries=symmetries).singular_values
+        assert np.max(np.abs(condition_number(reversed_jac, symmetries=symmetries).singular_values - s)) <= 1e-13 * s[0]
+
+    def test_pairs_in_reverse_order_are_refused(self):
+        # (load permutation, pixel permutation) instead of (pixel, load).
+        jac, symmetries = stability_jacobian(4, 2)
+        with pytest.raises(ValueError, match="commuting involutions"):
+            condition_number(jac, symmetries=[(t, p) for p, t in symmetries])
+
+    def test_a_coefficient_no_symmetry_fixes_is_refused(self):
+        # Pixel 1 of the 4x4 grid lies on no diagonal, and the half-turn moves every pixel.
+        sigma = np.ones(16)
+        sigma[1] = 1.0 + 1e-3
+        jac, symmetries = stability_jacobian(4, 4, sigma)
+        with pytest.raises(ValueError, match="not invariant"):
+            condition_number(jac, symmetries=symmetries)
+
+    def test_a_quarter_turn_is_refused(self):
+        # The quarter-turn flips the triangles' diagonals; it is no involution
+        # either, so its characters are not the +-1 ones of the blocks.
+        jac, symmetries = stability_jacobian(6, 4)
+        grid = PixelGrid(6)
+        iy, ix = np.divmod(np.arange(grid.n), 6)
+        quarter = ix * 6 + (5 - iy)  # (x, y) -> (1 - y, x)
+        boundary = np.array(grid.boundary_pixels())
+        turn = (quarter, np.searchsorted(boundary, quarter[boundary]))
+        for given in ([turn], [symmetries[0], turn]):
+            with pytest.raises(ValueError, match="commuting involutions"):
+                condition_number(jac, symmetries=given)
+        # Its square, the half-turn, is a symmetry.
+        half = (quarter[quarter], turn[1][turn[1]])
+        assert np.array_equal(half[0], symmetries[1][0]) and np.array_equal(half[1], symmetries[1][1])
+
+    def test_a_reflection_that_flips_the_diagonals_is_refused(self):
+        # The reflection about x = 1/2 is an involution that commutes with the
+        # half-turn, but it maps the mesh onto the other diagonal.
+        jac, symmetries = stability_jacobian(6, 4)
+        grid = PixelGrid(6)
+        mirror = np.arange(grid.n).reshape(6, 6)[:, ::-1].ravel()
+        boundary = np.array(grid.boundary_pixels())
+        with pytest.raises(ValueError, match="not invariant"):
+            condition_number(jac, symmetries=[symmetries[1], (mirror, np.searchsorted(boundary, mirror[boundary]))])
+
+    @pytest.mark.parametrize("bad", ["asymmetric", np.nan, np.inf])
+    def test_asymmetric_or_non_finite_slices_are_refused(self, bad):
+        jac, symmetries = stability_jacobian(4, 2)
+        slices = jac.slices.copy()
+        if bad == "asymmetric":
+            slices[5, 0, 1] += 1e-3 * np.abs(slices).max()
+        else:
+            slices[5, 0, 1] = slices[5, 1, 0] = bad
+        for given in (symmetries, ()):
+            with pytest.raises(ValueError, match="not symmetric|not finite"):
+                condition_number(JacobianStack(slices), symmetries=given)
+
+    def test_symmetries_need_a_stack(self, rng):
+        _, symmetries = stability_jacobian(2, 1)
+        with pytest.raises(ValueError, match="JacobianStack only"):
+            condition_number(rng.standard_normal((16, 4)), symmetries=symmetries)
+
+    @pytest.mark.parametrize("nx", [2, 3, 5])
+    def test_small_and_odd_grids(self, nx, monkeypatch):
+        # At odd nx the centre pixel is its own orbit, in the first block only;
+        # at nx = 2 one character gets no pixel at all.
+        blocks = []
+        kernel = analysis.singular_values
+        monkeypatch.setattr(analysis, "singular_values", lambda J: blocks.append(J.shape) or kernel(J))
+        jac, symmetries = stability_jacobian(nx, 4)
+        report = condition_number(jac, symmetries=symmetries)
+        packed = condition_number(jac)
+        assert report.singular_values.size == nx * nx and not report.rank_deficient
+        assert np.max(np.abs(report.singular_values - packed.singular_values) / packed.singular_values) <= 1e-12
+        columns = [shape[1] for shape in blocks[:4]]
+        assert sum(columns) == nx * nx
+        if nx == 2:
+            assert 0 in columns
+
+    def test_block_with_fewer_rows_than_columns(self, rng):
+        # Four loads, swapped in pairs by the two generators: the first block
+        # has 5 row orbits for the 6 pixel orbits of the 4x4 grid.
+        reflection, half_turn = PixelGrid(4).symmetries()
+        symmetries = [(reflection, np.array([1, 0, 2, 3])), (half_turn, np.array([0, 1, 3, 2]))]
+        jac = invariant_stack(rng, 4, symmetries, 4)
+        report = condition_number(jac, symmetries=symmetries)
+        packed = condition_number(jac)
+        s = report.singular_values
+        assert s.size == 16 and report.rank_deficient and report.condition == np.inf
+        assert np.count_nonzero(s == 0.0) >= 6 and np.all(np.diff(s) <= 0)
+        # The packed matrix has 10 distinct rows: its 10 nonzero values are the blocks'.
+        assert np.max(np.abs(s[:10] - packed.singular_values[:10])) <= 1e-12 * s[0]
+        assert np.max(np.abs(s[10:])) <= 1e-12 * s[0]
 
 
 class TestResidual:

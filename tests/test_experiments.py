@@ -358,7 +358,7 @@ class TestStabilityStudy:
         assert default.rows[1][3] / default.rows[0][3] > 3.0
 
     def test_only_rank_deficiency_reads_as_infinite(self, monkeypatch):
-        def broken(jac):
+        def broken(jac, *, symmetries):
             raise ValueError("not a rank problem")
 
         monkeypatch.setattr(experiments, "condition_number", broken)

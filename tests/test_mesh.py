@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pixelinv.mesh import (
@@ -96,6 +96,18 @@ class TestPixelGrid:
     def test_boundary_pixels(self):
         assert PixelGrid(2).boundary_pixels() == [0, 1, 2, 3]
         assert PixelGrid(3).boundary_pixels() == [0, 1, 2, 3, 5, 6, 7, 8]
+
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 6])
+    def test_symmetries_are_the_diagonal_reflection_and_the_half_turn(self, nx):
+        grid = PixelGrid(nx)
+        reflection, half_turn = grid.symmetries()
+        centers = np.array([grid.pixel_center(p) for p in range(grid.n)])
+        assert np.allclose(centers[reflection], centers[:, ::-1])
+        assert np.allclose(centers[half_turn], 1.0 - centers)
+        for perm in (reflection, half_turn):
+            assert np.array_equal(perm[perm], np.arange(grid.n))
+        assert np.array_equal(reflection[half_turn], half_turn[reflection])
 
 
 class TestBuildMesh:
@@ -349,6 +361,36 @@ class TestStandardLayout:
         for disk, full in zip(layout, scanned):
             assert np.array_equal(disk.center, full.center) and disk.radius == full.radius
             assert np.array_equal(disk.element_set, full.element_set)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nx=st.integers(2, 20), k=st.integers(1, 8), data=st.data())
+    @example(nx=4, k=8, data=None)
+    def test_disks_map_onto_each_other_under_the_grid_symmetries(self, nx, k, data):
+        # Drawn at random, or on a tie: sqrt(a^2 + b^2) / (3k) puts a centroid
+        # of every pixel on its disk's circle, where the centroid rule in
+        # floating point told congruent disks apart (nx=4, k=8, a=1, b=5).
+        ties = st.tuples(st.integers(0, 3 * k), st.integers(0, 3 * k)).map(lambda ab: np.hypot(*ab) / (3 * k))
+        fractions = st.one_of(st.floats(0.01, 0.49), ties).filter(lambda f: 0.0 < f < 0.5)
+        radius_fraction = np.sqrt(26) / 24 if data is None else data.draw(fractions)
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, k)
+        try:
+            disks = standard_disk_layout(mesh, radius_fraction)
+        except ValueError:
+            return  # no centroid inside the disks: too coarse a mesh
+        S = nx * k
+        square, parity = np.divmod(np.arange(mesh.n_triangles), 2)
+        sy, sx = np.divmod(square, S)
+        # Triangle maps: the reflection about y = x and the half-turn swap the
+        # two triangles of a square, their product keeps them.
+        maps = [2 * (sx * S + sy) + 1 - parity, 2 * ((S - 1 - sy) * S + S - 1 - sx) + 1 - parity]
+        maps.append(maps[0][maps[1]])
+        boundary = np.array(grid.boundary_pixels())
+        reflection, half_turn = grid.symmetries()
+        for triangles, pixels in zip(maps, [reflection, half_turn, reflection[half_turn]]):
+            loads = np.searchsorted(boundary, pixels[boundary])
+            for disk, image in zip(disks, loads):
+                assert np.array_equal(np.sort(triangles[disk.element_set]), disks[image].element_set)
 
     def test_rejects_bad_fraction(self):
         mesh = build_mesh(PixelGrid(3), 4)

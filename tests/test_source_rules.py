@@ -1,6 +1,7 @@
 """Rules the library's source keeps: no ``except`` broader than the errors it expects,
 no import that is neither used nor exported, no dataclass whose fields can be reassigned,
-no access to the process environment, and no panel width or band Cholesky outside ``linsolve``."""
+no access to the process environment, no panel width or band Cholesky outside ``linsolve``, and no
+SVD kernel outside ``analysis``."""
 
 import ast
 from pathlib import Path
@@ -204,13 +205,13 @@ def test_no_environment_access(path):
 SEAM = {"_PANEL", "dpbtrf"}
 
 
-def seam_uses(source: str) -> list[int]:
-    """Lines that name one of the :data:`SEAM` names: a name, an attribute or an import."""
+def seam_uses(source: str, seam: set = SEAM) -> list[int]:
+    """Lines that name one of the ``seam`` names: a name, an attribute or an import."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Name, ast.Attribute)) and _names(node) & SEAM:
+        if isinstance(node, (ast.Name, ast.Attribute)) and _names(node) & seam:
             lines.append(node.lineno)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)) and {a.name.split(".")[-1] for a in node.names} & SEAM:
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and {a.name.split(".")[-1] for a in node.names} & seam:
             lines.append(node.lineno)
     return sorted(set(lines))
 
@@ -234,3 +235,25 @@ from .linsolve import _PANEL as width
 def test_panel_width_and_band_cholesky_stay_in_linsolve(path):
     uses = seam_uses(path.read_text(encoding="utf-8"))
     assert bool(uses) == (path.name == "linsolve.py"), uses
+
+
+# The SVD's seam: only ``analysis`` calls LAPACK's pivoted QR and SVD, through ``singular_values``.
+SVD = {"dgeqp3", "dgesvd"}
+
+
+def test_rule_finds_every_svd_kernel_use():
+    source = """
+from scipy.linalg.lapack import dgesvd
+from scipy.linalg import lapack
+R = lapack.dgeqp3(A)
+s = lapack.dgesdd(A)
+kernel = "dgesvd"
+from scipy.linalg.lapack import dgeqp3 as qr
+"""
+    assert seam_uses(source, SVD) == [2, 4, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_svd_kernel_stays_in_analysis(path):
+    uses = seam_uses(path.read_text(encoding="utf-8"), SVD)
+    assert bool(uses) == (path.name == "analysis.py"), uses
