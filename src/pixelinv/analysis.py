@@ -23,7 +23,7 @@ turn flips the triangles' diagonals, moving it by 3e-3 of its largest
 entry), and each character's orthonormal ``+-1/sqrt(|orbit|)`` combinations
 of row and pixel orbits split off a block of ``P`` (Fassler and Stiefel
 1992), about a sixteenth of its SVD. A stack moved by over ``1e-9`` of its
-largest entry is refused (the study's moves by 1e-14); the blocks' values
+largest entry is refused (the study's moves by 3e-15); the blocks' values
 agree with ``P``'s to 6e-13 at nx <= 12 and 1.3e-11 at nx = 15, k = 4.
 """
 

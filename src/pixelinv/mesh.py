@@ -4,8 +4,10 @@ The unknown coefficient lives on an ``nx x nx`` grid of square pixels
 covering ``(0, 1)^2``. All meshes here are uniform right-triangle meshes
 built so that every pixel is an exact union of ``2*k*k`` triangles, which
 makes coefficients that are constant per pixel exactly representable in
-the assembled bilinear forms. Excitation/measurement regions are disks
-resolved to unions of triangles by a centroid-membership rule.
+the assembled bilinear forms. Every triangle has the one area ``0.5 / S**2``.
+Excitation/measurement regions are disks resolved to unions of triangles
+by one centroid-membership rule, exact in sixths of a lattice step on
+every pixel centre (:func:`resolve_disk`); no centroid array is stored.
 
 Conventions
 -----------
@@ -133,7 +135,6 @@ class TriMesh:
     boundary_vertex: np.ndarray
     free_index: np.ndarray
     _areas: np.ndarray = field(repr=False, default=None)
-    _centroids: np.ndarray = field(repr=False, default=None)
     __post_init__ = _read_only
 
     @property
@@ -150,13 +151,8 @@ class TriMesh:
         return int((~self.boundary_vertex).sum())
 
     def areas(self) -> np.ndarray:
-        """Triangle areas, all positive: half the product of their square's side lengths."""
+        """Triangle areas: every entry is the one value ``0.5 / S**2``."""
         return self._areas
-
-    def centroids(self) -> np.ndarray:
-        """Triangle centroids, ``(T, 2)``; computed once by :func:`build_mesh`
-        and shared, so every disk resolved on this mesh reads the same array."""
-        return self._centroids
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +172,7 @@ class DiskSpec:
 
     def resolved_area(self, mesh: TriMesh) -> float:
         """Total area of the triangles approximating the disk."""
+        self.check_mesh(mesh)
         return float(mesh.areas()[self.element_set].sum())
 
 
@@ -193,8 +190,7 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
         Refinement parameter, must be >= 1.
     """
     _check_integer("k", k, 1)
-    nx = grid.nx
-    S = nx * k
+    nx, S = grid.nx, grid.nx * k
 
     x = np.arange(S + 1) / S  # the lattice lines; x[S] = S / S is 1 exactly
     vertices = np.column_stack([np.tile(x, S + 1), np.repeat(x, S + 1)])
@@ -213,14 +209,6 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
     interior = np.nonzero(~boundary_vertex)[0]
     free_index[interior] = np.arange(interior.size)
 
-    # Both triangles of a square have half its sides' product as area. A centroid sums the lines in
-    # vertex order (ll, lr, ur below, ll, ur, ul above) / 3, as the corner mean does, bit for bit.
-    lo, hi = x[:-1], x[1:]
-    up, down = (lo + hi + hi) / 3.0, (lo + lo + hi) / 3.0
-    centroids = np.empty((S, S, 2, 2))  # square (sy, sx), below/above, x/y
-    centroids[..., 0, 0], centroids[..., 0, 1] = up, down[:, None]
-    centroids[..., 1, 0], centroids[..., 1, 1] = (lo + hi + lo) / 3.0, up[:, None]
-
     return TriMesh(
         grid=grid,
         k=k,
@@ -229,8 +217,7 @@ def build_mesh(grid: PixelGrid, k: int) -> TriMesh:
         element_pixel=element_pixel,
         boundary_vertex=boundary_vertex,
         free_index=free_index,
-        _areas=np.repeat(0.5 * np.outer(hi - lo, hi - lo).ravel(), 2),
-        _centroids=centroids.reshape(-1, 2),
+        _areas=np.full(2 * S * S, 0.5 / S**2),
     )
 
 
@@ -244,21 +231,22 @@ def refine_element_set(mesh: TriMesh, elements: np.ndarray) -> np.ndarray:
 
     Every coarse triangle is the union of exactly four fine triangles, so
     a region defined as a union of coarse elements is represented exactly
-    on the refined mesh. Returns sorted fine-mesh triangle indices.
+    on the refined mesh. Returns sorted fine-mesh triangle indices; an index not an integer in ``[0, T)`` is refused.
     """
-    t = np.asarray(elements, dtype=np.int64)
+    t = np.asarray(elements)
+    bad = t[(t < 0) | (t >= mesh.n_triangles)] if np.issubdtype(t.dtype, np.integer) else t
+    if bad.size:
+        raise ValueError(f"triangle indices must be integers in [0, {mesh.n_triangles}), got {bad.tolist()}")
     S = mesh.grid.nx * mesh.k
-    S2 = 2 * S
     q, p = np.divmod(t, 2)
     sy, sx = np.divmod(q, S)
 
     def child(dx, dy, parity):
-        return 2 * ((2 * sy + dy) * S2 + (2 * sx + dx)) + parity
+        return 2 * ((2 * sy + dy) * 2 * S + (2 * sx + dx)) + parity
 
     lower = np.stack([child(0, 0, 0), child(1, 0, 0), child(1, 0, 1), child(1, 1, 0)])
     upper = np.stack([child(0, 0, 1), child(0, 1, 0), child(0, 1, 1), child(1, 1, 1)])
-    children = np.where(p == 0, lower, upper)
-    return np.sort(children.ravel())
+    return np.sort(np.where(p == 0, lower, upper).ravel())
 
 
 def refine_disk(disk: DiskSpec, mesh: TriMesh) -> DiskSpec:
@@ -283,6 +271,13 @@ def _disk(mesh: TriMesh, center: np.ndarray, radius: float, element_set: np.ndar
 def resolve_disk(mesh: TriMesh, center, radius: float) -> DiskSpec:
     """Resolve a disk to the triangles whose centroid lies strictly inside.
 
+    In sixths of a lattice step ``1/S``, triangle ``2 (sy S + sx) + parity``
+    has its centroid at ``(6 sx + 4 - 2 parity, 6 sy + 2 + 2 parity)``. A
+    centre coordinate within 1e-9 of a whole sixth, as every pixel centre's
+    is, is snapped to it, so the squared offsets compared with
+    ``(6 S radius)**2`` are exact integers, and congruent disks hold
+    congruent sets even where a centroid lies on the circle.
+
     Parameters
     ----------
     mesh : TriMesh
@@ -302,7 +297,12 @@ def resolve_disk(mesh: TriMesh, center, radius: float) -> DiskSpec:
     if not 0 < radius < np.concatenate([c, 1.0 - c]).min():  # a NaN fails both comparisons
         raise ValueError(f"disk (center {c.tolist()}, radius {radius}) is not contained in the open unit square, "
                          "or its radius is not positive")
-    return _disk(mesh, c, radius, np.flatnonzero(((mesh.centroids() - c) ** 2).sum(axis=1) < radius * radius))
+    S = mesh.grid.nx * mesh.k
+    u, whole = 6 * S * c, np.round(6 * S * c)
+    u = np.where(np.abs(u - whole) <= 1e-9, whole, u)
+    six = 6.0 * np.arange(S)[:, None]  # (square row or column, parity)
+    d2 = ((six + [2.0, 4.0] - u[1]) ** 2)[:, None] + (six + [4.0, 2.0] - u[0]) ** 2  # (sy, sx, parity)
+    return _disk(mesh, c, radius, np.flatnonzero(d2.ravel() < (6 * S * radius) ** 2))
 
 
 def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[DiskSpec]:
@@ -310,23 +310,18 @@ def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[D
 
     Disk radius is ``radius_fraction / nx``, so fractions below 0.5 keep
     every disk strictly inside its pixel. Disks are ordered by pixel
-    index; an ``nx x nx`` grid yields ``4*nx - 4`` disks. Each holds its
-    pixel's triangles with centroids strictly inside, as in :func:`resolve_disk`,
-    but compared exactly, in sixths of a lattice step, so that a centroid on
-    the circle cannot tell congruent disks apart: the layout keeps the grid's
-    :meth:`PixelGrid.symmetries`."""
+    index; an ``nx x nx`` grid yields ``4*nx - 4`` disks. Each is pixel 0's
+    :func:`resolve_disk`, translated, which is what :func:`resolve_disk`
+    gives at that pixel's centre, its rule being exact there; so the disks
+    are congruent and the layout keeps the grid's :meth:`PixelGrid.symmetries`."""
     grid = mesh.grid
     if grid.nx < 2:
         raise ValueError("standard layout needs nx >= 2")
     if not 0.0 < radius_fraction < 0.5:
         raise ValueError(f"radius_fraction must be in (0, 0.5), got {radius_fraction}")
-    radius = radius_fraction / grid.nx
+    radius, S = radius_fraction / grid.nx, grid.nx * mesh.k
+    first = resolve_disk(mesh, grid.pixel_center(0), radius).element_set
     py, px = np.divmod(np.array(grid.boundary_pixels()), grid.nx)
-    centers = np.column_stack([(px + 0.5) / grid.nx, (py + 0.5) / grid.nx])
-    # Triangle 2 (sy S + sx) + parity lies in lattice square (sx, sy); pixel (px, py) holds the squares from
-    # (px k, py k) on, k to a side. Pixel 0's disk, in sixths of a step from its centre, is translated.
-    k, S = mesh.k, grid.nx * mesh.k
-    dy, dx, parity = np.meshgrid(np.arange(k), np.arange(k), np.arange(2), indexing="ij")
-    ox, oy = 6 * dx + 4 - 2 * parity - 3 * k, 6 * dy + 2 + 2 * parity - 3 * k
-    inside = (2 * (dy * S + dx) + parity)[ox * ox + oy * oy < (6 * k * radius_fraction) ** 2]
-    return [_disk(mesh, c, radius, 2 * (y * S + x) * k + inside) for c, x, y in zip(centers, px, py)]
+    # Pixel (px, py) holds the lattice squares from (px k, py k) on: pixel 0's triangles moved by 2 k (py S + px).
+    return [_disk(mesh, c, radius, 2 * mesh.k * (y * S + x) + first)
+            for c, x, y in zip((np.column_stack([px, py]) + 0.5) / grid.nx, px, py)]

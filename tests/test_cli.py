@@ -67,7 +67,7 @@ def test_bad_step_or_tolerance_is_usage_error(tmp_path, capsys, experiment, sett
     [
         ("stability", "tol=1e-300", "missed tolerance 1e-300"),
         ("properties", "tol=1e-300", "missed tolerance 1e-300"),
-        ("nonuniqueness", "sigma_step=1e6\nsigma_max=1e8", "sweep sample 3 of 100"),
+        ("nonuniqueness", "sigma_step=1e6\nsigma_max=1e8", "sweep sample 2 of 100"),
     ],
 )
 def test_failed_solve_is_one_line_and_exit_2(tmp_path, capsys, experiment, setting, named):

@@ -164,25 +164,23 @@ class TestBuildMesh:
         assert abs(mesh.areas().sum() - 1.0) <= 1e-12
         assert np.all(mesh.areas() > 0)
 
-    @pytest.mark.parametrize("nx,k", [(3, 4), (9, 4), (12, 2), (15, 2), (15, 4), (3, 16)])
-    def test_centroids_are_vertex_means(self, nx, k):
-        mesh = build_mesh(PixelGrid(nx), k)
-        assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
-
     @pytest.mark.parametrize("nx, k", [(1, 1), (2, 1), (3, 4), (5, 3), (10, 2), (11, 2), (12, 2), (15, 4), (3, 16)])
     @pytest.mark.parametrize("refined", [False, True])
     def test_geometry_is_the_corner_formula_bit_for_bit(self, nx, k, refined):
-        # build_mesh forms areas and centroids from the lattice lines; they must
-        # be what the cross product and mean over each triangle's corners give.
+        # Every triangle has the one area 0.5 / S^2, bit for bit; the cross
+        # product over its float corners gives it up to their rounding, which
+        # is relative to the sides 1/S.
         mesh = build_mesh(PixelGrid(nx), k)
         if refined:
             mesh = refine(mesh)
+        S = nx * mesh.k
+        want = np.full(mesh.n_triangles, 0.5 / S**2)
+        got = mesh.areas()
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         v = mesh.vertices[mesh.triangles]
         cross = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - (v[:, 2, 0] - v[:, 0, 0]) * (
             v[:, 1, 1] - v[:, 0, 1])
-        for got, want in ((mesh.areas(), 0.5 * np.abs(cross)), (mesh.centroids(), v.sum(axis=1) / 3.0)):
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert np.array_equal(mesh.areas()[0::2], mesh.areas()[1::2])  # one area per lattice square
+        assert np.allclose(0.5 * cross, want, rtol=4 * S * np.finfo(float).eps, atol=0.0)  # counter-clockwise
 
     @pytest.mark.parametrize("nx, k", [(1, 1), (2, 1), (3, 4), (15, 4)])
     def test_n_free_counts_interior_vertices(self, nx, k):
@@ -211,14 +209,15 @@ class TestRefine:
 
     def test_coarse_hat_is_in_fine_space(self):
         # A piecewise-linear function on the coarse mesh is linear on each
-        # fine triangle, so its value at a fine centroid equals the mean of
-        # its values at the fine triangle's vertices.
+        # fine triangle, so its value at a fine centroid (the mean of the
+        # triangle's vertices) equals the mean of its values there.
         coarse = build_mesh(PixelGrid(2), 1)
         fine = refine(coarse)
+        centroids = fine.vertices[fine.triangles].mean(axis=1)
         for vertex in range(coarse.n_vertices):
             at_fine_nodes = hat_values(coarse, vertex, fine.vertices)
             tri_nodes = at_fine_nodes[fine.triangles]
-            at_centroids = hat_values(coarse, vertex, fine.centroids())
+            at_centroids = hat_values(coarse, vertex, centroids)
             assert np.max(np.abs(tri_nodes.mean(axis=1) - at_centroids)) <= 1e-14
 
     def test_refine_element_set_partitions_children(self):
@@ -230,12 +229,30 @@ class TestRefine:
         assert one.size == 4
         assert abs(fine.areas()[one].sum() - mesh.areas()[0]) <= 1e-15
 
+    @pytest.mark.parametrize("elements, message", [
+        ([8], "got [8]"), ([3, -1], "got [-1]"), ([1.7], "got [1.7]"), (np.array([2.0]), "got [2.0]"),
+        ([True], "got [True]"),
+    ])
+    def test_refine_element_set_refuses_an_index_outside_the_mesh_or_not_an_integer(self, elements, message):
+        # Index 8 of the 8-triangle mesh once gave fine indices past the end, -1 negative ones, and 1.7 was read as 1.
+        mesh = build_mesh(PixelGrid(2), 1)
+        message = "triangle indices must be integers in [0, 8), " + message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refine_element_set(mesh, elements)
+
     def test_refine_disk_preserves_region(self):
         mesh = build_mesh(PixelGrid(3), 2)
         disk = resolve_disk(mesh, (0.5, 0.5), 0.15)
         fine_disk = refine_disk(disk, mesh)
         fine = refine(mesh)
         assert abs(disk.resolved_area(mesh) - fine_disk.resolved_area(fine)) <= 1e-15
+
+    def test_resolved_area_refuses_another_mesh(self):
+        # Measured on the k=4 mesh, a disk of the k=2 mesh once read a quarter of its area.
+        mesh = build_mesh(PixelGrid(3), 2)
+        disk = resolve_disk(mesh, (0.5, 0.5), 0.15)
+        with pytest.raises(ValueError, match=re.escape("disk of the mesh (nx, k) = (3, 2) used on the mesh (3, 4)")):
+            disk.resolved_area(refine(mesh))
 
     def test_refine_disk_records_the_finer_mesh(self):
         mesh = build_mesh(PixelGrid(3), 2)
@@ -312,6 +329,13 @@ class TestResolveDisk:
         assert errors[-1] < errors[0]
 
 
+# Tie radii hypot(a, b) / (3k): 6 S radius = 2 hypot(a, b) sixths, the distance of a centroid from the
+# pixel centre for some a, b.
+_TIE_RADII = [(4, 8, np.sqrt(26) / 24)] + [
+    (nx, k, np.hypot(a, b) / (3 * k)) for nx, k in ((3, 2), (5, 4)) for a in range(3 * k) for b in range(a, 3 * k)
+    if 0 < np.hypot(a, b) < 1.5 * k]
+
+
 class TestStandardLayout:
     @pytest.mark.parametrize("nx,k,count", [(3, 4, 8), (2, 2, 4), (15, 2, 56)])
     def test_counts(self, nx, k, count):
@@ -330,8 +354,9 @@ class TestStandardLayout:
 
     @pytest.mark.parametrize("nx,k,refined", [(3, 4, False), (9, 4, False), (15, 2, False), (15, 4, False), (3, 2, True)])
     def test_element_sets_match_recomputed_centroids(self, nx, k, refined):
-        # The layout reads the centroids stored with the mesh; the sets are
-        # those of the centroid rule applied to freshly computed centroids.
+        # The layout works in sixths of a lattice step from the triangle indices;
+        # away from ties its sets are those of the centroid rule in floating
+        # point, applied to the triangles' vertex means.
         mesh = build_mesh(PixelGrid(nx), k)
         if refined:
             mesh = refine(mesh)
@@ -340,13 +365,17 @@ class TestStandardLayout:
             d2 = ((centroids - disk.center) ** 2).sum(axis=1)
             assert np.array_equal(disk.element_set, np.nonzero(d2 < disk.radius * disk.radius)[0])
 
-    @pytest.mark.parametrize("radius_fraction", [0.1, 0.25, 0.49])
-    @pytest.mark.parametrize("nx,k", [(3, 4), (10, 2), (12, 2), (15, 4), (3, 1)])
+    @pytest.mark.parametrize("nx,k,radius_fraction", [
+        *((nx, k, f) for f in (0.1, 0.25, 0.49) for nx, k in ((3, 4), (10, 2), (12, 2), (15, 4), (3, 1))),
+        *_TIE_RADII,
+    ])
     def test_layout_is_the_full_scan(self, nx, k, radius_fraction):
-        # Each disk is tested against its own pixel's triangles only; the
-        # outcome is that of resolve_disk scanning every centroid: the same
-        # element sets, or the same "too coarse" error (a disk centred on a
-        # lattice vertex can hold no centroid at radius_fraction 0.1).
+        # Each disk is pixel 0's, translated; the outcome is that of
+        # resolve_disk scanning every triangle: the same element sets, or the
+        # same "too coarse" error (a disk centred on a lattice vertex can hold
+        # no centroid at radius_fraction 0.1). At the tie radii a centroid lies
+        # on every disk's circle, where the float rule once held 16, 17 or 18
+        # triangles at nx=4, k=8 against the layout's congruent sets.
         grid = PixelGrid(nx)
         mesh = build_mesh(grid, k)
         radius = radius_fraction / nx

@@ -20,7 +20,11 @@ recorded for it so far:
   times that; ``jacobian_fd`` divides a drift in F by its 1e-5 step, so its floor is ``FACTOR`` times the
   F drift over the step.
 
-A reference that is regenerated is stated with its largest old-to-new difference per column.
+A reference that is regenerated is stated with its largest old-to-new difference per column, and so is a
+change that moves the outputs; to print it, for every solved column and ``properties`` measurement (absolute, of
+the column's largest reference entry, and entry by entry relative), run::
+
+    PYTHONPATH=src python tests/test_reference.py --compare
 """
 
 import ctypes
@@ -28,6 +32,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -93,6 +98,40 @@ def assert_match_references(directory: Path) -> None:
     for check, want in ref.items():
         bound = max(_PROPERTIES_RELATIVE * abs(want), _FLOORS.get(check, _PROPERTIES_FLOOR))
         _assert_within(f"properties {check}", np.array([got[check]]), np.array([want]), bound)
+
+
+def _solved_columns(directory: Path):
+    """``(label, values)`` of each solved column of the CSV studies, then of each ``properties`` measurement."""
+    for name, (_, tolerances) in STUDIES.items():
+        lines = (directory / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+        cells = np.array([line.split(",") for line in lines[2:]])
+        for j, column in enumerate(lines[1].split(",")):
+            if column in tolerances:
+                yield f"{name} {column}", cells[:, j].astype(float)
+    for check, value in json.loads((directory / "properties.json").read_text(encoding="utf-8")).items():
+        yield f"properties {check}", np.array([value])
+
+
+def print_differences(directory: Path) -> None:
+    """Print the largest difference of each solved column written into ``directory`` from its reference."""
+    for (label, got), (_, ref) in zip(_solved_columns(directory), _solved_columns(DATA), strict=True):
+        if got.shape != ref.shape:
+            print(f"{label}: {got.size} rows against {ref.size}")
+            continue
+        diff = np.abs(got - ref)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            relative = np.where(diff == 0.0, 0.0, diff / np.abs(ref)).max()
+            of_largest = diff.max() / np.abs(ref).max() if diff.any() else 0.0
+        print(f"{label}: {diff.max():.2g} absolute, {of_largest:.2g} of the largest, {relative:.2g} relative")
+
+
+def test_compare_prints_one_line_a_solved_column(capsys):
+    print_differences(DATA)  # the references against themselves
+    lines = capsys.readouterr().out.splitlines()
+    checks = json.loads((DATA / "properties.json").read_text(encoding="utf-8"))
+    assert [line.split(":")[0] for line in lines] == [f"{name} {column}" for name, (_, tolerances) in STUDIES.items()
+                                                      for column in tolerances] + [f"properties {c}" for c in checks]
+    assert all(line.endswith(": 0 absolute, 0 of the largest, 0 relative") for line in lines)
 
 
 def test_outputs_match_the_references(tmp_path):
@@ -200,4 +239,9 @@ def test_concurrent_studies_take_turns_and_restore_the_callers_count(tmp_path, w
 
 
 if __name__ == "__main__":
-    write_outputs(Path(sys.argv[1]))
+    if sys.argv[1:] == ["--compare"]:
+        with tempfile.TemporaryDirectory() as directory:
+            write_outputs(Path(directory))
+            print_differences(Path(directory))
+    else:
+        write_outputs(Path(sys.argv[1]))
