@@ -13,8 +13,8 @@ import importlib
 # Each public name and the module that defines it. A name is imported on
 # first use (PEP 562), so ``import pixelinv`` loads neither numpy nor scipy.
 _EXPORTS = {
-    "mesh": ("DiskSpec", "PixelGrid", "TriMesh", "build_mesh", "refine", "refine_disk", "resolve_disk",
-             "standard_disk_layout"),
+    "mesh": ("DiskSpec", "PixelGrid", "TriMesh", "build_mesh", "lattice_symmetries", "refine", "refine_disk",
+             "resolve_disk", "standard_disk_layout"),
     "assembly": ("LoadVector", "StiffnessSet", "assemble_global", "assemble_load", "assemble_pixel_matrices",
                  "element_stiffness", "global_matrix"),
     "linsolve": ("SolveReport", "SolverError", "solve_multi", "solve_spd"),

@@ -17,14 +17,14 @@ ones scaled by ``sqrt(2)``: such a row ``a`` adds ``2 a a^T`` to
 ``P^T P = A^T A``, and ``P`` has the singular values of ``A`` from
 about half its rows.
 
-At ``sigma = 1`` the stability study's stack is also invariant under the
-Klein four-group of :meth:`~pixelinv.mesh.PixelGrid.symmetries` (a quarter-
-turn flips the triangles' diagonals, moving it by 3e-3 of its largest
-entry), and each character's orthonormal ``+-1/sqrt(|orbit|)`` combinations
-of row and pixel orbits split off a block of ``P`` (Fassler and Stiefel
-1992), about a sixteenth of its SVD. A stack moved by over ``1e-9`` of its
-largest entry is refused (the study's moves by 3e-15); the blocks' values
-agree with ``P``'s to 6e-13 at nx <= 12 and 1.3e-11 at nx = 15, k = 4.
+A stack that carries a group (:class:`~pixelinv.forward.JacobianStack`; at
+``sigma = 1`` the stability study's, of the Klein four-group of
+:meth:`~pixelinv.mesh.PixelGrid.symmetries`) holds one slice per pixel orbit,
+whose invariance ``forward_matrix`` checked exactly on its inputs. Each
+character's orthonormal ``+-1/sqrt(|orbit|)`` combinations of row and pixel
+orbits split off a block of ``P`` (Fassler and Stiefel 1992), about a sixteenth
+of its SVD, read from those slices alone; the blocks' values agree with ``P``'s
+to 6e-13 at nx <= 12 and 1.3e-11 at nx = 15, k = 4.
 """
 
 from __future__ import annotations
@@ -36,16 +36,8 @@ from scipy.linalg import hadamard, lapack
 
 from .forward import JacobianStack, forward_pairs
 
-__all__ = [
-    "ResidualProblem",
-    "SpectralReport",
-    "ReconstructionError",
-    "residual",
-    "reconstruct_lm",
-    "condition_number",
-    "loewner_min_eig",
-    "singular_values",
-]
+__all__ = ["ResidualProblem", "SpectralReport", "ReconstructionError", "residual", "reconstruct_lm", "condition_number",
+           "loewner_min_eig", "singular_values"]
 
 RANK_DEFICIENCY_RATIO = 1e-14
 # The working floor on sigma of a reconstruction, and reconstruct_lm's
@@ -224,42 +216,29 @@ class SpectralReport:
     rank_deficient: bool = field(default=False)
 
 
-def _packed(jac: JacobianStack, symmetries=()) -> list:
-    """The matrices whose values together are a stack's: ``P``, or a block per character of the group."""
-    n, m = jac.n, jac.m
-    group = np.arange(n + m)[None]  # a row per element: its pixel, then load, permutation
-    for p, t in symmetries:
-        g = np.concatenate([p, np.asarray(t) + n])
-        if not (np.array_equal(np.sort(g), group[0]) and (g[:n] < n).all() and np.array_equal(g[group][:, g], group)):
-            raise ValueError("symmetries must be commuting involutions, each a pixel and a load permutation")
-        group = np.vstack([group, g[group]])  # element i composes the generators of the bits set in i
+def _packed(jac: JacobianStack) -> list:
+    """The matrices whose values together are a stack's: ``P``, or a block per character of its group."""
+    n, m, cols, group = jac.n, jac.m, jac.orbits, jac.group
     pixels, loads, chars = group[:, :n], group[:, n:] - n, hadamard(len(group), dtype=float)  # chars[c, i]: (-1)^|c&i|
-    a, b = (loads[:, i] for i in np.triu_indices(m))
+    a, b = (loads.take(i, axis=1) for i in np.triu_indices(m))  # take, not [:, i], gives C order: fast reductions
     keys = np.minimum(a, b) * m + np.maximum(a, b)  # the row of P each element maps each row to
     a, b, keys = np.compress(keys[0] == keys.min(0), [a, b, keys], axis=2)  # each row orbit's first row
-    cols = np.flatnonzero(pixels[0] == pixels.min(0))  # each pixel orbit's first pixel
-    flat = np.asarray(jac.slices, dtype=float).reshape(n, m * m)
-    upper = flat.take(a * m + b, axis=1)  # (n, elements, row orbits): each orbit's first row as each element maps it
-    scale, asym, change = max(upper[:, 0].max(initial=0.0), -upper[:, 0].min(initial=0.0)), 0.0, 0.0
-    lower = np.empty_like(upper[:, 0])  # every comparison in one buffer: no temporary the size of P
+    flat = jac.orbit_slices.reshape(cols.size, m * m)
+    upper = flat.take(a * m + b, axis=1)  # (pixel orbits, elements, row orbits): each as each element maps it
+    lower = flat.take(b * m + a, axis=1)  # the twins of upper, compared in place: no further temporary
     with np.errstate(invalid="ignore"):  # inf - inf, refused below
-        for g, p in enumerate(pixels):  # max/min rather than abs, the twins of upper, then its images
-            np.subtract(flat.take(b[g] * m + a[g], axis=1, out=lower, mode="clip"), upper[:, g], out=lower)
-            asym = max(asym, lower.max(initial=0.0), -lower.min(initial=0.0))
-            if g:
-                np.subtract(upper[:, 0].take(p, axis=0, out=lower, mode="clip"), upper[:, g], out=lower)
-                change = max(change, lower.max(initial=0.0), -lower.min(initial=0.0))
+        np.subtract(lower, upper, out=lower)
+    scale = max(upper[:, 0].max(initial=0.0), -upper[:, 0].min(initial=0.0))  # max/min rather than abs
+    asym = max(lower.max(initial=0.0), -lower.min(initial=0.0))
     if not asym <= 1e-9 * scale < np.inf:  # every entry is in upper or lower, so a NaN or inf fails it
         raise ValueError(f"Jacobian slices are not symmetric or not finite (max asymmetry {asym:.3e})")
-    if not change <= 1e-9 * scale:
-        raise ValueError(f"Jacobian stack is not invariant under the symmetries (max change {change:.3e})")
     fixes_row, fixes_col = keys == keys[0], pixels[:, cols] == cols
     weight = np.where(a[0] == b[0], 1.0, np.sqrt(2.0)) / np.sqrt(fixes_row.sum(0))
-    if len(group) == 1:  # P, scaled in place
+    if len(pixels) == 1:  # P, scaled in place
         upper[:, 0] *= weight
         blocks = [upper[:, 0]]
     else:  # the row orbits combined by character, each pixel orbit read at its first pixel
-        folded = np.matmul(chars, upper[cols])  # (pixel orbits, characters, row orbits)
+        folded = np.matmul(chars, upper)  # (pixel orbits, characters, row orbits)
         folded *= weight / np.sqrt(fixes_col.sum(0))[:, None, None]
         blocks = [folded[:, i][c][:, r] for i, (c, r) in enumerate(zip(chars @ fixes_col == fixes_col.sum(0),
                                                                           chars @ fixes_row == fixes_row.sum(0)))]
@@ -268,7 +247,7 @@ def _packed(jac: JacobianStack, symmetries=()) -> list:
             for B in blocks]
 
 
-def condition_number(jac, *, symmetries=()) -> SpectralReport:
+def condition_number(jac) -> SpectralReport:
     """Condition number of a flattened measurement Jacobian.
 
     Accepts a JacobianStack, whose spectrum is that of its ``(m*m, n)``
@@ -277,16 +256,11 @@ def condition_number(jac, *, symmetries=()) -> SpectralReport:
     rows. A smallest singular value at or below ``1e-14`` times the largest,
     zero included, marks the report as rank deficient with condition number
     infinity. A stack's slices more asymmetric than ``1e-9`` of their largest
-    entry are refused. ``symmetries`` (stacks only) lists commuting
-    involutions ``(p, t)`` with ``slices[p[i]][t[a], t[b]] == slices[i][a, b]``,
-    whose group's blocks give the ``n`` values; a stack they move by more than
-    ``1e-9`` of its largest entry is refused (module notes: the group, why not
-    quarter-turns, the measured drift).
+    entry are refused. A stack's group, if it carries one, splits the values
+    into a block per character, read from its stored slices (module notes).
     """
     if isinstance(jac, JacobianStack):
-        blocks, rows = _packed(jac, symmetries), jac.m * jac.m
-    elif symmetries:
-        raise ValueError("symmetries apply to a JacobianStack only")
+        blocks, rows = _packed(jac), jac.m * jac.m
     else:
         J = np.asarray_chkfinite(jac, dtype=float)
         if J.ndim != 2:

@@ -30,17 +30,8 @@ import scipy.sparse as sp
 
 from .mesh import DiskSpec, PixelGrid, TriMesh, _read_only
 
-__all__ = [
-    "StiffnessSet",
-    "check_sigma",
-    "check_loads",
-    "LoadVector",
-    "element_stiffness",
-    "assemble_pixel_matrices",
-    "assemble_global",
-    "global_matrix",
-    "assemble_load",
-]
+__all__ = ["StiffnessSet", "check_sigma", "check_loads", "LoadVector", "element_stiffness", "assemble_pixel_matrices",
+           "assemble_global", "global_matrix", "assemble_load"]
 
 
 def element_stiffness(vertices) -> np.ndarray:

@@ -44,17 +44,8 @@ from .forward import (
 )
 from .mesh import PixelGrid, _check_integer, build_mesh, standard_disk_layout
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "load_config",
-    "write_csv",
-    "run_nonuniqueness_sweep",
-    "run_residual_landscape",
-    "run_stability_study",
-    "run_property_suite",
-    "CHECKS",
-]
+__all__ = ["ExperimentConfig", "ExperimentResult", "load_config", "write_csv", "run_nonuniqueness_sweep",
+           "run_residual_landscape", "run_stability_study", "run_property_suite", "CHECKS"]
 
 # Most samples per sweep; a landscape grid counts every point of its square.
 _MAX_SWEEP_POINTS = 10**6
@@ -271,16 +262,18 @@ def run_stability_study(config: ExperimentConfig) -> ExperimentResult:
     Every grid size uses the mesh with ``config.k`` elements per pixel
     side and the full symmetric boundary-disk layout, so the flattened
     Jacobian has ``(4*nx-4)^2`` rows and ``nx^2`` columns, in four blocks by
-    the grid's symmetries (the loads move with their boundary pixels). Rank-deficient
-    Jacobians report an infinite condition number in their row instead of
-    aborting the sweep.
+    the grid's symmetries (the loads move with their boundary pixels), which
+    ``forward_matrix`` checks exactly on its inputs: its stack carries their
+    group and holds one pixel per orbit. Rank-deficient Jacobians report an
+    infinite condition number in their row instead of aborting the sweep.
     """
     rows = []
     for nx in range(config.nx_min, config.nx_max + 1):
         with _experiment_setup(config, nx) as (grid, _, _, stiffness, loads):
-            _, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, tol=config.tol)
             edge = np.array(grid.boundary_pixels())
-            report = condition_number(jac, symmetries=[(p, np.searchsorted(edge, p[edge])) for p in grid.symmetries()])
+            _, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, tol=config.tol,
+                                    symmetries=[(p, np.searchsorted(edge, p[edge])) for p in grid.symmetries()])
+            report = condition_number(jac)
             rows.append((nx, nx * nx, len(loads), report.condition))
     return ExperimentResult(header=["nx", "n", "m", "cond"], rows=rows, config=config)
 
@@ -321,17 +314,10 @@ _COMPARISONS = {
 
 
 def _fd_jacobian(stiffness, sigma, loads, step, tol):
-    n, m = stiffness.n, len(loads)
-    fd = np.empty((n, m, m))
-    for i in range(n):
-        plus = sigma.copy()
-        plus[i] += step
-        minus = sigma.copy()
-        minus[i] -= step
-        Fp, _ = forward_matrix(stiffness, plus, loads, tol=tol)
-        Fm, _ = forward_matrix(stiffness, minus, loads, tol=tol)
-        fd[i] = (Fp.values - Fm.values) / (2.0 * step)
-    return fd
+    """Central differences of the measurement matrix in each pixel's coefficient, at ``sigma +- step e_i``."""
+    F = np.array([forward_matrix(stiffness, sigma + d * e, loads, tol=tol)[0].values
+                  for e in np.eye(stiffness.n) for d in (step, -step)])
+    return (F[0::2] - F[1::2]) / (2.0 * step)
 
 
 def run_property_suite(config: ExperimentConfig) -> dict:

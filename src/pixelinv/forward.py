@@ -20,7 +20,8 @@ panel of loads ``linsolve`` hands it, solves the Schur complement
 ``S_sigma`` by ``linsolve``'s band solver and lifts the pixel interiors
 back, so no load's bits depend on the others. The Jacobian is contracted a
 chunk of pixels at a time, from the pixel block all pixels share and the
-solutions gathered onto their vertices, straight into the returned stack.
+solutions gathered onto their vertices, straight into the returned stack;
+under a group of symmetries checked on the inputs, one pixel per orbit.
 Pair values are one product of the distinct excitations' solutions with the
 distinct measurement loads; a symmetric layout is all ``m*m`` pairs. The
 number of back-substitutions is returned (``MeasurementMatrix.solves_used``).
@@ -43,6 +44,7 @@ warning pre-empts a check; a value that leaves the double range ends at one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,19 +60,10 @@ from .assembly import (
     check_sigma,
     global_matrix,
 )
-from .mesh import PixelGrid, build_mesh, refine, refine_disk
+from .mesh import PixelGrid, build_mesh, lattice_symmetries, refine, refine_disk
 
-__all__ = [
-    "MeasurementMatrix",
-    "JacobianStack",
-    "check_sigma",
-    "forward_matrix",
-    "forward_pairs",
-    "forward_pair_values",
-    "forward_pair_sweep",
-    "directional_derivative",
-    "true_reference",
-]
+__all__ = ["MeasurementMatrix", "JacobianStack", "check_sigma", "forward_matrix", "forward_pairs",
+           "forward_pair_values", "forward_pair_sweep", "directional_derivative", "true_reference"]
 
 
 def _require_finite(sigma, *outputs) -> None:
@@ -100,19 +93,46 @@ class MeasurementMatrix:
 class JacobianStack:
     """Per-pixel derivative slices of a measurement matrix.
 
-    ``slices[i]`` is the ``m x m`` derivative of the measurement matrix
-    with respect to the i-th pixel coefficient.
+    ``slices[i]`` is the ``m x m`` derivative of the measurement matrix with respect to pixel ``i``'s coefficient.
+    ``group`` has a row per element ``(p, t)`` of a group with ``slices[p[i]][t[a], t[b]] == slices[i][a, b]``: its
+    pixel, then its load permutation plus ``n``; the identity is first, and alone without a group. Only each pixel
+    orbit's first slice (``orbits``) is stored, in ``orbit_slices``; ``slices`` gathers the rest on first read.
     """
 
-    slices: np.ndarray
+    orbit_slices: np.ndarray
+    group: np.ndarray = None
+
+    def __post_init__(self):
+        forms = np.asarray(self.orbit_slices, dtype=float)
+        if forms.ndim != 3 or forms.shape[1] != forms.shape[2]:
+            raise ValueError(f"Jacobian slices must form an (n, m, m) stack, got shape {forms.shape}")
+        object.__setattr__(self, "orbit_slices", forms)
+        object.__setattr__(self, "group", np.arange(sum(forms.shape[:2]))[None] if self.group is None else self.group)
+        if len(self.orbits) != len(forms):
+            raise ValueError(f"{len(forms)} slices given for the {len(self.orbits)} pixel orbits of the group")
 
     @property
     def n(self) -> int:
-        return self.slices.shape[0]
+        return self.group.shape[1] - self.m
 
     @property
     def m(self) -> int:
-        return self.slices.shape[1]
+        return self.orbit_slices.shape[1]
+
+    @functools.cached_property
+    def orbits(self) -> np.ndarray:
+        """The first pixel of each pixel orbit, ascending."""
+        return np.unique(self.group[:, :self.n].min(axis=0))
+
+    @functools.cached_property
+    def slices(self) -> np.ndarray:
+        """All ``n`` slices: those stored, or their images under the group, gathered once."""
+        if len(self.group) == 1:
+            return self.orbit_slices
+        out, n = np.empty((self.n, self.m, self.m)), self.n
+        for p, t in zip(self.group[::-1, :n], self.group[::-1, n:] - n):  # the identity last: stored bits kept
+            out[p[self.orbits]] = self.orbit_slices[:, t][:, :, t]
+        return out
 
     def flattened(self) -> np.ndarray:
         """Measurements stacked row-major into an ``(m*m, n)`` matrix."""
@@ -124,14 +144,14 @@ class JacobianStack:
 _WORKING_BYTES = 1 << 18
 
 
-def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[i, j, l] = -lam[:, j] . (B_i @ lam[:, l])`` for every pixel ``i``, a chunk of
+def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, pixels, out: np.ndarray) -> np.ndarray:
+    """``out[r, j, l] = -lam[:, j] . (B_i @ lam[:, l])`` for each pixel ``i = pixels[r]``, a chunk of
     pixels at a time, each gathered onto its vertices and checked for finiteness.
     ``lam`` ends in a zero row, which the -1 of a boundary vertex in ``dofs`` picks out."""
-    s, m = stiffness.block.shape[0], lam.shape[1]
+    s, m, dofs = stiffness.block.shape[0], lam.shape[1], stiffness.dofs[pixels]
     step = max(1, _WORKING_BYTES // (8 * s * m))
-    for start in range(0, stiffness.n, step):
-        L = lam[stiffness.dofs[start:start + step].T]  # (s, pixels, m)
+    for start in range(0, len(dofs), step):
+        L = lam[dofs[start:start + step].T]  # (s, pixels, m)
         BL = (-stiffness.block @ L.reshape(s, -1)).reshape(L.shape)
         with np.errstate(all="ignore"):  # an overflow is refused by the check below
             np.matmul(L.transpose(1, 2, 0), BL.transpose(1, 0, 2), out=out[start:start + step])
@@ -194,21 +214,50 @@ def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol):
     return MeasurementMatrix(values=lam[rows].T @ values, solves_used=used), lam
 
 
-def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = linsolve.DEFAULT_TOL):
+def _symmetry_group(stiffness: StiffnessSet, sigma, loads: list, symmetries) -> np.ndarray:
+    """The :attr:`JacobianStack.group` of the commuting involutions ``(p, t)``, integer pixel and load permutations
+    (element ``i`` composes the generators of the bits set in ``i``). Each generator must map, bitwise, the mesh (a
+    pixel's vertices onto its image's by a :func:`mesh.lattice_symmetries` map that fixes the pixel block), ``sigma``
+    and each load onto the one ``t`` names; then ``B_sigma``, each ``B_i``, the solutions and the stack move with it."""
+    n, dofs, block = stiffness.n, stiffness.dofs, stiffness.block
+    group = np.arange(n + len(loads))[None]
+    if symmetries:  # what the generators must fix, read once
+        check_loads(stiffness, loads)
+        s, Y = check_sigma(sigma, n), np.array([ld.y for ld in loads]).reshape(-1, stiffness.N)
+        maps = list(zip(*(lattice_symmetries(math.isqrt(size)) for size in (n, len(block), stiffness.N))))
+    for i, (p, t) in enumerate(symmetries):
+        g = np.concatenate([p, np.asarray(t) + n])  # float if either is: refused, not truncated
+        if not (g.dtype.kind in "iu" and np.array_equal(np.sort(g), group[0]) and (g[:n] < n).all()
+                and np.array_equal(g[group][:, g], group)):
+            raise ValueError("symmetries must be commuting involutions, each a pixel and a load permutation")
+        group, p, t = np.vstack([group, g[group]]), g[:n], g[n:] - n
+        w = next((w for q, v, w in maps if np.array_equal(q, p) and np.array_equal(block[v][:, v], block)
+                  and np.array_equal(np.append(w, -1)[dofs], dofs[p][:, v])), None)  # p's map of the unknowns, if any
+        moved = ("the mesh" if w is None else "sigma" if not np.array_equal(s[p], s)
+                 else "the loads" if not np.array_equal(Y.take(t, axis=0).take(w, axis=1), Y) else None)
+        if moved:
+            raise ValueError(f"the inputs are not invariant under the symmetries: symmetry {i} moves {moved}")
+    return group
+
+
+def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = linsolve.DEFAULT_TOL, *, symmetries=()):
     """Measurement matrix and Jacobian stack for a symmetric layout.
 
-    All ``m*m`` matrix entries and all ``n`` Jacobian slices are formed
-    from the ``m`` solutions of ``B_sigma @ lam_j = y_j``; ``solves_used``
-    of the returned matrix counts their back-substitutions.
+    All ``m*m`` matrix entries and the Jacobian slices are formed from the ``m`` solutions of
+    ``B_sigma @ lam_j = y_j``; ``solves_used`` of the returned matrix counts their back-substitutions.
+    The stack carries the group of ``symmetries``, commuting involutions ``(p, t)`` of pixels and loads
+    checked exactly on the inputs (:func:`_symmetry_group`), and holds each pixel orbit's first slice only.
 
     Returns
     -------
     (MeasurementMatrix, JacobianStack)
     """
+    group = _symmetry_group(stiffness, sigma, loads, symmetries)
     F, lam = _measurement_matrix(stiffness, sigma, loads, tol)
     _require_finite(sigma, F.values)
-    slices = _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n,) + F.values.shape))
-    return F, JacobianStack(slices=slices)
+    orbits = np.unique(group[:, :stiffness.n].min(axis=0))  # as JacobianStack.orbits
+    slices = _pixel_quadratic_forms(stiffness, sigma, lam, orbits, np.empty((orbits.size,) + F.values.shape))
+    return F, JacobianStack(slices, group=group)
 
 
 def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL):
@@ -221,7 +270,7 @@ def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = lins
     """
     distinct, column = _distinct([y_l for y_l, _ in pairs] + [y_r for _, y_r in pairs])
     lam, d = _solve(stiffness, sigma, distinct, tol)[0], len(distinct)
-    forms = _pixel_quadratic_forms(stiffness, sigma, lam, np.empty((stiffness.n, d, d)))
+    forms = _pixel_quadratic_forms(stiffness, sigma, lam, np.arange(stiffness.n), np.empty((stiffness.n, d, d)))
     return _pair_values(sigma, lam, pairs), forms[:, column[:len(pairs)], column[len(pairs):]].T
 
 

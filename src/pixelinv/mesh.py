@@ -28,17 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "PixelGrid",
-    "TriMesh",
-    "DiskSpec",
-    "build_mesh",
-    "refine",
-    "refine_element_set",
-    "refine_disk",
-    "resolve_disk",
-    "standard_disk_layout",
-]
+__all__ = ["PixelGrid", "TriMesh", "DiskSpec", "build_mesh", "refine", "refine_element_set", "refine_disk",
+           "resolve_disk", "standard_disk_layout", "lattice_symmetries"]
 
 
 def _read_only(self) -> None:
@@ -102,7 +93,15 @@ class PixelGrid:
     def symmetries(self) -> list[np.ndarray]:
         """Pixel permutations (``p`` goes to ``perm[p]``) of the reflection about ``y = x`` and of the half-turn,
         which generate the symmetries of every mesh of the grid; a quarter-turn flips the triangles' diagonals."""
-        return [np.arange(self.n).reshape(self.nx, self.nx).T.ravel(), np.arange(self.n)[::-1]]
+        return lattice_symmetries(self.nx)[1:3]
+
+
+def lattice_symmetries(side: int) -> list[np.ndarray]:
+    """The group :meth:`PixelGrid.symmetries` generates, the identity, the reflection about ``y = x``, the half-turn
+    and their product, on a ``side x side`` lattice numbered row-major from the bottom-left: on ``nx``, the pixels;
+    ``S + 1``, a mesh's vertices; ``S - 1``, its unknowns (the interior vertices, in order); ``k + 1``, a pixel's."""
+    a = np.arange(side * side).reshape(side, side)
+    return [a.ravel(), a.T.ravel(), a[::-1, ::-1].ravel(), a.T[::-1, ::-1].ravel()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,15 @@ from pixelinv.assembly import (
     global_matrix,
 )
 from pixelinv.forward import forward_matrix, forward_pair_sweep, true_reference
-from pixelinv.mesh import PixelGrid, build_mesh, refine, refine_disk, resolve_disk, standard_disk_layout
+from pixelinv.mesh import (
+    PixelGrid,
+    build_mesh,
+    lattice_symmetries,
+    refine,
+    refine_disk,
+    resolve_disk,
+    standard_disk_layout,
+)
 
 
 def quadrature_stiffness(mesh, sigma):
@@ -374,11 +382,9 @@ class TestLoadVector:
         grid = PixelGrid(nx)
         mesh = build_mesh(grid, k)
         loads = np.array([assemble_load(mesh, d).y for d in standard_disk_layout(mesh, 0.25)])
-        S = nx * k
-        vertex_maps = [np.arange((S + 1) ** 2).reshape(S + 1, S + 1).T.ravel(), np.arange((S + 1) ** 2)[::-1]]
         interior = np.flatnonzero(mesh.free_index >= 0)  # in free-index order
         boundary = np.array(grid.boundary_pixels())
-        for vertices, pixels in zip(vertex_maps, grid.symmetries()):
+        for vertices, pixels in zip(lattice_symmetries(nx * k + 1), lattice_symmetries(nx)):
             images = np.searchsorted(boundary, pixels[boundary])
             moved = loads[images][:, mesh.free_index[vertices[interior]]]
             assert moved.tobytes() == loads.tobytes()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pixelinv import experiments
+from pixelinv import experiments, forward
 from pixelinv.assembly import assemble_pixel_matrices
 from pixelinv.experiments import (
     CHECKS,
@@ -358,12 +358,33 @@ class TestStabilityStudy:
         assert default.rows[1][3] / default.rows[0][3] > 3.0
 
     def test_only_rank_deficiency_reads_as_infinite(self, monkeypatch):
-        def broken(jac, *, symmetries):
+        def broken(jac):
             raise ValueError("not a rank problem")
 
         monkeypatch.setattr(experiments, "condition_number", broken)
         with pytest.raises(ValueError, match="not a rank problem"):
             run_stability_study(ExperimentConfig(nx_min=2, nx_max=2, k=1))
+
+    def test_a_rung_contracts_the_orbits_first_pixels_only(self, monkeypatch):
+        # nx = 12: 42 pixel orbits of the grid's four symmetries, of 144 pixels.
+        contracted, contract = [], forward._pixel_quadratic_forms
+        monkeypatch.setattr(forward, "_pixel_quadratic_forms",
+                            lambda stiffness, sigma, lam, pixels, out: contracted.extend(pixels)
+                            or contract(stiffness, sigma, lam, pixels, out))
+        run_stability_study(ExperimentConfig(nx_min=12, nx_max=12, k=2))
+        assert len(contracted) == 42 and len(set(contracted)) == 42
+
+    def test_memory_peak_of_a_rung(self):
+        # nx = 12, k = 2: 5.12 MB when the full (144, 44, 44) stack was formed and
+        # scanned (2.23 MB); the orbits' 42 slices are 0.65 MB.
+        run_stability_study(ExperimentConfig(nx_min=3, nx_max=3, k=2))  # warm, untraced
+        tracemalloc.start()
+        try:
+            run_stability_study(ExperimentConfig(nx_min=12, nx_max=12, k=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6
 
     def test_jacobian_shape_reported(self, stiffness3x4, loads3x4):
         from pixelinv.forward import forward_matrix

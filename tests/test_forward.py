@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from pixelinv import forward, linsolve
+from pixelinv import analysis, forward, linsolve
 from pixelinv.assembly import (
     LoadVector,
     assemble_global,
@@ -21,6 +21,7 @@ from pixelinv.assembly import (
     global_matrix,
 )
 from pixelinv.forward import (
+    JacobianStack,
     _pencil_data,
     _pencil_eigh,
     directional_derivative,
@@ -1073,3 +1074,67 @@ class TestCondensedPath:
             tracemalloc.stop()
         assert jac.slices.nbytes + F.values.nbytes <= 5.7e6
         assert peak <= 8.5e6
+
+
+def layout_symmetries(nx):
+    """The grid's symmetries, each with the load permutation of the standard layout, whose loads follow their pixels."""
+    grid = PixelGrid(nx)
+    boundary = np.array(grid.boundary_pixels())
+    return [(p, np.searchsorted(boundary, p[boundary])) for p in grid.symmetries()]
+
+
+def full_contraction(stiffness, lam):
+    """Every pixel's slice by the contraction loop as it read before pixel subsets: the reference for bits."""
+    s, m = stiffness.block.shape[0], lam.shape[1]
+    step = max(1, forward._WORKING_BYTES // (8 * s * m))
+    out = np.empty((stiffness.n, m, m))
+    for start in range(0, stiffness.n, step):
+        L = lam[stiffness.dofs[start:start + step].T]
+        BL = (-stiffness.block @ L.reshape(s, -1)).reshape(L.shape)
+        np.matmul(L.transpose(1, 2, 0), BL.transpose(1, 0, 2), out=out[start:start + step])
+    return out
+
+
+class TestOrbitStack:
+    """A stack stored one pixel per orbit of the group it carries."""
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (3, 2, 2, 1), (4,), (2, 3), ()], ids=str)
+    def test_only_an_n_m_m_stack_is_accepted(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(n, m, m) stack, got shape {shape}")):
+            JacobianStack(np.random.default_rng(0).random(shape))
+
+    def test_slices_must_match_the_orbits_of_the_group(self):
+        stiffness, loads = problem(4, 1)
+        _, jac = forward_matrix(stiffness, np.ones(16), loads, symmetries=layout_symmetries(4))
+        with pytest.raises(ValueError, match="16 slices given for the 6 pixel orbits"):
+            JacobianStack(np.zeros((16, 12, 12)), group=jac.group)
+
+    @pytest.mark.parametrize("nx, k", [(3, 4), (15, 4)])
+    def test_without_symmetries_every_pixel_is_contracted_as_before(self, nx, k):
+        # Bit for bit: the stack against the loop that contracted all pixels, and
+        # the packed condition number against the SVD of the packed matrix itself.
+        stiffness, loads = problem(nx, k)
+        sigma = np.random.default_rng(nx).uniform(0.5, 2.0, stiffness.n)
+        F, jac = forward_matrix(stiffness, sigma, loads)
+        lam = forward._solve(stiffness, sigma, loads, linsolve.DEFAULT_TOL)[0]
+        assert jac.slices is jac.orbit_slices and np.array_equal(jac.orbits, np.arange(stiffness.n))
+        assert jac.slices.tobytes() == full_contraction(stiffness, lam).tobytes()
+        a, b = np.triu_indices(len(loads))
+        packed = jac.slices.reshape(stiffness.n, -1)[:, a * len(loads) + b] * np.where(a == b, 1.0, np.sqrt(2.0))
+        assert analysis.condition_number(jac).singular_values.tobytes() == analysis.singular_values(packed.T).tobytes()
+
+    @pytest.mark.parametrize("nx, k", [(12, 2), (5, 4)])
+    def test_orbit_stack_is_the_full_stack(self, nx, k):
+        # F to the bit; the orbits' first pixels as the full contraction has them;
+        # every slice gathered from those agrees with the full contraction's.
+        stiffness, loads = problem(nx, k)
+        F, full = forward_matrix(stiffness, np.ones(stiffness.n), loads)
+        F_sym, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, symmetries=layout_symmetries(nx))
+        assert F_sym.values.tobytes() == F.values.tobytes() and len(jac.group) == 4
+        assert jac.orbits.size == (nx * nx + 2 * nx + nx % 2) // 4  # Burnside: the mean of the fixed pixels
+        scale = np.abs(full.slices).max()
+        assert np.max(np.abs(jac.orbit_slices - full.slices[jac.orbits])) <= 1e-17 * scale
+        assert np.max(np.abs(jac.slices - full.slices)) <= 1e-14 * scale
+        assert np.max(np.abs(jac.flattened() - full.flattened())) <= 1e-14 * scale
+        tau = np.random.default_rng(2).random(stiffness.n)
+        assert np.max(np.abs(directional_derivative(jac, tau) - directional_derivative(full, tau))) <= 1e-13 * scale

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pixelinv.mesh import (
     PixelGrid,
     build_mesh,
+    lattice_symmetries,
     refine,
     refine_disk,
     refine_element_set,
@@ -108,6 +109,28 @@ class TestPixelGrid:
         for perm in (reflection, half_turn):
             assert np.array_equal(perm[perm], np.arange(grid.n))
         assert np.array_equal(reflection[half_turn], half_turn[reflection])
+
+    @pytest.mark.parametrize("nx, k", [(1, 1), (2, 3), (5, 2), (6, 1)])
+    def test_lattice_symmetries_map_the_mesh_onto_itself(self, nx, k):
+        # The group of the grid's symmetries: on the vertices each element takes
+        # every triangle onto a triangle of the image pixel, and the unknowns onto
+        # the unknowns in the order of the interior lattice's own maps.
+        grid = PixelGrid(nx)
+        mesh = build_mesh(grid, k)
+        S = nx * k
+        key = np.sort(mesh.triangles, axis=1) @ [(S + 1) ** 4, (S + 1) ** 2, 1]
+        order = np.argsort(key)
+        interior = np.flatnonzero(mesh.free_index >= 0)  # in free-index order
+        assert [p.tolist() for p in lattice_symmetries(nx)[1:3]] == [p.tolist() for p in grid.symmetries()]
+        moved = [mesh.vertices, mesh.vertices[:, ::-1], 1.0 - mesh.vertices, 1.0 - mesh.vertices[:, ::-1]]
+        for vertices, pixels, unknowns, xy in zip(lattice_symmetries(S + 1), lattice_symmetries(nx),
+                                                  lattice_symmetries(S - 1), moved):
+            assert np.allclose(mesh.vertices[vertices], xy, rtol=0.0, atol=1e-15)
+            image = np.sort(vertices[mesh.triangles], axis=1) @ [(S + 1) ** 4, (S + 1) ** 2, 1]
+            at = order[np.searchsorted(key, image, sorter=order)]
+            assert np.array_equal(key[at], image) and np.array_equal(np.sort(at), np.arange(mesh.n_triangles))
+            assert np.array_equal(mesh.element_pixel[at], pixels[mesh.element_pixel])
+            assert np.array_equal(mesh.free_index[vertices[interior]], unknowns)
 
 
 class TestBuildMesh:
