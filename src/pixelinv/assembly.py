@@ -108,7 +108,7 @@ class StiffnessSet:
         lists, by ascending pixel, the block entries landing on entry
         ``r`` of ``pattern``.
     condensation : Condensation
-        Cached on first use; the sweep never needs it.
+        Cached on first use: the forward maps build it at k >= 3 only, the sweep never.
     """
 
     dofs: np.ndarray
@@ -180,7 +180,8 @@ class Condensation:
     adds row ``a n + i``, edge vertex ``a`` of pixel ``i``, onto the
     skeleton; each upper entry of every pixel's ``S_ref`` has a place in
     the flattened transpose of LAPACK's upper band storage, a pixel and a
-    value. With ``k = 1`` there is no interior and ``S_ref`` is the block.
+    value. With ``k = 1`` there is no interior and ``S_ref`` is the block. The forward maps solve on it
+    from k = 3: below, a pixel has at most one interior unknown, yet the skeleton band is ``nx (k - 1)`` wider.
     """
 
     skeleton: np.ndarray

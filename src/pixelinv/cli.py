@@ -1,7 +1,7 @@
 """Command-line driver: ``pixelinv <experiment> [options]``.
 
-Exit status is 0 on success, 1 when a property check fails, 2 on usage
-errors and on a failed solve (``SolverError``), which write no output.
+Exit status is 0 on success, 1 when a property check fails, 2 on usage errors,
+a failed solve (``SolverError``) or an input a study refuses (``ValueError``), which write no output.
 The studies are imported inside :func:`main`, so that ``--help`` and a
 usage error load neither numpy nor scipy.
 """
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
 
     try:
         result = getattr(experiments, _RUNNERS[args.experiment])(config)
-    except SolverError as err:
+    except (SolverError, ValueError) as err:
         print(f"pixelinv: {args.experiment} failed: {err}", file=sys.stderr)
         return 2
 

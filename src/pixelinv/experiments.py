@@ -321,11 +321,14 @@ def _fd_jacobian(stiffness, sigma, loads, step, tol):
 
 
 def run_property_suite(config: ExperimentConfig) -> dict:
-    """Run every structural check and return a JSON-ready report."""
+    """Run every structural check and return a JSON-ready report; ``ValueError`` if the loads are dependent (k=1)."""
     rng = np.random.default_rng(config.seed)
     nx, k, tol = config.nx, config.k, config.tol
     with _experiment_setup(config, nx) as (grid, mesh, disks, stiffness, loads):
         n, N, m = stiffness.n, stiffness.N, len(loads)
+        rank = np.linalg.matrix_rank(np.array([ld.y for ld in loads]))
+        if rank < m:  # F = Y B^-1 Y^T has the loads' rank, so it cannot be definite
+            raise ValueError(f"the {m} standard loads at nx={nx}, k={k} have rank {rank}: F cannot be definite")
 
         checks = []
 

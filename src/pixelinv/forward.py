@@ -14,12 +14,14 @@ follow from just ``m`` linear solves.
 
 All maps but the sweep take one path: ``global_matrix`` validates ``sigma``
 and forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
-all loads in one block with a factor of ``B_sigma`` condensed onto the
-skeleton (``StiffnessSet.condensation``): it condenses each zero-padded
-panel of loads ``linsolve`` hands it, solves the Schur complement
-``S_sigma`` by ``linsolve``'s band solver and lifts the pixel interiors
-back, so no load's bits depend on the others. The Jacobian is contracted a
-chunk of pixels at a time, from the pixel block all pixels share and the
+all loads in one block, so no load's bits depend on the others. At k >= 3 it
+takes a factor of ``B_sigma`` condensed onto the skeleton (``StiffnessSet.condensation``):
+it condenses each zero-padded panel of loads, solves the Schur complement ``S_sigma``
+by ``linsolve``'s band solver and lifts the pixel interiors back. At k <= 2 a pixel
+has at most one interior unknown, yet the skeleton's band is ``nx (k - 1)`` wider than
+``B_sigma``'s ``nx k``, so ``B_sigma``'s own band is factored: the skeleton was 4-17 %
+slower there (nx 3..30), and up to 43 % faster at k = 3..8 (nx <= 15). The Jacobian is
+contracted a chunk of pixels at a time, from the pixel block all pixels share and the
 solutions gathered onto their vertices, straight into the returned stack;
 under a group of symmetries checked on the inputs, one pixel per orbit.
 Pair values are one product of the distinct excitations' solutions with the
@@ -192,7 +194,8 @@ def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
         raise ValueError("need at least one load")
     check_loads(stiffness, loads)
     B = global_matrix(stiffness, sigma)
-    factor = _condensed_factor(stiffness, check_sigma(sigma, stiffness.n))
+    # The skeleton only where a pixel has (k - 1)^2 >= 4 interior unknowns: k >= 3, (k + 1)^2 >= 16 block rows.
+    factor = _condensed_factor(stiffness, check_sigma(sigma, stiffness.n)) if len(stiffness.block) >= 16 else None
     rows = np.flatnonzero(np.any([ld.y for ld in loads], axis=0))
     Y = np.zeros((stiffness.N, len(loads)))
     Y[rows] = np.array([ld.y[rows] for ld in loads], dtype=float).T

@@ -2,11 +2,13 @@
 
 Numbered lexicographically, ``B_sigma`` on ``nx x nx`` pixels with ``k``
 elements per pixel side has bandwidth ``b = nx*k``. A matrix is factored
-once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper band, taken
-as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work (Golub & Van
-Loan, *Matrix Computations*, 4th ed., 4.3) and back-substituted by block
-rows, both in :func:`_band_solver`; the forward maps hand in a factor of
-``B_sigma`` condensed onto its skeleton instead. One loop hands either factor
+once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper band, read
+from its CSR arrays as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work
+(Golub & Van Loan, *Matrix Computations*, 4th ed., 4.3) and back-substituted
+by block rows, both in :func:`_band_solver`. At k >= 3 the forward maps hand
+in a factor of ``B_sigma`` condensed onto its skeleton instead; at k <= 2,
+where a pixel has at most one interior unknown and the skeleton band is
+``nx (k - 1)`` wider, they take this one. One loop hands either factor
 the right-hand sides in zero-padded panels of :data:`_PANEL` columns, defined
 here only, to solve into one block above a zero row. All residuals come from
 one product with the full matrix, and
@@ -59,12 +61,13 @@ class SolverError(RuntimeError):
 
 def _upper_band(matrix) -> np.ndarray:
     """The upper band of ``matrix`` in LAPACK band storage, ``(b + 1, N)``:
-    entry ``(i, j)``, ``i <= j``, at ``[b + i - j, j]`` (duplicates summed)."""
-    coo = sp.coo_array(matrix)
-    upper = coo.row <= coo.col
-    row, col = coo.row[upper], coo.col[upper]
-    b, n = int((col - row).max(initial=0)), matrix.shape[0]
-    band = np.bincount(b + row + b * col, weights=coo.data[upper], minlength=(b + 1) * n)
+    entry ``(i, j)``, ``i <= j``, at ``[b + i - j, j]`` (duplicates summed), read from CSR arrays as stored."""
+    csr, n = (matrix if getattr(matrix, "format", None) == "csr" else sp.csr_array(matrix)), matrix.shape[0]
+    row = np.repeat(np.arange(n), np.diff(csr.indptr))
+    upper = row <= csr.indices
+    row, col = row[upper], csr.indices[upper]
+    b = int((col - row).max(initial=0))
+    band = np.bincount(b + row + b * col, weights=csr.data[upper], minlength=(b + 1) * n)
     return band.reshape(n, b + 1).T
 
 

@@ -17,7 +17,7 @@ from pixelinv.assembly import (
     element_stiffness,
     global_matrix,
 )
-from pixelinv.forward import forward_matrix, forward_pair_sweep, true_reference
+from pixelinv.forward import forward_matrix, forward_pair_sweep, forward_pair_values, forward_pairs, true_reference
 from pixelinv.mesh import (
     PixelGrid,
     build_mesh,
@@ -441,14 +441,25 @@ class TestCondensation:
         assert c.skeleton.size == 14 * 59 + 45 * 14 == 1456
         assert c.bandwidth == 105
 
-    def test_built_on_first_use_only(self, grid3):
-        mesh = build_mesh(grid3, 4)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("call", [
+        lambda stiffness, loads: forward_matrix(stiffness, np.ones(9), loads),
+        lambda stiffness, loads: forward_pairs(stiffness, np.ones(9), [(loads[0], loads[6])]),
+        lambda stiffness, loads: forward_pair_values(stiffness, np.ones(9), [(loads[0], loads[6])]),
+    ], ids=["forward_matrix", "forward_pairs", "forward_pair_values"])
+    def test_built_on_first_use_only(self, grid3, k, call):
+        # Only where a pixel has (k - 1)^2 >= 4 interior unknowns (k >= 3) do the
+        # forward maps solve on the skeleton; at k <= 2 they factor B_sigma itself.
+        mesh = build_mesh(grid3, k)
         stiffness = assemble_pixel_matrices(mesh, grid3)
         loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
         forward_pair_sweep(stiffness, np.ones(9), [3, 5], np.full((2, 2), 0.5), [(loads[0], loads[6])])
         assert "condensation" not in vars(stiffness)  # the sweep never needs it
-        forward_matrix(stiffness, np.ones(9), loads)
-        assert vars(stiffness)["condensation"] is stiffness.condensation
+        call(stiffness, loads)
+        if k <= 2:
+            assert "condensation" not in vars(stiffness)
+        else:
+            assert vars(stiffness)["condensation"] is stiffness.condensation
 
 
 _SHARED_ARRAYS = [

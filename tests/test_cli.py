@@ -82,6 +82,17 @@ def test_failed_solve_is_one_line_and_exit_2(tmp_path, capsys, experiment, setti
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nx", [3, 6])
+def test_refused_input_is_one_line_and_exit_2(tmp_path, capsys, nx):
+    # A study's ValueError on a valid config (dependent loads at k=1) is reported
+    # like a failed solve: one line, exit 2, no output written.
+    out = tmp_path / "props.json"
+    assert main(["properties", "--k", "1", "--nx", str(nx), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("pixelinv: properties failed: ") and "have rank" in err
+    assert not out.exists()
+
+
 def test_nonuniqueness_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     cfg = tmp_path / "run.cfg"

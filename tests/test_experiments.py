@@ -432,6 +432,17 @@ class TestPropertySuite:
         assert by_name["jacobian_fd"]["passed"]
         assert not report["all_passed"]
 
+    @pytest.mark.parametrize("nx, m, rank", [(3, 8, 4), (6, 20, 16)])
+    def test_dependent_loads_refused(self, nx, m, rank):
+        # At k=1 the standard loads have rank m - 4, so F = Y B^-1 Y^T cannot be
+        # definite: positive_definite_at_ones measured -1.7e-19 to -2.4e-20.
+        with pytest.raises(ValueError, match=f"the {m} standard loads at nx={nx}, k=1 have rank {rank}:"):
+            run_property_suite(ExperimentConfig(nx=nx, k=1))
+
+    def test_k2_loads_are_independent_and_pass(self):
+        report = run_property_suite(ExperimentConfig(k=2))
+        assert report["all_passed"] and [c["name"] for c in report["checks"]] == list(CHECKS)
+
 
 def test_write_csv_comment_records_config(tmp_path):
     cfg = ExperimentConfig(k=1, sigma_step=1.0, seed=7)

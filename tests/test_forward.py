@@ -977,8 +977,17 @@ def oracle_forward(nx, k, sigma):
     return lam.T @ Y, np.array(J)
 
 
+def oracle_sigma(nx, k, contrast):
+    """The coefficients of :class:`TestCondensedPath`: random, with the centre pixel at ``contrast`` if given."""
+    sigma = np.random.default_rng(nx * 10 + k).uniform(0.5, 2.0, nx * nx)
+    if contrast:
+        sigma[(nx // 2) * nx + nx // 2] = contrast
+    return sigma
+
+
 class TestCondensedPath:
-    """The forward maps solve through the skeleton factor of B_sigma."""
+    """The forward maps solve through the skeleton factor of B_sigma at k >= 3, where a pixel has at least four
+    interior unknowns, and through B_sigma's own band factor below; the skeleton factor is checked at every k."""
 
     @pytest.mark.parametrize("contrast", [None, 1e4])
     @pytest.mark.parametrize("nx, k", [(3, 1), (3, 4), (9, 4), (15, 2), (4, 8)])
@@ -986,15 +995,31 @@ class TestCondensedPath:
         # At a contrast of 1e4 the two routes differ by up to 8e-13 (nx=4,
         # k=8): the rounding of B_sigma alone moves values by about 1e-12.
         stiffness, loads = problem(nx, k)
-        sigma = np.random.default_rng(nx * 10 + k).uniform(0.5, 2.0, stiffness.n)
-        if contrast:
-            sigma[(nx // 2) * nx + nx // 2] = contrast
+        sigma = oracle_sigma(nx, k, contrast)
         F, jac = forward_matrix(stiffness, sigma, loads)
         assert solve_counter.solves == F.solves_used == len(loads)
         F_oracle, J_oracle = oracle_forward(nx, k, sigma)
         assert np.max(np.abs(F.values - F_oracle)) <= 1e-12 * np.max(np.abs(F_oracle))
         assert np.max(np.abs(jac.slices - J_oracle)) <= 1e-12 * np.max(np.abs(J_oracle))
         assert np.max(np.abs(directional_derivative(jac, sigma) + F.values)) <= 1e-12 * np.max(np.abs(F.values))
+
+    @pytest.mark.parametrize("contrast", [None, 1e4])
+    @pytest.mark.parametrize("nx, k", [(3, 1), (15, 2)])
+    def test_skeleton_factor_matches_the_oracle_below_k3(self, nx, k, contrast):
+        # The forward maps factor B_sigma itself here; the skeleton factor,
+        # handed to solve_multi directly, must still give F and J.
+        grid = PixelGrid(nx)
+        stiffness, loads = assemble_pixel_matrices(build_mesh(grid, k), grid), problem(nx, k)[1]
+        sigma = oracle_sigma(nx, k, contrast)
+        factor = forward._condensed_factor(stiffness, sigma)
+        reports = solve_multi(global_matrix(stiffness, sigma), [ld.y for ld in loads], factor=factor)
+        lam = reports[0].solution.base[:, :len(loads)]  # above the block's zero row
+        F = lam[:-1].T @ np.column_stack([ld.y for ld in loads])
+        J = forward._pixel_quadratic_forms(stiffness, sigma, lam, np.arange(stiffness.n),
+                                           np.empty((stiffness.n,) + F.shape))
+        F_oracle, J_oracle = oracle_forward(nx, k, sigma)
+        assert np.max(np.abs(F - F_oracle)) <= 1e-12 * np.max(np.abs(F_oracle))
+        assert np.max(np.abs(J - J_oracle)) <= 1e-12 * np.max(np.abs(J_oracle))
 
     @pytest.mark.parametrize("spoil", ["scaled", "halved", "zero", "noise", "nan"])
     def test_spoiled_factor_is_refined_or_refused(self, stiffness3x4, loads3x4, monkeypatch, spoil):

@@ -339,3 +339,52 @@ class TestBlockSubstitution:
         with pytest.raises(SolverError, match="leading minor of order 18 is not positive definite") as err:
             linsolve._band_solver(band)
         assert err.value.residual_norm == math.inf and err.value.iterations == 0
+
+
+def coo_upper_band(matrix) -> np.ndarray:
+    """The upper band in LAPACK band storage by the COO formula ``_upper_band`` used before it read CSR arrays:
+    the oracle for its bits."""
+    coo = sp.coo_array(matrix)
+    upper = coo.row <= coo.col
+    row, col = coo.row[upper], coo.col[upper]
+    b, n = int((col - row).max(initial=0)), matrix.shape[0]
+    band = np.bincount(b + row + b * col, weights=coo.data[upper], minlength=(b + 1) * n)
+    return band.reshape(n, b + 1).T
+
+
+class TestUpperBand:
+    """The band is read from CSR arrays as stored, any other input converted to CSR first, with the bits of the
+    COO formula it replaced."""
+
+    @staticmethod
+    def matrix(kind):
+        grid = PixelGrid(4)
+        sigma = np.random.default_rng(7).uniform(0.5, 2.0, grid.n)
+        B = global_matrix(assemble_pixel_matrices(build_mesh(grid, 2), grid), sigma)
+        rows = np.split(np.arange(B.nnz), B.indptr[1:-1])
+        if kind == "duplicates":  # each row's entries twice, split 0.3 / 0.7
+            order = np.concatenate([np.tile(r, 2) for r in rows])
+            scale = np.concatenate([np.repeat([0.3, 0.7], r.size) for r in rows])
+            return sp.csr_matrix((B.data[order] * scale, B.indices[order], 2 * B.indptr), shape=B.shape)
+        if kind == "unsorted":  # each row's entries in descending column order
+            order = np.concatenate([r[::-1] for r in rows])
+            return sp.csr_matrix((B.data[order], B.indices[order], B.indptr), shape=B.shape)
+        return {"canonical": B, "csc": B.tocsc(), "coo": B.tocoo(), "dense": B.toarray(),
+                "1x1": sp.csr_matrix(np.array([[4.0]]))}[kind]
+
+    @pytest.mark.parametrize("kind", ["canonical", "duplicates", "unsorted", "csc", "coo", "dense", "1x1"])
+    def test_bits_of_the_coo_formula(self, kind):
+        matrix = self.matrix(kind)
+        if kind in ("duplicates", "unsorted"):
+            assert not matrix.has_canonical_format
+        band = linsolve._upper_band(matrix)
+        assert np.array_equal(band, coo_upper_band(matrix))
+        if kind in ("unsorted", "csc", "coo"):  # the same entries, stored otherwise
+            assert np.array_equal(band, linsolve._upper_band(self.matrix("canonical")))
+
+    @pytest.mark.parametrize("form", [sp.csr_matrix, sp.csr_array, sp.csc_matrix, sp.coo_array, np.asarray])
+    def test_solve_spd_takes_sparse_or_dense(self, rng, form):
+        A = random_spd(rng, 12).toarray()
+        b = rng.standard_normal(12)
+        x = solve_spd(form(A), b, tol=1e-12).solution
+        assert np.linalg.norm(x - np.linalg.solve(A, b)) <= 1e-12 * np.linalg.norm(x)
