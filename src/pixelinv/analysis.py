@@ -17,14 +17,14 @@ ones scaled by ``sqrt(2)``: such a row ``a`` adds ``2 a a^T`` to
 ``P^T P = A^T A``, and ``P`` has the singular values of ``A`` from
 about half its rows.
 
-A stack that carries a group (:class:`~pixelinv.forward.JacobianStack`; at
-``sigma = 1`` the stability study's, of the Klein four-group of
-:meth:`~pixelinv.mesh.PixelGrid.symmetries`) holds one slice per pixel orbit,
-whose invariance ``forward_matrix`` checked exactly on its inputs. Each
-character's orthonormal ``+-1/sqrt(|orbit|)`` combinations of row and pixel
-orbits split off a block of ``P`` (Fassler and Stiefel 1992), about a sixteenth
-of its SVD, read from those slices alone; the blocks' values agree with ``P``'s
-to 6e-13 at nx <= 12 and 1.3e-11 at nx = 15, k = 4.
+A stack carries the group (:class:`~pixelinv.forward.JacobianStack`) of the
+:func:`~pixelinv.mesh.lattice_symmetries` that ``forward_matrix`` found to fix
+its inputs bitwise: the Klein four-group for a symmetric layout at ``sigma = 1``,
+as in the stability study. It holds one slice per pixel orbit. Each character's
+orthonormal ``+-1/sqrt(|orbit|)`` combinations of row and pixel orbits split off
+a block of ``P`` (Fassler and Stiefel 1992), about a sixteenth of its SVD, read
+from those slices alone; the blocks' values agree with ``P``'s to 6e-13 at
+nx <= 12 and 1.3e-11 at nx = 15, k = 4. The identity group's one block is ``P``.
 """
 
 from __future__ import annotations
@@ -234,14 +234,11 @@ def _packed(jac: JacobianStack) -> list:
         raise ValueError(f"Jacobian slices are not symmetric or not finite (max asymmetry {asym:.3e})")
     fixes_row, fixes_col = keys == keys[0], pixels[:, cols] == cols
     weight = np.where(a[0] == b[0], 1.0, np.sqrt(2.0)) / np.sqrt(fixes_row.sum(0))
-    if len(pixels) == 1:  # P, scaled in place
-        upper[:, 0] *= weight
-        blocks = [upper[:, 0]]
-    else:  # the row orbits combined by character, each pixel orbit read at its first pixel
-        folded = np.matmul(chars, upper)  # (pixel orbits, characters, row orbits)
-        folded *= weight / np.sqrt(fixes_col.sum(0))[:, None, None]
-        blocks = [folded[:, i][c][:, r] for i, (c, r) in enumerate(zip(chars @ fixes_col == fixes_col.sum(0),
-                                                                          chars @ fixes_row == fixes_row.sum(0)))]
+    # The row orbits combined by character, each pixel orbit read at its first pixel; without a group, P.
+    folded = np.matmul(chars, upper)  # (pixel orbits, characters, row orbits)
+    folded *= weight / np.sqrt(fixes_col.sum(0))[:, None, None]
+    blocks = [folded[:, i][np.ix_(c, r)] for i, (c, r) in enumerate(zip(chars @ fixes_col == fixes_col.sum(0),
+                                                                            chars @ fixes_row == fixes_row.sum(0)))]
     # Zero rows pad a block with fewer rows than columns: only zero singular values join, as A has them too.
     return [B.T if B.shape[1] >= B.shape[0] else np.vstack([B.T, np.zeros((B.shape[0] - B.shape[1], B.shape[0]))])
             for B in blocks]

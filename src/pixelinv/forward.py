@@ -23,7 +23,7 @@ has at most one interior unknown, yet the skeleton's band is ``nx (k - 1)`` wide
 slower there (nx 3..30), and up to 43 % faster at k = 3..8 (nx <= 15). The Jacobian is
 contracted a chunk of pixels at a time, from the pixel block all pixels share and the
 solutions gathered onto their vertices, straight into the returned stack;
-under a group of symmetries checked on the inputs, one pixel per orbit.
+under the group of lattice symmetries found on the inputs, one pixel per orbit.
 Pair values are one product of the distinct excitations' solutions with the
 distinct measurement loads; a symmetric layout is all ``m*m`` pairs. The
 number of back-substitutions is returned (``MeasurementMatrix.solves_used``).
@@ -62,7 +62,7 @@ from .assembly import (
     check_sigma,
     global_matrix,
 )
-from .mesh import PixelGrid, build_mesh, lattice_symmetries, refine, refine_disk
+from .mesh import PixelGrid, _check_integer, build_mesh, lattice_symmetries, refine, refine_disk
 
 __all__ = ["MeasurementMatrix", "JacobianStack", "check_sigma", "forward_matrix", "forward_pairs",
            "forward_pair_values", "forward_pair_sweep", "directional_derivative", "true_reference"]
@@ -97,8 +97,9 @@ class JacobianStack:
 
     ``slices[i]`` is the ``m x m`` derivative of the measurement matrix with respect to pixel ``i``'s coefficient.
     ``group`` has a row per element ``(p, t)`` of a group with ``slices[p[i]][t[a], t[b]] == slices[i][a, b]``: its
-    pixel, then its load permutation plus ``n``; the identity is first, and alone without a group. Only each pixel
-    orbit's first slice (``orbits``) is stored, in ``orbit_slices``; ``slices`` gathers the rest on first read.
+    pixel, then its load permutation plus ``n``. The identity is first, alone without a group, then 1 or 3 involutions,
+    the third the commuting product of the first two. Only each pixel orbit's first slice (``orbits``) is stored, in
+    ``orbit_slices``; ``slices`` gathers the rest on first read.
     """
 
     orbit_slices: np.ndarray
@@ -108,8 +109,16 @@ class JacobianStack:
         forms = np.asarray(self.orbit_slices, dtype=float)
         if forms.ndim != 3 or forms.shape[1] != forms.shape[2]:
             raise ValueError(f"Jacobian slices must form an (n, m, m) stack, got shape {forms.shape}")
+        g = np.atleast_2d(np.arange(sum(forms.shape[:2])) if self.group is None else self.group)
+        e, r, n = np.arange(g.shape[1]), np.arange(len(g)), g.shape[1] - forms.shape[1]  # n pixels, then the loads
+        # Each row maps pixels to pixels and loads to loads, and row i composed with row j (g[i][g[j]]) is row i ^ j.
+        if not (g.ndim == 2 and g.dtype.kind in "iu" and len(g) in (1, 2, 4) and n >= 0 and np.array_equal(g[0], e)
+                and ((0 <= g) & (g < e.size) & ((g < n) == (e < n))).all()
+                and (g.take(g + e.size * r[:, None, None]) == g.take(r[:, None] ^ r, axis=0)).all()):
+            raise ValueError("a group must be the identity, then 1 or 3 involutions of the pixels and of the loads, "
+                             "the third the product of the first two, which commute")
         object.__setattr__(self, "orbit_slices", forms)
-        object.__setattr__(self, "group", np.arange(sum(forms.shape[:2]))[None] if self.group is None else self.group)
+        object.__setattr__(self, "group", g)
         if len(self.orbits) != len(forms):
             raise ValueError(f"{len(forms)} slices given for the {len(self.orbits)} pixel orbits of the group")
 
@@ -217,47 +226,46 @@ def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol):
     return MeasurementMatrix(values=lam[rows].T @ values, solves_used=used), lam
 
 
-def _symmetry_group(stiffness: StiffnessSet, sigma, loads: list, symmetries) -> np.ndarray:
-    """The :attr:`JacobianStack.group` of the commuting involutions ``(p, t)``, integer pixel and load permutations
-    (element ``i`` composes the generators of the bits set in ``i``). Each generator must map, bitwise, the mesh (a
-    pixel's vertices onto its image's by a :func:`mesh.lattice_symmetries` map that fixes the pixel block), ``sigma``
-    and each load onto the one ``t`` names; then ``B_sigma``, each ``B_i``, the solutions and the stack move with it."""
-    n, dofs, block = stiffness.n, stiffness.dofs, stiffness.block
-    group = np.arange(n + len(loads))[None]
-    if symmetries:  # what the generators must fix, read once
-        check_loads(stiffness, loads)
-        s, Y = check_sigma(sigma, n), np.array([ld.y for ld in loads]).reshape(-1, stiffness.N)
-        maps = list(zip(*(lattice_symmetries(math.isqrt(size)) for size in (n, len(block), stiffness.N))))
-    for i, (p, t) in enumerate(symmetries):
-        g = np.concatenate([p, np.asarray(t) + n])  # float if either is: refused, not truncated
-        if not (g.dtype.kind in "iu" and np.array_equal(np.sort(g), group[0]) and (g[:n] < n).all()
-                and np.array_equal(g[group][:, g], group)):
-            raise ValueError("symmetries must be commuting involutions, each a pixel and a load permutation")
-        group, p, t = np.vstack([group, g[group]]), g[:n], g[n:] - n
-        w = next((w for q, v, w in maps if np.array_equal(q, p) and np.array_equal(block[v][:, v], block)
-                  and np.array_equal(np.append(w, -1)[dofs], dofs[p][:, v])), None)  # p's map of the unknowns, if any
-        moved = ("the mesh" if w is None else "sigma" if not np.array_equal(s[p], s)
-                 else "the loads" if not np.array_equal(Y.take(t, axis=0).take(w, axis=1), Y) else None)
-        if moved:
-            raise ValueError(f"the inputs are not invariant under the symmetries: symmetry {i} moves {moved}")
+def _symmetry_group(stiffness: StiffnessSet, sigma, loads: list) -> np.ndarray:
+    """The :attr:`JacobianStack.group` of the :func:`mesh.lattice_symmetries` that map, bitwise, ``sigma``, the mesh
+    (each pixel's vertices onto its image's, the pixel block onto itself) and the loads onto themselves. A load's image
+    is guessed to be the load of its rank by the sum, then the sum of squares, of the unknowns each touches (exact
+    integers, so equal loads go onto equal loads in order), then verified. Element ``i`` composes the generators of
+    the bits set in ``i``; under each, ``B_sigma``, each ``B_i`` and the solutions move with the inputs."""
+    n, m, dofs, block, s = stiffness.n, len(loads), stiffness.dofs, stiffness.block, check_sigma(sigma, stiffness.n)
+    group, t = np.arange(n + m)[None], np.empty(m, dtype=np.int64)
+    pixels = lattice_symmetries(math.isqrt(n))
+    fixing = [i for i, p in enumerate(pixels) if i and np.array_equal(s[p], s)]
+    if fixing:  # the mesh and the loads are read only for a map that fixes sigma
+        maps = list(zip(pixels, *(lattice_symmetries(math.isqrt(size)) for size in (len(block), stiffness.N))))
+        Y = np.array([ld.y for ld in loads])
+        u = np.array([w for _, _, w in maps], dtype=float).T + 1  # (N, 4): where each map takes each unknown, + 1
+        sums = (Y != 0).astype(float) @ np.hstack([u, u * u])  # (m, 8): the keys of each load's image under each map
+    for i in fixing:
+        p, v, w = maps[i]
+        if len(group) < 4 and np.array_equal(block[v][:, v], block) and np.array_equal(
+                np.append(w, -1)[dofs], dofs[p][:, v]):  # the mesh: the pixel block, and each pixel's unknowns
+            t[np.lexsort((sums[:, 4 + i], sums[:, i]))] = np.lexsort((sums[:, 4], sums[:, 0]))
+            if np.array_equal(t[t], np.arange(m)) and np.array_equal(Y.take(t, axis=0), Y.take(w, axis=1)):
+                group = np.vstack([group, np.concatenate([p, t + n])[group]])
     return group
 
 
-def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = linsolve.DEFAULT_TOL, *, symmetries=()):
+def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = linsolve.DEFAULT_TOL):
     """Measurement matrix and Jacobian stack for a symmetric layout.
 
     All ``m*m`` matrix entries and the Jacobian slices are formed from the ``m`` solutions of
     ``B_sigma @ lam_j = y_j``; ``solves_used`` of the returned matrix counts their back-substitutions.
-    The stack carries the group of ``symmetries``, commuting involutions ``(p, t)`` of pixels and loads
-    checked exactly on the inputs (:func:`_symmetry_group`), and holds each pixel orbit's first slice only.
+    The stack carries the group of the lattice symmetries that fix the inputs bitwise, pixels and loads
+    (:func:`_symmetry_group`), and holds each pixel orbit's first slice only.
 
     Returns
     -------
     (MeasurementMatrix, JacobianStack)
     """
-    group = _symmetry_group(stiffness, sigma, loads, symmetries)
     F, lam = _measurement_matrix(stiffness, sigma, loads, tol)
     _require_finite(sigma, F.values)
+    group = _symmetry_group(stiffness, sigma, loads)
     orbits = np.unique(group[:, :stiffness.n].min(axis=0))  # as JacobianStack.orbits
     slices = _pixel_quadratic_forms(stiffness, sigma, lam, orbits, np.empty((orbits.size,) + F.values.shape))
     return F, JacobianStack(slices, group=group)
@@ -519,13 +527,12 @@ def true_reference(grid: PixelGrid, disks: list, sigma, k: int, k_max: int,
     increases in the Loewner order towards the exact-solution measurement
     matrix, which is how refinement studies use it.
     """
-    if k_max < k:
-        raise ValueError(f"k_max={k_max} must be >= working k={k}")
+    mesh = build_mesh(grid, k)  # refuses a k that is not a positive integer
+    _check_integer("k_max", k_max, k)
     ratio = k_max // k
     if k * ratio != k_max or ratio & (ratio - 1):
         raise ValueError(f"k_max={k_max} is not k={k} times a power of two")
 
-    mesh = build_mesh(grid, k)
     carried = list(disks)
     while mesh.k < k_max:
         carried = [refine_disk(d, mesh) for d in carried]

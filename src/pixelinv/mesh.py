@@ -90,16 +90,12 @@ class PixelGrid:
         edge = (0, self.nx - 1)
         return [p for p in range(self.n) if p // self.nx in edge or p % self.nx in edge]
 
-    def symmetries(self) -> list[np.ndarray]:
-        """Pixel permutations (``p`` goes to ``perm[p]``) of the reflection about ``y = x`` and of the half-turn,
-        which generate the symmetries of every mesh of the grid; a quarter-turn flips the triangles' diagonals."""
-        return lattice_symmetries(self.nx)[1:3]
-
 
 def lattice_symmetries(side: int) -> list[np.ndarray]:
-    """The group :meth:`PixelGrid.symmetries` generates, the identity, the reflection about ``y = x``, the half-turn
-    and their product, on a ``side x side`` lattice numbered row-major from the bottom-left: on ``nx``, the pixels;
-    ``S + 1``, a mesh's vertices; ``S - 1``, its unknowns (the interior vertices, in order); ``k + 1``, a pixel's."""
+    """The maps of every mesh of a grid onto itself, the identity, the reflection about ``y = x``, the half-turn and
+    their product (a quarter-turn flips the triangles' diagonals), on a ``side x side`` lattice numbered row-major
+    from the bottom-left: on ``nx``, the pixels; ``S + 1``, a mesh's vertices; ``S - 1``, its unknowns (the interior
+    vertices, in order); ``k + 1``, a pixel's. ``p`` goes to ``perm[p]``."""
     a = np.arange(side * side).reshape(side, side)
     return [a.ravel(), a.T.ravel(), a[::-1, ::-1].ravel(), a.T[::-1, ::-1].ravel()]
 
@@ -312,7 +308,7 @@ def standard_disk_layout(mesh: TriMesh, radius_fraction: float = 0.25) -> list[D
     index; an ``nx x nx`` grid yields ``4*nx - 4`` disks. Each is pixel 0's
     :func:`resolve_disk`, translated, which is what :func:`resolve_disk`
     gives at that pixel's centre, its rule being exact there; so the disks
-    are congruent and the layout keeps the grid's :meth:`PixelGrid.symmetries`."""
+    are congruent and the layout keeps the grid's :func:`lattice_symmetries`."""
     grid = mesh.grid
     if grid.nx < 2:
         raise ValueError("standard layout needs nx >= 2")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,7 @@ from pixelinv.analysis import (
 )
 from pixelinv.assembly import assemble_load, assemble_pixel_matrices
 from pixelinv.experiments import ExperimentConfig, run_stability_study
-from pixelinv.forward import JacobianStack, forward_matrix, forward_pair_values
+from pixelinv.forward import JacobianStack, forward_matrix, forward_pair_values, forward_pairs
 from pixelinv.mesh import PixelGrid, build_mesh, lattice_symmetries, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
@@ -139,8 +137,8 @@ class TestSingularValues:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_packed_stability_jacobians_match_jacobi_oracle(self, k, monkeypatch):
-        # The matrices the stability study hands the kernel: the packed rows
-        # of the Jacobian at sigma = 1, nx = 2..12.
+        # The packed rows of the stability study's Jacobian at sigma = 1, nx = 2..12,
+        # from the full contraction (the study itself hands the kernel its blocks).
         packed = []
         kernel = analysis.singular_values
 
@@ -151,11 +149,7 @@ class TestSingularValues:
         monkeypatch.setattr(analysis, "singular_values", recorded)
         worst = 0.0
         for nx in range(2, 13):
-            grid = PixelGrid(nx)
-            mesh = build_mesh(grid, k)
-            loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
-            _, jac = forward_matrix(assemble_pixel_matrices(mesh, grid), np.ones(grid.n), loads, tol=1e-10)
-            s = condition_number(jac).singular_values
+            s = condition_number(full_jacobian(nx, k)).singular_values
             oracle = jacobi_singular_values(packed[-1])
             worst = max(worst, np.max(np.abs(s - oracle) / oracle))
         assert len(packed) == 11 and worst <= 1e-12
@@ -265,31 +259,26 @@ class TestConditionNumber:
 
 
 def stability_inputs(nx, k, order=None):
-    """The stability study's stiffness set and loads at ``nx, k`` (the loads in ``order`` if given),
-    and the grid's symmetries mapped onto the standard layout's loads, which follow their boundary pixels."""
+    """The stability study's stiffness set and loads at ``nx, k``, the loads in ``order`` if given."""
     grid = PixelGrid(nx)
     mesh = build_mesh(grid, k)
     loads = [assemble_load(mesh, d) for d in standard_disk_layout(mesh, 0.25)]
-    loads = loads if order is None else [loads[i] for i in order]
-    boundary = np.array(grid.boundary_pixels())
-    return assemble_pixel_matrices(mesh, grid), loads, [(p, np.searchsorted(boundary, p[boundary]))
-                                                         for p in grid.symmetries()]
+    return assemble_pixel_matrices(mesh, grid), loads if order is None else [loads[i] for i in order]
 
 
-def stability_jacobian(nx, k, sigma=None, order=None, symmetric=False):
-    """The stability study's Jacobian at ``nx, k`` (at sigma = 1 unless given, its loads in ``order``
-    if given), carrying the grid's symmetries if ``symmetric``, and those symmetries."""
-    stiffness, loads, symmetries = stability_inputs(nx, k, order)
+def stability_jacobian(nx, k, sigma=None, order=None):
+    """``forward_matrix``'s stack at the stability study's inputs (at sigma = 1 unless given), and its group."""
+    stiffness, loads = stability_inputs(nx, k, order)
+    return forward_matrix(stiffness, np.ones(stiffness.n) if sigma is None else sigma, loads, tol=1e-10)[1]
+
+
+def full_jacobian(nx, k, sigma=None, order=None):
+    """The same Jacobian as an ungrouped stack, from the independent full contraction: ``forward_pairs``' rows
+    over all ``m*m`` pairs."""
+    stiffness, loads = stability_inputs(nx, k, order)
     sigma = np.ones(stiffness.n) if sigma is None else sigma
-    _, jac = forward_matrix(stiffness, sigma, loads, tol=1e-10, symmetries=symmetries if symmetric else ())
-    return jac, symmetries
-
-
-def refusal(nx, k, given=None, sigma=None, order=None):
-    """``forward_matrix`` asked for the symmetries ``given`` (the grid's if None) at the stability study's inputs."""
-    stiffness, loads, symmetries = stability_inputs(nx, k, order)
-    sigma = np.ones(stiffness.n) if sigma is None else sigma
-    return lambda: forward_matrix(stiffness, sigma, loads, tol=1e-10, symmetries=symmetries if given is None else given)
+    rows = forward_pairs(stiffness, sigma, [(a, b) for a in loads for b in loads], tol=1e-10)[1]
+    return JacobianStack(np.ascontiguousarray(rows.T).reshape(stiffness.n, len(loads), len(loads)))
 
 
 def invariant_stack(rng, nx, symmetries, m):
@@ -309,7 +298,7 @@ class TestSymmetryBlocks:
     @pytest.mark.parametrize("k", [2, 4])
     def test_blocks_match_the_jacobi_oracle_and_the_packed_matrix(self, k, monkeypatch):
         # Each block's values against dgejsv on that block, and their union
-        # against the packed matrix's, nx = 2..12.
+        # against the full contraction's packed matrix, nx = 2..12.
         blocks = []
         kernel = analysis.singular_values
 
@@ -320,15 +309,15 @@ class TestSymmetryBlocks:
         monkeypatch.setattr(analysis, "singular_values", recorded)
         worst_block = worst_union = 0.0
         for nx in range(2, 13):
-            jac, _ = stability_jacobian(nx, k, symmetric=True)
+            jac = stability_jacobian(nx, k)
             del blocks[:]
             report = condition_number(jac)
-            assert len(blocks) == 4 and sum(B.shape[1] for B in blocks) == nx * nx
+            assert len(jac.group) == 4 and len(blocks) == 4 and sum(B.shape[1] for B in blocks) == nx * nx
             for B in blocks:
                 if B.shape[1]:
                     oracle = jacobi_singular_values(B)
                     worst_block = max(worst_block, np.max(np.abs(kernel(B) - oracle) / oracle))
-            packed = condition_number(stability_jacobian(nx, k)[0]).singular_values
+            packed = condition_number(full_jacobian(nx, k)).singular_values
             worst_union = max(worst_union, np.max(np.abs(report.singular_values - packed) / packed))
             assert report.condition == pytest.approx(packed[0] / packed[-1], rel=1e-12)
         assert worst_block <= 1e-12 and worst_union <= 1e-12
@@ -337,104 +326,49 @@ class TestSymmetryBlocks:
         for k in (2, 4):
             rows = run_stability_study(ExperimentConfig(nx_min=2, nx_max=12, k=k)).rows
             for nx, _, _, cond in rows:
-                packed = condition_number(stability_jacobian(nx, k)[0]).condition
+                packed = condition_number(full_jacobian(nx, k)).condition
                 assert cond == pytest.approx(packed, rel=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(nx=st.integers(2, 12), k=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**32 - 1))
     def test_orbit_values_match_the_packed_kernel_off_sigma_one(self, nx, k, seed):
         # A random coefficient constant on each pixel orbit: the blocks from the
-        # orbits' first pixels against the packed matrix of the full stack.
-        stiffness, loads, symmetries = stability_inputs(nx, k)
+        # orbits' first pixels against the packed matrix of the full contraction.
         orbit = np.min(lattice_symmetries(nx), axis=0)  # the first pixel of each pixel's orbit
-        sigma = np.random.default_rng(seed).uniform(0.5, 2.0, stiffness.n)[orbit]
-        _, full = forward_matrix(stiffness, sigma, loads, tol=1e-10)
-        _, orbits = forward_matrix(stiffness, sigma, loads, tol=1e-10, symmetries=symmetries)
-        packed = condition_number(full).singular_values
+        sigma = np.random.default_rng(seed).uniform(0.5, 2.0, nx * nx)[orbit]
+        orbits = stability_jacobian(nx, k, sigma)
+        assert len(orbits.group) == 4
+        packed = condition_number(full_jacobian(nx, k, sigma)).singular_values
         null = packed <= 1e-14 * packed[0]  # nx = 2, k = 1 has one unknown: rank one
         error = np.abs(condition_number(orbits).singular_values - packed)
         assert np.all(error <= 1e-12 * np.where(null, packed[0], packed))
 
-    def test_loads_out_of_the_layouts_order_are_refused(self):
-        # Loads 0 and 1 swapped: the reflection about y = x no longer maps the
-        # loads onto the loads the layout's load permutation names.
-        with pytest.raises(ValueError, match="not invariant.*moves the loads"):
-            refusal(4, 2, order=[1, 0] + list(range(2, 12)))()
+    def test_loads_out_of_the_layouts_order_keep_the_group(self):
+        # Loads 0 and 1 swapped: the group is found on the loads as given, each
+        # load going onto the load of its image pixel, and the spectrum is the
+        # full contraction's.
+        order = [1, 0] + list(range(2, 12))
+        jac = stability_jacobian(4, 2, order=order)
+        boundary = np.array(PixelGrid(4).boundary_pixels())
+        reflection = np.searchsorted(boundary, lattice_symmetries(4)[1][boundary])  # in the layout's order
+        assert len(jac.group) == 4 and np.array_equal(jac.group[1, 16:] - 16, np.argsort(order)[reflection[order]])
+        packed = condition_number(full_jacobian(4, 2, order=order)).singular_values
+        assert np.max(np.abs(condition_number(jac).singular_values - packed) / packed) <= 1e-12
 
     def test_loads_in_reverse_order_are_the_half_turns(self):
         # The boundary pixels in reverse are the half-turn's image of the layout,
         # and the half-turn commutes with the other elements, so the reversed
-        # stack is invariant too: accepted, with the spectrum of the rows it permutes.
-        jac, symmetries = stability_jacobian(4, 2, symmetric=True)
-        reversed_jac, _ = stability_jacobian(4, 2, order=range(11, -1, -1), symmetric=True)
-        assert np.array_equal(symmetries[1][1], np.arange(12)[::-1])
+        # loads keep the group too, with the spectrum of the rows it permutes.
+        jac = stability_jacobian(4, 2)
+        reversed_jac = stability_jacobian(4, 2, order=range(11, -1, -1))
+        assert np.array_equal(jac.group[2, 16:] - 16, np.arange(12)[::-1]) and len(reversed_jac.group) == 4
         s = condition_number(jac).singular_values
         assert np.max(np.abs(condition_number(reversed_jac).singular_values - s)) <= 1e-13 * s[0]
-
-    def test_pairs_in_reverse_order_are_refused(self):
-        # (load permutation, pixel permutation) instead of (pixel, load).
-        symmetries = stability_inputs(4, 2)[2]
-        with pytest.raises(ValueError, match="commuting involutions"):
-            refusal(4, 2, [(t, p) for p, t in symmetries])()
-
-    @pytest.mark.parametrize("permutation", ["float", "bool"])
-    def test_permutations_of_another_type_are_refused(self, permutation):
-        (p, t), half_turn = stability_inputs(4, 2)[2]
-        for given in ([(p.astype(permutation), t), half_turn], [(p, t.astype(permutation)), half_turn]):
-            with pytest.raises(ValueError, match="commuting involutions"):
-                refusal(4, 2, given)()
-
-    @pytest.mark.parametrize("k, value", [(4, 1.0 + 1e-3), (2, 1.0 + 1e-10), (2, np.nextafter(1.0, 2.0))])
-    def test_a_coefficient_no_symmetry_fixes_is_refused(self, k, value):
-        # Pixel 1 of the 4x4 grid lies on no diagonal, and the half-turn moves every
-        # pixel. Invariance is checked on sigma itself, so no miss is small enough.
-        sigma = np.ones(16)
-        sigma[1] = value
-        with pytest.raises(ValueError, match="not invariant.*moves sigma"):
-            refusal(4, k, sigma=sigma)()
-
-    def test_a_quarter_turn_is_refused(self):
-        # The quarter-turn flips the triangles' diagonals; it is no involution
-        # either, so its characters are not the +-1 ones of the blocks.
-        symmetries = stability_inputs(6, 4)[2]
-        grid = PixelGrid(6)
-        iy, ix = np.divmod(np.arange(grid.n), 6)
-        quarter = ix * 6 + (5 - iy)  # (x, y) -> (1 - y, x)
-        boundary = np.array(grid.boundary_pixels())
-        turn = (quarter, np.searchsorted(boundary, quarter[boundary]))
-        for given in ([turn], [symmetries[0], turn]):
-            with pytest.raises(ValueError, match="commuting involutions"):
-                refusal(6, 4, given)()
-        # Its square, the half-turn, is a symmetry.
-        half = (quarter[quarter], turn[1][turn[1]])
-        assert np.array_equal(half[0], symmetries[1][0]) and np.array_equal(half[1], symmetries[1][1])
-
-    def test_a_reflection_that_flips_the_diagonals_is_refused(self):
-        # The reflection about x = 1/2 is an involution that commutes with the
-        # half-turn, but it maps the mesh onto the other diagonal.
-        symmetries = stability_inputs(6, 4)[2]
-        grid = PixelGrid(6)
-        mirror = np.arange(grid.n).reshape(6, 6)[:, ::-1].ravel()
-        boundary = np.array(grid.boundary_pixels())
-        with pytest.raises(ValueError, match="not invariant.*moves the mesh"):
-            refusal(6, 4, [symmetries[1], (mirror, np.searchsorted(boundary, mirror[boundary]))])()
-
-    @pytest.mark.parametrize("field", ["dofs", "block"])
-    def test_a_stiffness_set_the_symmetries_move_is_refused(self, field):
-        # Two vertices of every pixel swapped in its unknowns, or a block entry moved
-        # off the pixel's reflection: B_i is no longer mapped onto B_p(i).
-        stiffness, loads, symmetries = stability_inputs(4, 2)
-        value = getattr(stiffness, field).copy()
-        value[..., [0, 1]] = value[..., [1, 0]]
-        spoiled = dataclasses.replace(stiffness, **{field: value})
-        with pytest.raises(ValueError, match="not invariant.*moves the mesh"):
-            forward_matrix(spoiled, np.ones(16), loads, symmetries=symmetries)
 
     @pytest.mark.parametrize("bad", ["asymmetric", np.nan, np.inf])
     def test_asymmetric_or_non_finite_slices_are_refused(self, bad):
         # Pixel 5 of the 4x4 grid is the first of its orbit, so its slice is stored either way.
-        for symmetric in (True, False):
-            jac, _ = stability_jacobian(4, 2, symmetric=symmetric)
+        for jac in (stability_jacobian(4, 2), full_jacobian(4, 2)):
             slices = jac.orbit_slices.copy()
             at = np.searchsorted(jac.orbits, 5)
             assert jac.orbits[at] == 5
@@ -447,9 +381,9 @@ class TestSymmetryBlocks:
 
     def test_symmetries_need_a_stack(self, rng):
         # The group is carried by a stack only: a plain matrix takes none.
-        jac, _ = stability_jacobian(2, 1, symmetric=True)
+        jac = stability_jacobian(2, 1)
         with pytest.raises(TypeError):
-            condition_number(rng.standard_normal((16, 4)), symmetries=stability_inputs(2, 1)[2])
+            condition_number(rng.standard_normal((16, 4)), group=jac.group)
         with pytest.raises(ValueError, match=r"\(n, m, m\) stack"):
             JacobianStack(rng.standard_normal((16, 4)), group=jac.group)
 
@@ -460,9 +394,9 @@ class TestSymmetryBlocks:
         blocks = []
         kernel = analysis.singular_values
         monkeypatch.setattr(analysis, "singular_values", lambda J: blocks.append(J.shape) or kernel(J))
-        jac, _ = stability_jacobian(nx, 4, symmetric=True)
+        jac = stability_jacobian(nx, 4)
         report = condition_number(jac)
-        packed = condition_number(stability_jacobian(nx, 4)[0])
+        packed = condition_number(full_jacobian(nx, 4))
         assert report.singular_values.size == nx * nx and not report.rank_deficient
         assert np.max(np.abs(report.singular_values - packed.singular_values) / packed.singular_values) <= 1e-12
         columns = [shape[1] for shape in blocks[:4]]
@@ -473,7 +407,7 @@ class TestSymmetryBlocks:
     def test_block_with_fewer_rows_than_columns(self, rng):
         # Four loads, swapped in pairs by the two generators: the first block
         # has 5 row orbits for the 6 pixel orbits of the 4x4 grid.
-        reflection, half_turn = PixelGrid(4).symmetries()
+        reflection, half_turn = lattice_symmetries(4)[1:3]
         symmetries = [(reflection, np.array([1, 0, 2, 3])), (half_turn, np.array([0, 1, 3, 2]))]
         full, jac = invariant_stack(rng, 4, symmetries, 4)
         report = condition_number(jac)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 import tracemalloc
@@ -32,7 +33,7 @@ from pixelinv.forward import (
     true_reference,
 )
 from pixelinv.linsolve import SolveReport, SolverError, solve_multi
-from pixelinv.mesh import PixelGrid, build_mesh, standard_disk_layout
+from pixelinv.mesh import PixelGrid, build_mesh, lattice_symmetries, standard_disk_layout
 
 TRUTH = np.array([1, 1, 1, 0.5, 1, 0.5, 1, 1, 1])
 EXTREMES = [1e-300, 1e-200, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e200, 1e300]
@@ -936,6 +937,13 @@ class TestTrueReference:
         with pytest.raises(ValueError):
             true_reference(grid3, disks3x4, np.ones(9), 4, 2)
 
+    @pytest.mark.parametrize("k_max", [4.0, 8.0, True, "4"], ids=repr)
+    def test_k_max_must_be_an_integer(self, grid3, k_max):
+        # 4.0 and 8.0 once reached ``ratio & (ratio - 1)`` and raised a TypeError there.
+        disks = standard_disk_layout(build_mesh(grid3, 2), 0.25)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            true_reference(grid3, disks, np.ones(9), 2, k_max)
+
     def test_refinement_ordering_and_cauchy(self, grid3, rng):
         # Finer nested spaces can only increase the measurement matrix in
         # the semidefinite order, and successive gaps shrink.
@@ -1101,11 +1109,15 @@ class TestCondensedPath:
         assert peak <= 8.5e6
 
 
-def layout_symmetries(nx):
-    """The grid's symmetries, each with the load permutation of the standard layout, whose loads follow their pixels."""
+def layout_group(nx, order=None):
+    """The group of the standard layout at ``sigma = 1`` (its loads in ``order`` if given): the lattice maps of the
+    pixels, the loads following their boundary pixels. Element ``i`` composes the generators of the bits of ``i``."""
     grid = PixelGrid(nx)
     boundary = np.array(grid.boundary_pixels())
-    return [(p, np.searchsorted(boundary, p[boundary])) for p in grid.symmetries()]
+    order = np.arange(boundary.size) if order is None else np.asarray(order)
+    at = np.argsort(order)  # where each load of the layout's own order went
+    return np.array([np.concatenate([p, grid.n + at[np.searchsorted(boundary, p[boundary])][order]])
+                     for p in lattice_symmetries(nx)])
 
 
 def full_contraction(stiffness, lam):
@@ -1130,7 +1142,7 @@ class TestOrbitStack:
 
     def test_slices_must_match_the_orbits_of_the_group(self):
         stiffness, loads = problem(4, 1)
-        _, jac = forward_matrix(stiffness, np.ones(16), loads, symmetries=layout_symmetries(4))
+        _, jac = forward_matrix(stiffness, np.ones(16), loads)
         with pytest.raises(ValueError, match="16 slices given for the 6 pixel orbits"):
             JacobianStack(np.zeros((16, 12, 12)), group=jac.group)
 
@@ -1150,12 +1162,15 @@ class TestOrbitStack:
 
     @pytest.mark.parametrize("nx, k", [(12, 2), (5, 4)])
     def test_orbit_stack_is_the_full_stack(self, nx, k):
-        # F to the bit; the orbits' first pixels as the full contraction has them;
-        # every slice gathered from those agrees with the full contraction's.
+        # Against the full contraction, forward_pairs' rows over all m*m pairs: F to
+        # rounding; the orbits' first pixels as the full contraction has them; every
+        # slice gathered from those agrees with it.
         stiffness, loads = problem(nx, k)
-        F, full = forward_matrix(stiffness, np.ones(stiffness.n), loads)
-        F_sym, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads, symmetries=layout_symmetries(nx))
-        assert F_sym.values.tobytes() == F.values.tobytes() and len(jac.group) == 4
+        values, rows = forward_pairs(stiffness, np.ones(stiffness.n), [(a, b) for a in loads for b in loads])
+        full = JacobianStack(np.ascontiguousarray(rows.T).reshape(stiffness.n, len(loads), len(loads)))
+        F, jac = forward_matrix(stiffness, np.ones(stiffness.n), loads)
+        assert np.array_equal(jac.group, layout_group(nx))
+        assert np.max(np.abs(F.values.ravel() - values)) <= 1e-14 * np.abs(values).max()
         assert jac.orbits.size == (nx * nx + 2 * nx + nx % 2) // 4  # Burnside: the mean of the fixed pixels
         scale = np.abs(full.slices).max()
         assert np.max(np.abs(jac.orbit_slices - full.slices[jac.orbits])) <= 1e-17 * scale
@@ -1163,3 +1178,100 @@ class TestOrbitStack:
         assert np.max(np.abs(jac.flattened() - full.flattened())) <= 1e-14 * scale
         tau = np.random.default_rng(2).random(stiffness.n)
         assert np.max(np.abs(directional_derivative(jac, tau) - directional_derivative(full, tau))) <= 1e-13 * scale
+
+
+class TestSymmetryGroup:
+    """The group ``forward_matrix`` finds on its inputs, and the groups a stack accepts."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_the_standard_layout_at_sigma_one_has_the_four_group_in_any_order(self, k):
+        # Each load goes onto the load of its image pixel, wherever the caller put it.
+        for nx in range(2, 13):
+            stiffness, loads = problem(nx, k)
+            m = len(loads)
+            distinct = len({ld.y.tobytes() for ld in loads}) == m  # nx = 2, k = 1: four equal loads
+            Y = np.array([ld.y for ld in loads])
+            for order in [range(m), [1, 0, *range(2, m)], range(m)[::-1], np.random.default_rng(nx).permutation(m)]:
+                group = forward._symmetry_group(stiffness, np.ones(stiffness.n), [loads[i] for i in order])
+                expected = layout_group(nx, list(order))
+                assert np.array_equal(group[:, :stiffness.n], expected[:, :stiffness.n])
+                for t, w, e in zip(group[:, stiffness.n:] - stiffness.n, lattice_symmetries(nx * k - 1), expected):
+                    assert np.array_equal(Y[order][t], Y[order][:, w])  # each load onto its image, bitwise
+                    assert not distinct or np.array_equal(t + stiffness.n, e[stiffness.n:])
+
+    @pytest.mark.parametrize("k, value", [(4, 1.0 + 1e-3), (2, 1.0 + 1e-10), (2, np.nextafter(1.0, 2.0))])
+    def test_a_coefficient_no_symmetry_fixes_gets_the_identity(self, k, value):
+        # Pixel 1 of the 4x4 grid lies on no diagonal, and the half-turn moves every
+        # pixel. Invariance is checked on sigma itself, so no miss is small enough.
+        stiffness, loads = problem(4, k)
+        sigma = np.ones(16)
+        sigma[1] = value
+        _, jac = forward_matrix(stiffness, sigma, loads)
+        rows = forward_pairs(stiffness, sigma, [(a, b) for a in loads for b in loads])[1]
+        assert jac.group.tolist() == [list(range(16 + len(loads)))] and np.array_equal(jac.flattened(), rows)
+
+    @pytest.mark.parametrize("kept", ["reflection", "half-turn", "product"])
+    def test_a_coefficient_one_symmetry_fixes_gets_that_one(self, kept):
+        # sigma constant on the orbits of one lattice map: the group of that map alone,
+        # whose blocks hold the spectrum of the full contraction.
+        stiffness, loads = problem(5, 2)
+        i = ["reflection", "half-turn", "product"].index(kept) + 1
+        p = lattice_symmetries(5)[i]
+        sigma = np.random.default_rng(i).uniform(0.5, 2.0, 25)
+        sigma = np.maximum(sigma, sigma[p])
+        _, jac = forward_matrix(stiffness, sigma, loads)
+        assert np.array_equal(jac.group, layout_group(5)[[0, i]])
+        rows = forward_pairs(stiffness, sigma, [(a, b) for a in loads for b in loads])[1]
+        packed = analysis.condition_number(rows).singular_values
+        assert np.max(np.abs(analysis.condition_number(jac).singular_values - packed) / packed) <= 1e-12
+
+    @pytest.mark.parametrize("turn", ["quarter-turn", "mirror"])
+    def test_a_coefficient_a_quarter_turn_or_a_mirror_keeps_gets_the_half_turn(self, turn):
+        # The quarter-turn and the reflection about x = 1/2 flip the triangles'
+        # diagonals: never in the group. A sigma the quarter-turn keeps is kept by
+        # its square, the half-turn; one the mirror and the half-turn keep, by the half-turn.
+        stiffness, loads = problem(6, 4)
+        iy, ix = np.divmod(np.arange(36), 6)
+        half_turn = lattice_symmetries(6)[2]
+        q = ix * 6 + (5 - iy) if turn == "quarter-turn" else iy * 6 + (5 - ix)
+        sigma = np.random.default_rng(6).uniform(0.5, 2.0, 36)
+        for _ in range(3):  # the largest value of each orbit
+            for r in [q] if turn == "quarter-turn" else [q, half_turn]:
+                sigma = np.maximum(sigma, sigma[r])
+        assert np.array_equal(sigma[q], sigma) and not np.array_equal(sigma[lattice_symmetries(6)[1]], sigma)
+        _, jac = forward_matrix(stiffness, sigma, loads)
+        assert np.array_equal(jac.group, layout_group(6)[[0, 2]])
+
+    @pytest.mark.parametrize("field", ["dofs", "block"])
+    def test_a_stiffness_set_the_symmetries_move_gets_the_identity(self, field):
+        # Two vertices of every pixel swapped in its unknowns, or a block entry moved
+        # off the pixel's reflection: B_i is no longer mapped onto B_p(i).
+        stiffness, loads = problem(4, 2)
+        value = getattr(stiffness, field).copy()
+        value[..., [0, 1]] = value[..., [1, 0]]
+        spoiled = dataclasses.replace(stiffness, **{field: value})
+        assert len(forward._symmetry_group(stiffness, np.ones(16), loads)) == 4
+        assert forward._symmetry_group(spoiled, np.ones(16), loads).tolist() == [list(range(16 + len(loads)))]
+
+    @pytest.mark.parametrize("bad", ["last the identity", "second repeated", "three rows", "identity not first",
+                                     "a quarter-turn", "a quarter-turn and its square", "float", "bool",
+                                     "pixels onto loads", "five rows", "no rows"])
+    def test_a_group_that_is_not_one_is_refused(self, bad):
+        # nx = 4, k = 2 at sigma = 1: the layout's group and its orbits' slices of the full
+        # contraction give the condition number 12.2663. With the last element replaced by
+        # the identity they once gave 33.51; with the second repeated as the third, infinity.
+        stiffness, loads = problem(4, 2)
+        group = layout_group(4)
+        rows = forward_pairs(stiffness, np.ones(16), [(a, b) for a in loads for b in loads])[1]
+        full = np.ascontiguousarray(rows.T).reshape(16, 12, 12)
+        slices = full[np.unique(group[:, :16].min(axis=0))]
+        assert analysis.condition_number(JacobianStack(slices, group=group)).condition == pytest.approx(12.2663, rel=1e-5)
+        e, g1, g2, g3 = group
+        quarter = np.concatenate([np.arange(16).reshape(4, 4).T[:, ::-1].ravel(), 16 + np.roll(np.arange(12), 3)])
+        given = {"last the identity": [e, g1, g2, e], "second repeated": [e, g1, g1, g3], "three rows": [e, g1, g2],
+                 "identity not first": [g1, e], "a quarter-turn": [e, quarter],
+                 "a quarter-turn and its square": [e, quarter, quarter[quarter], g3], "float": group + 0.0,
+                 "bool": group.astype(bool), "pixels onto loads": [e, e[::-1]], "five rows": [e, g1, g2, g3, e],
+                 "no rows": np.zeros((0, 28), dtype=int)}[bad]
+        with pytest.raises(ValueError, match="a group must be the identity"):
+            JacobianStack(slices, group=np.array(given))

@@ -102,7 +102,8 @@ class TestPixelGrid:
     @pytest.mark.parametrize("nx", [1, 2, 3, 6])
     def test_symmetries_are_the_diagonal_reflection_and_the_half_turn(self, nx):
         grid = PixelGrid(nx)
-        reflection, half_turn = grid.symmetries()
+        identity, reflection, half_turn, product = lattice_symmetries(nx)
+        assert np.array_equal(identity, np.arange(grid.n)) and np.array_equal(product, reflection[half_turn])
         centers = np.array([grid.pixel_center(p) for p in range(grid.n)])
         assert np.allclose(centers[reflection], centers[:, ::-1])
         assert np.allclose(centers[half_turn], 1.0 - centers)
@@ -121,7 +122,6 @@ class TestPixelGrid:
         key = np.sort(mesh.triangles, axis=1) @ [(S + 1) ** 4, (S + 1) ** 2, 1]
         order = np.argsort(key)
         interior = np.flatnonzero(mesh.free_index >= 0)  # in free-index order
-        assert [p.tolist() for p in lattice_symmetries(nx)[1:3]] == [p.tolist() for p in grid.symmetries()]
         moved = [mesh.vertices, mesh.vertices[:, ::-1], 1.0 - mesh.vertices, 1.0 - mesh.vertices[:, ::-1]]
         for vertices, pixels, unknowns, xy in zip(lattice_symmetries(S + 1), lattice_symmetries(nx),
                                                   lattice_symmetries(S - 1), moved):
@@ -438,8 +438,7 @@ class TestStandardLayout:
         maps = [2 * (sx * S + sy) + 1 - parity, 2 * ((S - 1 - sy) * S + S - 1 - sx) + 1 - parity]
         maps.append(maps[0][maps[1]])
         boundary = np.array(grid.boundary_pixels())
-        reflection, half_turn = grid.symmetries()
-        for triangles, pixels in zip(maps, [reflection, half_turn, reflection[half_turn]]):
+        for triangles, pixels in zip(maps, lattice_symmetries(nx)[1:]):
             loads = np.searchsorted(boundary, pixels[boundary])
             for disk, image in zip(disks, loads):
                 assert np.array_equal(np.sort(triangles[disk.element_set]), disks[image].element_set)

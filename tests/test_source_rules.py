@@ -1,7 +1,7 @@
 """Rules the library's source keeps: no ``except`` broader than the errors it expects,
 no import that is neither used nor exported, no dataclass whose fields can be reassigned,
-no access to the process environment, no panel width or band Cholesky outside ``linsolve``, and no
-SVD kernel outside ``analysis``."""
+no access to the process environment, no panel width or band Cholesky outside ``linsolve``, no
+SVD kernel outside ``analysis``, and no lattice symmetry map outside ``mesh`` and ``forward``."""
 
 import ast
 from pathlib import Path
@@ -257,3 +257,27 @@ from scipy.linalg.lapack import dgeqp3 as qr
 def test_svd_kernel_stays_in_analysis(path):
     uses = seam_uses(path.read_text(encoding="utf-8"), SVD)
     assert bool(uses) == (path.name == "analysis.py"), uses
+
+
+# The symmetry seam: the lattice maps are named only where they are defined (``mesh``) and where
+# ``forward_matrix``'s group is decided (``forward``), so no other module builds a group of its own.
+SYMMETRY = {"lattice_symmetries"}
+
+
+def test_rule_finds_every_lattice_map_use():
+    source = """
+from .mesh import lattice_symmetries
+from .mesh import lattice_symmetries as maps
+from . import mesh
+group = mesh.lattice_symmetries(4)
+name = "lattice_symmetries"
+pixels = lattice_symmetries(nx)[1:3]
+symmetries = grid.symmetries()
+"""
+    assert seam_uses(source, SYMMETRY) == [2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_lattice_maps_stay_in_mesh_and_forward(path):
+    uses = seam_uses(path.read_text(encoding="utf-8"), SYMMETRY)
+    assert not uses or path.name in {"mesh.py", "forward.py"}, uses
