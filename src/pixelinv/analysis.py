@@ -171,6 +171,8 @@ def loewner_min_eig(matrix) -> float:
     the semidefinite order is only meaningful for symmetric ones.
     """
     A = np.asarray_chkfinite(matrix, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square 2D matrix, got shape {A.shape}")
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
     if asym > 1e-9 * scale:

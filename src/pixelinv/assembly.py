@@ -28,10 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DiskSpec, PixelGrid, TriMesh, _read_only
+from .linsolve import _band_solver
+from .mesh import DiskSpec, PixelGrid, TriMesh, _check_integer, _read_only
 
 __all__ = ["StiffnessSet", "check_sigma", "check_loads", "LoadVector", "element_stiffness", "assemble_pixel_matrices",
            "assemble_global", "global_matrix", "assemble_load"]
+
+# Bytes per step of the lifted interiors, of the Jacobian contraction's gathered solutions (they set its memory
+# peak) and of a sweep batch's eigenvectors and padded columns (larger was no faster).
+_WORKING_BYTES = 1 << 18
 
 
 def element_stiffness(vertices) -> np.ndarray:
@@ -77,12 +82,17 @@ def check_sigma(sigma, n: int) -> np.ndarray:
 
 
 def check_loads(stiffness: StiffnessSet, loads: list) -> None:
-    """Refuse a load of another mesh: a ``y`` without ``N`` entries, or a disk of another ``(nx, k)``."""
+    """Refuse an empty ``loads``, a load of another mesh (a ``y`` without ``N`` entries, or a disk of another
+    ``(nx, k)``) and one with an entry that is not finite, named by its place in ``loads``; each load is read once."""
+    if not loads:
+        raise ValueError("need at least one load")
     mesh = (math.isqrt(stiffness.n), math.isqrt(stiffness.block.shape[0]) - 1)
-    for ld in loads:
+    for ld in {id(ld): ld for ld in loads}.values():
         if ld.y.shape != (stiffness.N,) or ld.disk is not None and ld.disk.mesh != mesh:
             raise ValueError(f"load of {ld.y.size} entries from the mesh (nx, k) = {getattr(ld.disk, 'mesh', None)} "
                              f"used with the stiffness set of the mesh {mesh}, {stiffness.N} unknowns")
+        if not ld._finite:  # a LoadVector equals only itself, so index finds its first place
+            raise ValueError(f"load {loads.index(ld) + 1} of {len(loads)} has an entry that is not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +118,7 @@ class StiffnessSet:
         lists, by ascending pixel, the block entries landing on entry
         ``r`` of ``pattern``.
     condensation : Condensation
-        Cached on first use: the forward maps build it at k >= 3 only, the sweep never.
+        Cached on first use, by :meth:`skeleton_factor` at k >= 3 only.
     """
 
     dofs: np.ndarray
@@ -129,11 +139,23 @@ class StiffnessSet:
 
     def pixel_matrix(self, i: int) -> sp.csr_matrix:
         """``B_i`` as an (N, N) CSR matrix, stored only on pixel ``i``'s vertices."""
+        _check_integer("pixel", i)
+        if not 0 <= i < self.n:
+            raise IndexError(f"pixel {i} outside {math.isqrt(self.n)}x{math.isqrt(self.n)} grid")
         col = self.C[:, [i]].tocoo()
         rows = np.repeat(np.arange(self.N), np.diff(self.pattern.indptr))
         return sp.csr_matrix(
             (col.data, (rows[col.row], self.pattern.indices[col.row])), shape=self.pattern.shape
         )
+
+    def skeleton_factor(self, sigma):
+        """The ``factor`` :func:`linsolve.solve_multi` takes for ``B_sigma`` in the forward maps: the skeleton's
+        (:meth:`Condensation.factor`) from k = 3, else ``None``, so that ``B_sigma``'s own band is factored.
+
+        Below k = 3 a pixel has at most one interior unknown, yet the skeleton's band is ``nx (k - 1)`` wider than
+        ``B_sigma``'s ``nx k``: with ``forward_matrix`` on a warm stiffness set (one thread, ``BENCH_33.json``) the
+        skeleton was 4-17 % slower at k = 2 (nx 3..30) and 1-43 % faster at k = 3..8 (nx <= 15)."""
+        return self.condensation.factor(check_sigma(sigma, self.n)) if len(self.block) >= 16 else None  # (k + 1)^2
 
     @functools.cached_property
     def condensation(self) -> Condensation:
@@ -180,8 +202,7 @@ class Condensation:
     adds row ``a n + i``, edge vertex ``a`` of pixel ``i``, onto the
     skeleton; each upper entry of every pixel's ``S_ref`` has a place in
     the flattened transpose of LAPACK's upper band storage, a pixel and a
-    value. With ``k = 1`` there is no interior and ``S_ref`` is the block. The forward maps solve on it
-    from k = 3: below, a pixel has at most one interior unknown, yet the skeleton band is ``nx (k - 1)`` wider.
+    value. With ``k = 1`` there is no interior and ``S_ref`` is the block.
     """
 
     skeleton: np.ndarray
@@ -201,6 +222,29 @@ class Condensation:
         weights = sigma[self.band_pixel] * self.band_value
         size = (self.bandwidth + 1) * self.skeleton.size
         return np.bincount(self.band_position, weights, size).reshape(-1, self.bandwidth + 1).T
+
+    def factor(self, sigma: np.ndarray):
+        """``solve(R, out)``, a ``factor`` of :func:`linsolve.solve_multi` for ``B_sigma`` at the checked ``sigma``:
+        a panel ``R`` condensed onto the skeleton, ``S_sigma`` solved by ``linsolve``'s band solver, then the interiors
+        lifted back into ``out``, whose zero last row a boundary edge vertex (-1) reads."""
+        substitute = _band_solver(self.band(sigma))
+        (q, e), n = self.P.shape, len(self.interior)
+
+        def solve(R, out):
+            width = R.shape[1]
+            R_I = np.take(R, self.interior.T, axis=0)  # (q, n, width)
+            X_S = self.scatter @ (self.P.T @ R_I.reshape(q, n * width)).reshape(self.edge.size, width)
+            X_S += R[self.skeleton]
+            out[self.skeleton] = substitute(X_S)
+            R_I /= sigma[:, None]
+            step = max(1, _WORKING_BYTES // (8 * e * width))  # the interiors lifted a few pixels at a time
+            for p in range(0, n, step):
+                interior, edge = self.interior[p:p + step].T, self.edge[p:p + step].T
+                X_I = self.K_II_inv @ R_I[:, p:p + step].reshape(q, edge.shape[1] * width)
+                X_I += self.P @ out[edge].reshape(e, -1)
+                out[interior] = X_I.reshape(*interior.shape, width)
+
+        return solve
 
 
 def assemble_pixel_matrices(mesh: TriMesh, grid: PixelGrid | None = None) -> StiffnessSet:
@@ -310,6 +354,11 @@ class LoadVector:
     y: np.ndarray
     disk: DiskSpec | None
     __post_init__ = _read_only
+
+    @functools.cached_property
+    def _finite(self) -> bool:
+        """Whether every entry of ``y`` is finite, read once per load, as ``y`` is read-only."""
+        return bool(np.isfinite(self.y).all())
 
 
 def assemble_load(mesh: TriMesh, disk: DiskSpec) -> LoadVector:

@@ -382,11 +382,8 @@ def run_property_suite(config: ExperimentConfig) -> dict:
             worst = max(worst, float(np.linalg.norm(x - np.linalg.solve(A, b))))
         record("solver_oracle", worst)
 
-        B = global_matrix(stiffness, ones)
-        y = loads[0].y
-        z = loads[-1].y
-        sy = linsolve.solve_spd(B, y, tol=tol).solution
-        sz = linsolve.solve_spd(B, z, tol=tol).solution
+        y, z = loads[0].y, loads[-1].y
+        sy, sz = (rep.solution for rep in linsolve.solve_multi(global_matrix(stiffness, ones), [y, z], tol=tol))
         lhs, rhs = float(sy @ z), float(y @ sz)
         record("solve_symmetry", abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
@@ -440,7 +437,7 @@ def run_property_suite(config: ExperimentConfig) -> dict:
         # Nested refinement: the measurement matrix grows in the semidefinite
         # order, diagonals are non-decreasing, and level gaps shrink.
         s = rng.uniform(0.5, 2.0, n)
-        F_k, F_2k, F_4k = (true_reference(grid, disks, s, k, level, tol=tol).values for level in (k, 2 * k, 4 * k))
+        F_k, F_2k, F_4k = (true_reference(disks, s, level, tol=tol).values for level in (k, 2 * k, 4 * k))
         coarse, fine = F_2k - F_k, F_4k - F_2k  # the two level steps
         record("refinement_ordering", min(loewner_min_eig(coarse), loewner_min_eig(fine)))
         record("refinement_diagonal", float(min(np.diag(coarse).min(), np.diag(fine).min())))

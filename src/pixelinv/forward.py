@@ -13,20 +13,16 @@ measurements) the full ``m x m`` matrix and all ``n`` Jacobian slices
 follow from just ``m`` linear solves.
 
 All maps but the sweep take one path: ``global_matrix`` validates ``sigma``
-and forms ``B_sigma`` for the residuals, and ``linsolve.solve_multi`` solves
-all loads in one block, so no load's bits depend on the others. At k >= 3 it
-takes a factor of ``B_sigma`` condensed onto the skeleton (``StiffnessSet.condensation``):
-it condenses each zero-padded panel of loads, solves the Schur complement ``S_sigma``
-by ``linsolve``'s band solver and lifts the pixel interiors back. At k <= 2 a pixel
-has at most one interior unknown, yet the skeleton's band is ``nx (k - 1)`` wider than
-``B_sigma``'s ``nx k``, so ``B_sigma``'s own band is factored: the skeleton was 4-17 %
-slower there (nx 3..30), and up to 43 % faster at k = 3..8 (nx <= 15). The Jacobian is
-contracted a chunk of pixels at a time, from the pixel block all pixels share and the
-solutions gathered onto their vertices, straight into the returned stack;
-under the group of lattice symmetries found on the inputs, one pixel per orbit.
-Pair values are one product of the distinct excitations' solutions with the
-distinct measurement loads; a symmetric layout is all ``m*m`` pairs. The
-number of back-substitutions is returned (``MeasurementMatrix.solves_used``).
+and forms ``B_sigma`` for the residuals, the loads are stacked once, and
+``linsolve.solve_multi`` solves them all in one block, so no load's bits
+depend on the others, against the factor ``StiffnessSet.skeleton_factor``
+chooses. The Jacobian is contracted a chunk of pixels at a time, from the
+pixel block all pixels share and the solutions gathered onto their vertices,
+straight into the returned stack; under the group of lattice symmetries found
+on the inputs, one pixel per orbit. Values are one product of the solutions
+with the distinct measurement loads over the unknowns those touch; a symmetric
+layout is all ``m*m`` pairs. The number of back-substitutions is returned
+(``MeasurementMatrix.solves_used``).
 The matrix map is symmetric positive semidefinite, monotonically
 non-increasing and convex in the Loewner order, and grows pointwise under
 nested mesh refinement; these properties are exercised by the test suite.
@@ -55,6 +51,7 @@ from scipy.linalg.lapack import dpotrf, dsyevd, dtrtri
 
 from . import linsolve
 from .assembly import (
+    _WORKING_BYTES,
     StiffnessSet,
     assemble_load,
     assemble_pixel_matrices,
@@ -68,12 +65,11 @@ __all__ = ["MeasurementMatrix", "JacobianStack", "check_sigma", "forward_matrix"
            "forward_pair_values", "forward_pair_sweep", "directional_derivative", "true_reference"]
 
 
-def _require_finite(sigma, *outputs) -> None:
-    """Refuse outputs that left the double-precision range instead of returning them."""
-    if not all(np.isfinite(out).all() for out in outputs):
-        s = np.asarray(sigma, dtype=float)
+def _require_finite(sigma, out: np.ndarray) -> None:
+    """Refuse an output that left the double-precision range instead of returning it."""
+    if not np.isfinite(out).all():
         raise FloatingPointError(
-            f"F or J has non-finite entries at sigma in [{s.min():.3g}, {s.max():.3g}]; "
+            f"F or J has non-finite entries at sigma in [{np.min(sigma):.3g}, {np.max(sigma):.3g}]; "
             "the coefficient scale is outside double-precision range"
         )
 
@@ -150,11 +146,6 @@ class JacobianStack:
         return self.slices.reshape(self.n, -1).T
 
 
-# Bytes per step of the Jacobian contraction's gathered solutions (they set its memory
-# peak) and of a sweep batch's eigenvectors and padded columns (larger was no faster).
-_WORKING_BYTES = 1 << 18
-
-
 def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, pixels, out: np.ndarray) -> np.ndarray:
     """``out[r, j, l] = -lam[:, j] . (B_i @ lam[:, l])`` for each pixel ``i = pixels[r]``, a chunk of
     pixels at a time, each gathered onto its vertices and checked for finiteness.
@@ -170,46 +161,22 @@ def _pixel_quadratic_forms(stiffness: StiffnessSet, sigma, lam: np.ndarray, pixe
     return out
 
 
-def _condensed_factor(stiffness: StiffnessSet, sigma: np.ndarray):
-    """``solve(R, out)``, the ``factor`` of :func:`linsolve.solve_multi` for ``B_sigma``: the skeleton's Schur
-    complement (:class:`assembly.Condensation`) solved by ``linsolve._band_solver``, then the interiors lifted back
-    into ``out``, whose zero last row a boundary edge vertex (-1) reads."""
-    c = stiffness.condensation
-    substitute = linsolve._band_solver(c.band(sigma))
-    q, e = c.P.shape
-
-    def solve(R, out):
-        width = R.shape[1]
-        R_I = np.take(R, c.interior.T, axis=0)  # (q, n, width)
-        X_S = c.scatter @ (c.P.T @ R_I.reshape(q, stiffness.n * width)).reshape(c.edge.size, width)
-        X_S += R[c.skeleton]
-        out[c.skeleton] = substitute(X_S)
-        R_I /= sigma[:, None]
-        step = max(1, _WORKING_BYTES // (8 * e * width))  # the interiors lifted a few pixels at a time
-        for p in range(0, stiffness.n, step):
-            interior, edge = c.interior[p:p + step].T, c.edge[p:p + step].T
-            X_I = c.K_II_inv @ R_I[:, p:p + step].reshape(q, edge.shape[1] * width)
-            X_I += c.P @ out[edge].reshape(e, -1)
-            out[interior] = X_I.reshape(*interior.shape, width)
-
-    return solve
-
-
 def _solve(stiffness: StiffnessSet, sigma, loads: list, tol):
-    """Solution columns ``lam_j`` of ``B_sigma @ lam_j = y_j``, one per load,
-    all against one factorization, above a zero row; the unknowns any load
-    touches and the loads there; and the back-substitutions that took."""
-    if not loads:
-        raise ValueError("need at least one load")
-    check_loads(stiffness, loads)
-    B = global_matrix(stiffness, sigma)
-    # The skeleton only where a pixel has (k - 1)^2 >= 4 interior unknowns: k >= 3, (k + 1)^2 >= 16 block rows.
-    factor = _condensed_factor(stiffness, check_sigma(sigma, stiffness.n)) if len(stiffness.block) >= 16 else None
-    rows = np.flatnonzero(np.any([ld.y for ld in loads], axis=0))
-    Y = np.zeros((stiffness.N, len(loads)))
-    Y[rows] = np.array([ld.y[rows] for ld in loads], dtype=float).T
-    reports = linsolve.solve_multi(B, Y.T, tol=tol, factor=factor)  # solutions: columns of a block above a zero row
-    return reports[0].solution.base[:, :len(loads)], (rows, Y[rows]), sum(1 + rep.iterations for rep in reports)
+    """Solution columns ``lam_j`` of ``B_sigma @ lam_j = y_j``, one per checked load, all against one factorization,
+    above a zero row; the loads stacked, ``(m, N)``; and the back-substitutions that took."""
+    B, Y = global_matrix(stiffness, sigma), np.array([ld.y for ld in loads])
+    reports = linsolve.solve_multi(B, Y, tol=tol, factor=stiffness.skeleton_factor(sigma))
+    return reports[0].solution.base[:, :len(loads)], Y, sum(1 + rep.iterations for rep in reports)
+
+
+def _values(sigma, lam: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``lam_l . y_r`` for each column ``l`` of ``lam`` and each measurement load ``r``, a row of ``Y``, summed over
+    the unknowns the measurement loads touch; refused if not finite."""
+    rows = np.flatnonzero(Y.any(axis=0))
+    with np.errstate(all="ignore"):  # an overflow is refused by the check below
+        values = lam[rows].T @ Y[:, rows].T
+    _require_finite(sigma, values)
+    return values
 
 
 def _distinct(loads: list):
@@ -220,25 +187,26 @@ def _distinct(loads: list):
     return list(distinct.values()), np.array([column[id(ld)] for ld in loads], dtype=np.int64)
 
 
-def _measurement_matrix(stiffness: StiffnessSet, sigma, loads: list, tol):
-    """Measurement matrix of a symmetric layout, plus the solutions behind it."""
-    lam, (rows, values), used = _solve(stiffness, sigma, loads, tol)
-    return MeasurementMatrix(values=lam[rows].T @ values, solves_used=used), lam
+def _sides(stiffness: StiffnessSet, pairs: list):
+    """The loads of ``pairs``, checked: the distinct excitations and each pair's index among them, then the same of
+    the measurement loads."""
+    check_loads(stiffness, [ld for pair in pairs for ld in pair])
+    return (*_distinct([y_l for y_l, _ in pairs]), *_distinct([y_r for _, y_r in pairs]))
 
 
-def _symmetry_group(stiffness: StiffnessSet, sigma, loads: list) -> np.ndarray:
+def _symmetry_group(stiffness: StiffnessSet, sigma, Y: np.ndarray) -> np.ndarray:
     """The :attr:`JacobianStack.group` of the :func:`mesh.lattice_symmetries` that map, bitwise, ``sigma``, the mesh
-    (each pixel's vertices onto its image's, the pixel block onto itself) and the loads onto themselves. A load's image
-    is guessed to be the load of its rank by the sum, then the sum of squares, of the unknowns each touches (exact
-    integers, so equal loads go onto equal loads in order), then verified. Element ``i`` composes the generators of
-    the bits set in ``i``; under each, ``B_sigma``, each ``B_i`` and the solutions move with the inputs."""
-    n, m, dofs, block, s = stiffness.n, len(loads), stiffness.dofs, stiffness.block, check_sigma(sigma, stiffness.n)
+    (each pixel's vertices onto its image's, the pixel block onto itself) and the loads, the rows of ``Y``, onto
+    themselves. A load's image is guessed to be the load of its rank by the sum, then the sum of squares, of the
+    unknowns each touches (exact integers, so equal loads go onto equal loads in order), then verified. Element ``i``
+    composes the generators of the bits set in ``i``; under each, ``B_sigma``, each ``B_i`` and the solutions move
+    with the inputs."""
+    n, m, dofs, block, s = stiffness.n, len(Y), stiffness.dofs, stiffness.block, check_sigma(sigma, stiffness.n)
     group, t = np.arange(n + m)[None], np.empty(m, dtype=np.int64)
     pixels = lattice_symmetries(math.isqrt(n))
     fixing = [i for i, p in enumerate(pixels) if i and np.array_equal(s[p], s)]
     if fixing:  # the mesh and the loads are read only for a map that fixes sigma
         maps = list(zip(pixels, *(lattice_symmetries(math.isqrt(size)) for size in (len(block), stiffness.N))))
-        Y = np.array([ld.y for ld in loads])
         u = np.array([w for _, _, w in maps], dtype=float).T + 1  # (N, 4): where each map takes each unknown, + 1
         sums = (Y != 0).astype(float) @ np.hstack([u, u * u])  # (m, 8): the keys of each load's image under each map
     for i in fixing:
@@ -263,9 +231,10 @@ def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = lin
     -------
     (MeasurementMatrix, JacobianStack)
     """
-    F, lam = _measurement_matrix(stiffness, sigma, loads, tol)
-    _require_finite(sigma, F.values)
-    group = _symmetry_group(stiffness, sigma, loads)
+    check_loads(stiffness, loads)
+    lam, Y, used = _solve(stiffness, sigma, loads, tol)
+    F, group = MeasurementMatrix(values=_values(sigma, lam, Y), solves_used=used), _symmetry_group(stiffness, sigma, Y)
+    del Y  # not held through the contraction
     orbits = np.unique(group[:, :stiffness.n].min(axis=0))  # as JacobianStack.orbits
     slices = _pixel_quadratic_forms(stiffness, sigma, lam, orbits, np.empty((orbits.size,) + F.values.shape))
     return F, JacobianStack(slices, group=group)
@@ -274,34 +243,25 @@ def forward_matrix(stiffness: StiffnessSet, sigma, loads: list, tol: float = lin
 def forward_pairs(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL):
     """Values and Jacobian rows for arbitrary (excitation, measurement) pairs.
 
-    ``pairs`` is a list of ``(y_l, y_r)`` LoadVector tuples. Returns a
-    vector of the ``p`` values and a ``(p, n)`` Jacobian. Each distinct
-    load object is solved once, the excitations first. The Loewner-order
-    structure of symmetric layouts does not apply to such plain vectors.
+    ``pairs`` is a list of ``(y_l, y_r)`` LoadVector tuples; an error names a load by its place among them, pair by
+    pair, excitation first. Returns a vector of the ``p`` values and a ``(p, n)`` Jacobian. Each distinct load object
+    is solved once, the excitations first. The Loewner-order structure of symmetric layouts does not apply here.
     """
-    distinct, column = _distinct([y_l for y_l, _ in pairs] + [y_r for _, y_r in pairs])
-    lam, d = _solve(stiffness, sigma, distinct, tol)[0], len(distinct)
+    excitations, left, measurements, right = _sides(stiffness, pairs)
+    distinct, column = _distinct(excitations + measurements)
+    lam, e, d = _solve(stiffness, sigma, distinct, tol)[0], len(excitations), len(distinct)
+    values = _values(sigma, lam[:, :e], np.array([r.y for r in measurements]))[left, right]  # as forward_pair_values
     forms = _pixel_quadratic_forms(stiffness, sigma, lam, np.arange(stiffness.n), np.empty((stiffness.n, d, d)))
-    return _pair_values(sigma, lam, pairs), forms[:, column[:len(pairs)], column[len(pairs):]].T
+    return values, forms[:, left, column[e:][right]].T
 
 
 def forward_pair_values(stiffness: StiffnessSet, sigma, pairs: list, tol: float = linsolve.DEFAULT_TOL) -> np.ndarray:
     """Values only for (excitation, measurement) pairs; solves excitations only, as :func:`forward_pairs` does.
 
     :func:`forward_pair_sweep` solves a sample that misses its tolerance with this."""
-    check_loads(stiffness, [y_r for _, y_r in pairs])  # _solve checks the excitations
-    return _pair_values(sigma, _solve(stiffness, sigma, _distinct([y_l for y_l, _ in pairs])[0], tol)[0], pairs)
-
-
-def _pair_values(sigma, lam: np.ndarray, pairs: list) -> np.ndarray:
-    """``lam_l . y_r`` per pair: ``lam``'s first columns, the excitations', times the distinct measurement loads."""
-    excitations, left = _distinct([y_l for y_l, _ in pairs])
-    measurements, right = _distinct([y_r for _, y_r in pairs])
-    with np.errstate(all="ignore"):  # an overflow is refused by the check below
-        lam_e = np.ascontiguousarray(lam[:-1, :len(excitations)])  # one layout, so the two maps' products agree
-        values = (lam_e.T @ np.column_stack([r.y for r in measurements]))[left, right]
-    _require_finite(sigma, values)
-    return values
+    excitations, left, measurements, right = _sides(stiffness, pairs)
+    lam = _solve(stiffness, sigma, excitations, tol)[0]
+    return _values(sigma, lam, np.array([r.y for r in measurements]))[left, right]
 
 
 # Most samples of a line decomposed at once, so memory does not grow with the
@@ -376,23 +336,20 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     ------
     ValueError
         If ``pixels`` is empty or has repeated, out-of-range or non-integer entries,
-        ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty or from another mesh,
+        ``samples`` is not ``(P, len(pixels))``, ``pairs`` is empty, from another mesh or not finite,
         ``sigma`` or a sample is not finite and strictly positive, or a sample's own solve
         overflows ``B_sigma``.
     linsolve.SolverError
         If the set-up solve misses ``tol``, or a sample's own solve fails: it names the
         sample and why it went there, and carries the sweep's residual (NaN if undecomposed).
     """
-    if not pairs:
-        raise ValueError("need at least one load")
-    check_loads(stiffness, [ld for pair in pairs for ld in pair])
+    excitations, left, _, _ = _sides(stiffness, pairs)
     B = global_matrix(stiffness, sigma)
     base = np.asarray(sigma, dtype=float).reshape(-1)
     pixels = np.asarray(pixels).reshape(-1)  # a float or bool index is refused, not truncated
     if not pixels.size or pixels.dtype.kind not in "iu" or len({*pixels.tolist()} & {*range(stiffness.n)}) < pixels.size:
         raise ValueError(f"pixels must be one or more distinct integer indices below {stiffness.n}, "
                          f"got {pixels.tolist()}")
-    pixels = pixels.astype(np.int64)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != pixels.size:
         raise ValueError(f"samples must have shape (P, {pixels.size}), got {samples.shape}")
@@ -411,7 +368,6 @@ def forward_pair_sweep(stiffness: StiffnessSet, sigma, pixels, samples, pairs: l
     RS, r = np.concatenate([R, S]), R.size
     B = B[RS][:, RS]  # one symmetric permutation, cut into the four blocks by ranges
     B_RR, B_RS, B_SR, B_SS = B[:r, :r], B[:r, r:].toarray(), B[r:, :r], B[r:, r:].toarray()
-    excitations, left = _distinct([y_l for y_l, _ in pairs])
     Y, e = np.column_stack([ld.y for ld in excitations]), len(excitations)
     Y_r = np.column_stack([r.y for _, r in pairs])
     reports = linsolve.solve_multi(B_RR, list(Y[R].T) + list(B_RS.T), tol=tol)
@@ -516,28 +472,24 @@ def directional_derivative(jac: JacobianStack, tau) -> np.ndarray:
     return np.tensordot(t, jac.slices, axes=([0], [0]))
 
 
-def true_reference(grid: PixelGrid, disks: list, sigma, k: int, k_max: int,
-                   tol: float = linsolve.DEFAULT_TOL) -> MeasurementMatrix:
+def true_reference(disks: list, sigma, k_max: int, tol: float = linsolve.DEFAULT_TOL) -> MeasurementMatrix:
     """Measurement matrix on a nested refinement, as a reference surrogate.
 
-    ``disks`` must be resolved on the mesh with parameter ``k``; their
-    element sets are carried through each halving step so the functionals
-    are geometrically identical on every level. ``k_max`` must be ``k``
-    times a power of two. With increasing ``k_max`` the returned matrix
-    increases in the Loewner order towards the exact-solution measurement
-    matrix, which is how refinement studies use it.
+    ``disks`` must be resolved on one mesh, ``(nx, k)``; their element sets are carried through each halving step
+    so the functionals are geometrically identical on every level. ``k_max`` must be ``k`` times a power of two.
+    With increasing ``k_max`` the returned matrix increases in the Loewner order towards the exact-solution
+    measurement matrix, which is how refinement studies use it.
     """
-    mesh = build_mesh(grid, k)  # refuses a k that is not a positive integer
+    if not disks:
+        raise ValueError("need at least one disk")
+    nx, k = disks[0].mesh  # a disk of another mesh is refused where it is carried or assembled
+    mesh = build_mesh(PixelGrid(nx), k)
     _check_integer("k_max", k_max, k)
-    ratio = k_max // k
-    if k * ratio != k_max or ratio & (ratio - 1):
+    while mesh.k < k_max:
+        disks = [refine_disk(d, mesh) for d in disks]
+        mesh = refine(mesh)
+    if mesh.k != k_max:
         raise ValueError(f"k_max={k_max} is not k={k} times a power of two")
 
-    carried = list(disks)
-    while mesh.k < k_max:
-        carried = [refine_disk(d, mesh) for d in carried]
-        mesh = refine(mesh)
-
-    stiffness = assemble_pixel_matrices(mesh, grid)
-    loads = [assemble_load(mesh, d) for d in carried]
-    return _measurement_matrix(stiffness, sigma, loads, tol)[0]
+    lam, Y, used = _solve(assemble_pixel_matrices(mesh), sigma, [assemble_load(mesh, d) for d in disks], tol)
+    return MeasurementMatrix(values=_values(sigma, lam, Y), solves_used=used)

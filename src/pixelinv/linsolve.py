@@ -5,10 +5,8 @@ elements per pixel side has bandwidth ``b = nx*k``. A matrix is factored
 once by LAPACK's blocked band Cholesky ``dpbtrf`` on its upper band, read
 from its CSR arrays as numbered: ``(b + 1) N`` storage and ``O(N b^2)`` work
 (Golub & Van Loan, *Matrix Computations*, 4th ed., 4.3) and back-substituted
-by block rows, both in :func:`_band_solver`. At k >= 3 the forward maps hand
-in a factor of ``B_sigma`` condensed onto its skeleton instead; at k <= 2,
-where a pixel has at most one interior unknown and the skeleton band is
-``nx (k - 1)`` wider, they take this one. One loop hands either factor
+by block rows, both in :func:`_band_solver`; the forward maps may hand in another
+factor (``StiffnessSet.skeleton_factor``). One loop hands either factor
 the right-hand sides in zero-padded panels of :data:`_PANEL` columns, defined
 here only, to solve into one block above a zero row. All residuals come from
 one product with the full matrix, and

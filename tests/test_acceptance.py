@@ -183,7 +183,7 @@ def test_criterion_07_refinement_ordering():
     mesh = build_mesh(grid, base_k)
     disks = standard_disk_layout(mesh, 0.25)
     levels = {
-        k: true_reference(grid, disks, sigma, base_k, k).values
+        k: true_reference(disks, sigma, k).values
         for k in (2, 4, 8)
     }
     step_2_to_4 = levels[4] - levels[2]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,12 @@ class TestSymmetricEigenvalues:
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="not symmetric"):
             loewner_min_eig(A)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), ()])
+    def test_rejects_a_matrix_that_is_not_square(self, shape):
+        # (2, 3) raised numpy's broadcast error, (3,) LAPACK's LinAlgError.
+        with pytest.raises(ValueError, match=re.escape(f"expected a square 2D matrix, got shape {shape}")):
+            loewner_min_eig(np.ones(shape))
 
     def test_asymmetry_is_relative_to_the_largest_entry(self):
         # 10 % asymmetric with every entry below 1: rejected, not symmetrized.

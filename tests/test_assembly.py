@@ -115,6 +115,18 @@ class TestPixelMatrices:
         assert B.shape == (1, 1)
         assert B[0, 0] == pytest.approx(4.0, abs=1e-14)
 
+    @pytest.mark.parametrize("pixel, error, message", [(1.5, ValueError, "pixel must be an integer, got 1.5"),
+                                                       (True, ValueError, "pixel must be an integer, got True"),
+                                                       (-1, IndexError, "pixel -1 outside 3x3 grid"),
+                                                       (9, IndexError, "pixel 9 outside 3x3 grid")], ids=repr)
+    def test_pixel_matrix_refuses_a_bad_pixel(self, pixel, error, message):
+        # 1.5 once gave pixel 1's B_i and -1 pixel 8's; True raised numpy's bool-mask IndexError.
+        grid = PixelGrid(3)
+        stiffness = assemble_pixel_matrices(build_mesh(grid, 2), grid)
+        with pytest.raises(error, match=re.escape(message)):
+            stiffness.pixel_matrix(pixel)
+        assert stiffness.pixel_matrix(np.int64(8)).nnz == stiffness.pixel_matrix(8).nnz > 0
+
     def test_pixel_sum_identity(self, mesh3x4, grid3, stiffness3x4):
         # No coefficient-independent part: the pixel matrices alone sum to B_1.
         direct = assemble_global(mesh3x4, grid3, np.ones(9))
@@ -325,7 +337,7 @@ class TestAffineFamily:
         stiffness = assemble_pixel_matrices(mesh, grid3)
         sigma = 10.0 ** rng.uniform(-3.0, 3.0, 9)
         F = check_family_against_oracles(mesh, grid3, stiffness, sigma, loads)
-        assert np.array_equal(true_reference(grid3, disks, sigma, 2, 4).values, F.values)
+        assert np.array_equal(true_reference(disks, sigma, 4).values, F.values)
 
 
 class TestLoadVector:

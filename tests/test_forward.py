@@ -14,6 +14,7 @@ from scipy.sparse.linalg import splu
 
 from pixelinv import analysis, forward, linsolve
 from pixelinv.assembly import (
+    Condensation,
     LoadVector,
     assemble_global,
     assemble_load,
@@ -296,15 +297,15 @@ class TestForwardPairs:
             pairs = [(loads[i], loads[j]) for i, j in rng.integers(len(loads), size=(rng.integers(1, 6), 2))]
             assert np.array_equal(forward_pair_values(stiffness, sigma, pairs), forward_pairs(stiffness, sigma, pairs)[0])
 
-    @pytest.mark.parametrize("nx, k", [(3, 4), (8, 4)])
+    @pytest.mark.parametrize("nx, k", [(3, 4), (8, 4), (12, 2)])
     def test_all_pairs_are_the_symmetric_layout(self, nx, k):
-        # A symmetric layout written as pairs: the values are forward_matrix's to
-        # rounding, the Jacobian rows its flattened slices to the bit.
+        # A symmetric layout written as pairs: the values are forward_matrix's and the
+        # Jacobian rows its flattened slices, both to the bit.
         stiffness, loads = problem(nx, k)
         sigma = np.random.default_rng(nx).uniform(0.5, 2.0, stiffness.n)
         F, jac = forward_matrix(stiffness, sigma, loads)
         values, rows = forward_pairs(stiffness, sigma, [(y_l, y_r) for y_l in loads for y_r in loads])
-        assert np.all(np.abs(values - F.values.ravel()) <= 1e-14 * np.abs(F.values.ravel()))
+        assert np.array_equal(values, F.values.ravel())
         assert np.array_equal(rows, jac.flattened())
 
     def test_memory_peak_of_all_pairs(self):
@@ -918,31 +919,60 @@ class TestLoadsOfAnotherMesh:
             forward_matrix(stiffness3x4, np.ones(9), [LoadVector(y=np.ones(25), disk=None)])
 
     @pytest.mark.parametrize("k_max", [4, 8])
-    def test_true_reference_refuses_them(self, grid3, k_max):
+    def test_true_reference_refuses_them(self, grid3, disks3x4, k_max):
+        # The mesh is the first disk's own, so disks of two meshes, or none, are refused.
         disks = standard_disk_layout(build_mesh(grid3, 2), 0.25)
+        with pytest.raises(ValueError, match=re.escape("disk of the mesh (nx, k) = (3, 4) used on the mesh (3, 2)")):
+            true_reference(disks + disks3x4, np.ones(9), k_max)
         with pytest.raises(ValueError, match=re.escape("disk of the mesh (nx, k) = (3, 2) used on the mesh (3, 4)")):
-            true_reference(grid3, disks, np.ones(9), 4, k_max)
+            true_reference(disks3x4 + disks, np.ones(9), k_max)
+        with pytest.raises(ValueError, match="need at least one disk"):
+            true_reference([], np.ones(9), k_max)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_load_that_is_not_finite_is_named(self, bad):
+        # A NaN measurement load was blamed on sigma ("the coefficient scale is outside
+        # double-precision range") by the pair values and the sweep; forward_pairs named
+        # the distinct right-hand side. Loads are counted pair by pair, the excitation first.
+        stiffness, loads = problem(3, 2)
+        y = np.zeros(stiffness.N)
+        y[5] = bad
+        spoiled = LoadVector(y=y, disk=None)
+        pairs = [(loads[0], loads[1]), (loads[0], spoiled)]  # the same excitation twice: the spoiled load is the 4th
+        calls = [
+            lambda: forward_pair_values(stiffness, np.ones(9), pairs),
+            lambda: forward_pairs(stiffness, np.ones(9), pairs),
+            lambda: forward_pair_sweep(stiffness, np.ones(9), [4], np.ones((2, 1)), pairs),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape("load 4 of 4 has an entry that is not finite")):
+                call()
+        with pytest.raises(ValueError, match=re.escape("load 2 of 3 has an entry that is not finite")):
+            forward_matrix(stiffness, np.ones(9), [loads[0], spoiled, loads[1]])
+        nan = LoadVector(y=np.full(stiffness.N, np.nan), disk=None)
+        with pytest.raises(ValueError, match=re.escape("load 2 of 2 has an entry that is not finite")):
+            forward_pair_values(stiffness, np.ones(9), [(loads[0], nan)])
 
 
 class TestTrueReference:
     def test_same_level_is_identical(self, grid3, stiffness3x4, disks3x4, loads3x4):
         sigma = np.full(9, 1.1)
         F, _ = forward_matrix(stiffness3x4, sigma, loads3x4)
-        ref = true_reference(grid3, disks3x4, sigma, 4, 4)
+        ref = true_reference(disks3x4, sigma, 4)
         assert np.array_equal(ref.values, F.values)
 
     def test_rejects_bad_refinement_target(self, grid3, disks3x4):
         with pytest.raises(ValueError):
-            true_reference(grid3, disks3x4, np.ones(9), 4, 12)
+            true_reference(disks3x4, np.ones(9), 12)
         with pytest.raises(ValueError):
-            true_reference(grid3, disks3x4, np.ones(9), 4, 2)
+            true_reference(disks3x4, np.ones(9), 2)
 
     @pytest.mark.parametrize("k_max", [4.0, 8.0, True, "4"], ids=repr)
     def test_k_max_must_be_an_integer(self, grid3, k_max):
         # 4.0 and 8.0 once reached ``ratio & (ratio - 1)`` and raised a TypeError there.
         disks = standard_disk_layout(build_mesh(grid3, 2), 0.25)
         with pytest.raises(ValueError, match="k_max must be an integer"):
-            true_reference(grid3, disks, np.ones(9), 2, k_max)
+            true_reference(disks, np.ones(9), k_max)
 
     def test_refinement_ordering_and_cauchy(self, grid3, rng):
         # Finer nested spaces can only increase the measurement matrix in
@@ -952,7 +982,7 @@ class TestTrueReference:
         disks = standard_disk_layout(mesh, 0.25)
         sigma = rng.uniform(0.5, 2.0, 9)
         levels = {
-            kk: true_reference(grid3, disks, sigma, k, kk).values
+            kk: true_reference(disks, sigma, kk).values
             for kk in (k, 2 * k, 4 * k)
         }
         step1 = levels[2 * k] - levels[k]
@@ -1019,7 +1049,7 @@ class TestCondensedPath:
         grid = PixelGrid(nx)
         stiffness, loads = assemble_pixel_matrices(build_mesh(grid, k), grid), problem(nx, k)[1]
         sigma = oracle_sigma(nx, k, contrast)
-        factor = forward._condensed_factor(stiffness, sigma)
+        factor = stiffness.condensation.factor(sigma)
         reports = solve_multi(global_matrix(stiffness, sigma), [ld.y for ld in loads], factor=factor)
         lam = reports[0].solution.base[:, :len(loads)]  # above the block's zero row
         F = lam[:-1].T @ np.column_stack([ld.y for ld in loads])
@@ -1037,7 +1067,7 @@ class TestCondensedPath:
         F_clean, jac_clean = forward_matrix(stiffness3x4, sigma, loads3x4, tol=1e-12)
         pairs = [(loads3x4[0], loads3x4[6]), (loads3x4[2], loads3x4[2])]
         values_clean, rows_clean = forward_pairs(stiffness3x4, sigma, pairs, tol=1e-12)
-        condensed_factor, steps = forward._condensed_factor, []
+        condensed_factor, steps = Condensation.factor, []
 
         def spoiled_factor(*args):
             solve = condensed_factor(*args)
@@ -1061,7 +1091,7 @@ class TestCondensedPath:
             steps.extend(rep.iterations for rep in reports)
             return reports
 
-        monkeypatch.setattr(forward, "_condensed_factor", spoiled_factor)
+        monkeypatch.setattr(Condensation, "factor", spoiled_factor)
         monkeypatch.setattr(linsolve, "solve_multi", counted_multi)
         if spoil != "scaled":
             with pytest.raises(SolverError, match="missed tolerance"):
@@ -1083,7 +1113,7 @@ class TestCondensedPath:
         # width) is solved through the skeleton factor to the bit as in the
         # whole block.
         sigma = np.random.default_rng(3).uniform(0.5, 2.0, stiffness3x4.n)
-        B, factor = global_matrix(stiffness3x4, sigma), forward._condensed_factor(stiffness3x4, sigma)
+        B, factor = global_matrix(stiffness3x4, sigma), stiffness3x4.condensation.factor(sigma)
         R = np.random.default_rng(4).standard_normal((2 * linsolve._PANEL + 1, stiffness3x4.N))
         wide = [rep.solution for rep in solve_multi(B, R, factor=factor)]
         for columns in range(1, R.shape[0] + 1):
@@ -1192,7 +1222,7 @@ class TestSymmetryGroup:
             distinct = len({ld.y.tobytes() for ld in loads}) == m  # nx = 2, k = 1: four equal loads
             Y = np.array([ld.y for ld in loads])
             for order in [range(m), [1, 0, *range(2, m)], range(m)[::-1], np.random.default_rng(nx).permutation(m)]:
-                group = forward._symmetry_group(stiffness, np.ones(stiffness.n), [loads[i] for i in order])
+                group = forward._symmetry_group(stiffness, np.ones(stiffness.n), Y[list(order)])
                 expected = layout_group(nx, list(order))
                 assert np.array_equal(group[:, :stiffness.n], expected[:, :stiffness.n])
                 for t, w, e in zip(group[:, stiffness.n:] - stiffness.n, lattice_symmetries(nx * k - 1), expected):
@@ -1250,8 +1280,9 @@ class TestSymmetryGroup:
         value = getattr(stiffness, field).copy()
         value[..., [0, 1]] = value[..., [1, 0]]
         spoiled = dataclasses.replace(stiffness, **{field: value})
-        assert len(forward._symmetry_group(stiffness, np.ones(16), loads)) == 4
-        assert forward._symmetry_group(spoiled, np.ones(16), loads).tolist() == [list(range(16 + len(loads)))]
+        Y = np.array([ld.y for ld in loads])
+        assert len(forward._symmetry_group(stiffness, np.ones(16), Y)) == 4
+        assert forward._symmetry_group(spoiled, np.ones(16), Y).tolist() == [list(range(16 + len(loads)))]
 
     @pytest.mark.parametrize("bad", ["last the identity", "second repeated", "three rows", "identity not first",
                                      "a quarter-turn", "a quarter-turn and its square", "float", "bool",

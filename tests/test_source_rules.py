@@ -1,7 +1,8 @@
 """Rules the library's source keeps: no ``except`` broader than the errors it expects,
 no import that is neither used nor exported, no dataclass whose fields can be reassigned,
 no access to the process environment, no panel width or band Cholesky outside ``linsolve``, no
-SVD kernel outside ``analysis``, and no lattice symmetry map outside ``mesh`` and ``forward``."""
+SVD kernel outside ``analysis``, no lattice symmetry map outside ``mesh`` and ``forward``, no array
+of the condensation outside ``assembly``, and no band solver outside ``linsolve`` and ``assembly``."""
 
 import ast
 from pathlib import Path
@@ -281,3 +282,49 @@ symmetries = grid.symmetries()
 def test_lattice_maps_stay_in_mesh_and_forward(path):
     uses = seam_uses(path.read_text(encoding="utf-8"), SYMMETRY)
     assert not uses or path.name in {"mesh.py", "forward.py"}, uses
+
+
+# The condensation's seam: its arrays are read only in ``assembly``, which builds them and applies the skeleton
+# factor, so no other module condenses or lifts a load of its own.
+CONDENSATION = {"K_II_inv", "scatter", "band_position", "band_pixel", "band_value"}
+
+
+def test_rule_finds_every_condensation_array_use():
+    source = """
+c = stiffness.condensation
+X_I = c.K_II_inv @ R_I
+X_S = c.scatter @ R_E
+weights = sigma[c.band_pixel] * c.band_value
+band = np.bincount(c.band_position, weights)
+skeleton, P, name = c.skeleton, c.P, "scatter"
+Condensation(scatter=matrix)
+"""
+    assert seam_uses(source, CONDENSATION) == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_condensation_arrays_stay_in_assembly(path):
+    uses = seam_uses(path.read_text(encoding="utf-8"), CONDENSATION)
+    assert not uses or path.name == "assembly.py", uses
+
+
+# The band solver's callers: ``linsolve``, which defines it, and the skeleton factor in ``assembly``.
+BAND_SOLVER = {"_band_solver"}
+
+
+def test_rule_finds_every_band_solver_use():
+    source = """
+from .linsolve import _band_solver
+from . import linsolve
+substitute = linsolve._band_solver(band)
+name = "_band_solver"
+solver = linsolve.solve_multi
+from .linsolve import _band_solver as factor
+"""
+    assert seam_uses(source, BAND_SOLVER) == [2, 4, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_band_solver_stays_in_linsolve_and_assembly(path):
+    uses = seam_uses(path.read_text(encoding="utf-8"), BAND_SOLVER)
+    assert not uses or path.name in {"linsolve.py", "assembly.py"}, uses
